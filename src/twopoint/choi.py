@@ -6,14 +6,13 @@ represented canonically by the matrix
     J(L) = sum_{i,j} L(|i><j|) (x) |i><j|
 
 on the (output (x) input) space, with the output factor as the slowest tensor
-index. There is no separate "map object": complete positivity, hermiticity
-preservation and trace preservation are predicates on J, and Kraus operators
-come out of its eigendecomposition.
+index. Complete positivity, hermiticity preservation and trace preservation
+are predicates on J, and Kraus operators come out of its eigendecomposition.
+A map known by its Kraus operators keeps them, acts through them, and builds
+J only when something asks for it.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,39 +23,57 @@ from .linalg import hermitian_eigendecomposition, partial_trace
 KRAUS_RTOL = 1e-12
 
 
-@dataclass(frozen=True, eq=False)
 class ChoiOperator:
-    """A linear map carried as its (d_out*d_in)-sided matrix.
+    """A linear map carried as its (d_out*d_in)-sided matrix or its Kraus stack.
 
     ``matrix`` lives on output (x) input with the output index slowest;
-    ``d_in`` and ``d_out`` are the map's input/output dimensions.
+    ``d_in`` and ``d_out`` are the map's input/output dimensions. A map given
+    by ``kraus``, an (r, d_out, d_in) stack of operators K_a, builds ``matrix``
+    on first access as sum_a vec(K_a) vec(K_a)^dag and keeps it read-only;
+    ``kraus`` is None for a map given as a matrix.
     """
 
-    matrix: np.ndarray
-    d_in: int
-    d_out: int
-
-    def __post_init__(self):
-        side = self.d_out * self.d_in
-        m = np.asarray(self.matrix, dtype=complex)
+    def __init__(self, matrix, d_in: int, d_out: int, kraus=None):
+        self.d_in, self.d_out, self.kraus, self._matrix = d_in, d_out, None, None
+        if kraus is not None:
+            self.kraus = np.asarray(kraus, dtype=complex)
+            if matrix is not None or self.kraus.shape[1:] != (d_out, d_in):
+                raise ValueError(
+                    f"Kraus stack must have shape (r, {d_out}, {d_in}) and come "
+                    f"without a matrix; got shape {self.kraus.shape}"
+                )
+            return
+        side = d_out * d_in
+        m = np.asarray(matrix, dtype=complex)
         if m.shape != (side, side):
             raise ValueError(
                 f"matrix shape {m.shape} does not match dims "
                 f"(d_out*d_in = {side})"
             )
-        object.__setattr__(self, "matrix", m)
+        self._matrix = m
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            vecs = self.kraus.reshape(len(self.kraus), -1)  # row-major vec(K_a)
+            self._matrix = vecs.T @ vecs.conj()
+            self._matrix.flags.writeable = False
+        return self._matrix
 
 
 def apply_choi(j: ChoiOperator, m: np.ndarray) -> np.ndarray:
     """Act with the map represented by ``j`` on the matrix ``m``.
 
-    Computes Tr_in[ J (1_out (x) m^T) ], linear in both arguments.
+    Computes sum_a K_a m K_a^dag for a map given by its Kraus stack, and
+    Tr_in[ J (1_out (x) m^T) ] otherwise; linear in both arguments.
     """
     m = np.asarray(m, dtype=complex)
     if m.shape != (j.d_in, j.d_in):
         raise ValueError(
             f"input shape {m.shape} does not match map input dimension {j.d_in}"
         )
+    if j.kraus is not None:
+        return np.tensordot(j.kraus @ m, j.kraus.conj(), axes=([0, 2], [0, 2]))
     # Contract without building the d_out*d_in sized product explicitly:
     # J reshaped to (k, i, l, j) gives L(m)[k, l] = sum_{ij} J[k,i,l,j] m[j,i].
     t = j.matrix.reshape(j.d_out, j.d_in, j.d_out, j.d_in)

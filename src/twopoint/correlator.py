@@ -19,19 +19,15 @@ branch probabilities exactly 1/2 each.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .choi import ChoiOperator
 from .decomposition import StatisticalDecomposition
-from .linalg import (
-    check_density_matrix,
-    maximally_entangled_projector,
-    q_operator,
-    sector_projector,
-    swap_operator,
-)
+from .linalg import q_operator, sector_projector, swap_operator
 
 
 def _frozen(m: np.ndarray) -> np.ndarray:
@@ -40,14 +36,38 @@ def _frozen(m: np.ndarray) -> np.ndarray:
     return m
 
 
+def _sandwich(left: np.ndarray, scale: float) -> ChoiOperator:
+    """The map rho -> scale * L (1 (x) rho) L^dag on two d-dimensional copies,
+    carried by its d Kraus operators sqrt(scale) L (|i> (x) 1)."""
+    d = math.isqrt(left.shape[0])
+    # Column i*d + c of L is L (|i> (x) |c>): the column blocks are L (|i> (x) 1).
+    kraus = np.sqrt(scale) * left.reshape(d * d, d, d).transpose(1, 0, 2)
+    return ChoiOperator(None, d_in=d, d_out=d * d, kraus=kraus)
+
+
+def _ideal_part(d: int, c: complex) -> ChoiOperator:
+    """c X + conj(c) X^T, X the process matrix of S (1 (x) rho): c = 1/2 gives
+    the real part, c = i/2 the imaginary part. S (1 (x) |i><j|) is
+    sum_a |i,a><a,j|, so X has a 1 at row (i,a,i), column (a,j,j) for all
+    i, a, j; X^T is the process matrix of (1 (x) rho) S."""
+    i, a, j = np.indices((d, d, d)).reshape(3, -1)
+    rows, cols = (i * d + a) * d + i, (a * d + j) * d + j
+    m = np.zeros((d**3, d**3), dtype=complex)
+    m[rows, cols] = c
+    m[cols, rows] += np.conj(c)  # (row, col) pairs are distinct within X
+    return ChoiOperator(_frozen(m), d_in=d, d_out=d * d)
+
+
 @dataclass(frozen=True, eq=False)
 class CorrelatorFamily:
-    """Eagerly cached fixed operators for one system dimension d >= 2.
+    """Fixed operators for one system dimension d >= 2.
 
-    Holds the swap operator, sector projectors, phase blends, the maximally
-    entangled projector, and the representing operators of all six maps
-    (real/imaginary parts and their four physical branches). All caches are
-    immutable and safe to share across threads.
+    Holds the swap operator, sector projectors and phase blends, and builds
+    the representing operators of all six maps (real/imaginary parts and
+    their four physical branches) on first access. The branches carry their
+    Kraus stacks; the parts are built from the defining map S (1 (x) rho),
+    never from the branches. Everything is read-only once built; threads that
+    first touch a process matrix at once may each build it, with equal results.
     """
 
     d: int
@@ -56,13 +76,6 @@ class CorrelatorFamily:
     proj_anti: np.ndarray = field(init=False, repr=False)
     q_plus: np.ndarray = field(init=False, repr=False)
     q_minus: np.ndarray = field(init=False, repr=False)
-    entangled: np.ndarray = field(init=False, repr=False)
-    j_real: ChoiOperator = field(init=False, repr=False)
-    j_imag: ChoiOperator = field(init=False, repr=False)
-    j_sym: ChoiOperator = field(init=False, repr=False)
-    j_anti: ChoiOperator = field(init=False, repr=False)
-    j_phase_plus: ChoiOperator = field(init=False, repr=False)
-    j_phase_minus: ChoiOperator = field(init=False, repr=False)
 
     def __post_init__(self):
         d = self.d
@@ -74,32 +87,13 @@ class CorrelatorFamily:
         set_("proj_anti", _frozen(sector_projector(d, -1)))
         set_("q_plus", _frozen(q_operator(d, +1)))
         set_("q_minus", _frozen(q_operator(d, -1)))
-        set_("entangled", _frozen(maximally_entangled_projector(d)))
 
-        # Triple-tensor builders on (output1, output2, input), slowest first.
-        eye1 = np.eye(d)
-        phi23 = np.kron(eye1, self.entangled)
-        s12 = np.kron(self.swap, eye1)
-        x = phi23 @ s12
-        y = s12 @ phi23
-        jr = (d / 2) * (x + y)
-        ji = (d / 2j) * (x - y)
-
-        def sandwich(left: np.ndarray, right: np.ndarray, scale: float):
-            return scale * (np.kron(left, eye1) @ phi23 @ np.kron(right, eye1))
-
-        jrp = sandwich(self.proj_sym, self.proj_sym, 2 * d / (d + 1))
-        jrm = sandwich(self.proj_anti, self.proj_anti, 2 * d / (d - 1))
-        jip = sandwich(self.q_plus, self.q_minus, 2 * d * d / (d * d - 1))
-        jim = sandwich(self.q_minus, self.q_plus, 2 * d * d / (d * d - 1))
-
-        wrap = lambda m: ChoiOperator(_frozen(m), d_in=d, d_out=d * d)
-        set_("j_real", wrap(jr))
-        set_("j_imag", wrap(ji))
-        set_("j_sym", wrap(jrp))
-        set_("j_anti", wrap(jrm))
-        set_("j_phase_plus", wrap(jip))
-        set_("j_phase_minus", wrap(jim))
+    j_real = cached_property(lambda self: _ideal_part(self.d, 0.5))
+    j_imag = cached_property(lambda self: _ideal_part(self.d, 0.5j))
+    j_sym = cached_property(lambda self: _sandwich(self.proj_sym, 2 / (self.d + 1)))
+    j_anti = cached_property(lambda self: _sandwich(self.proj_anti, 2 / (self.d - 1)))
+    j_phase_plus = cached_property(lambda self: _sandwich(self.q_plus, 2 * self.d / (self.d**2 - 1)))
+    j_phase_minus = cached_property(lambda self: _sandwich(self.q_minus, 2 * self.d / (self.d**2 - 1)))
 
 
 def ideal_correlator_apply(fam: CorrelatorFamily, rho: np.ndarray) -> np.ndarray:
@@ -149,36 +143,28 @@ def rootswap_apply(fam: CorrelatorFamily, sign: int, rho: np.ndarray) -> np.ndar
 
 def universal_real_decomposition(d: int) -> StatisticalDecomposition:
     """Instrument form of the real part: effects {R±/2}, weights ±(d±1)."""
-    fam = CorrelatorFamily(d)
-    half = lambda j: ChoiOperator(j.matrix / 2, d_in=d, d_out=d * d)
+    if d < 2:
+        raise ValueError(f"decomposition requires dimension >= 2, got {d}")
     return StatisticalDecomposition(
         weights=(float(d + 1), -float(d - 1)),
-        effects=(half(fam.j_sym), half(fam.j_anti)),
+        effects=tuple(_sandwich(sector_projector(d, s), 1 / (d + s)) for s in (+1, -1)),
     )
 
 
 def universal_imag_decomposition(d: int) -> StatisticalDecomposition:
     """Instrument form of the imaginary part: effects {I±/2}, weights
     ±sqrt(d^2-1)."""
-    fam = CorrelatorFamily(d)
     lam = float(np.sqrt(d * d - 1))
-    half = lambda j: ChoiOperator(j.matrix / 2, d_in=d, d_out=d * d)
     return StatisticalDecomposition(
         weights=(lam, -lam),
-        effects=(half(fam.j_phase_plus), half(fam.j_phase_minus)),
+        effects=tuple(_sandwich(q_operator(d, s), d / (d * d - 1)) for s in (+1, -1)),
     )
 
 
 def choi_builders(fam: CorrelatorFamily) -> dict[str, ChoiOperator]:
     """All six representing operators keyed by branch name."""
-    return {
-        "real": fam.j_real,
-        "imag": fam.j_imag,
-        "sym": fam.j_sym,
-        "anti": fam.j_anti,
-        "phase_plus": fam.j_phase_plus,
-        "phase_minus": fam.j_phase_minus,
-    }
+    names = ("real", "imag", "sym", "anti", "phase_plus", "phase_minus")
+    return {name: getattr(fam, f"j_{name}") for name in names}
 
 
 def two_point_exact(rho: np.ndarray, a: np.ndarray, b: np.ndarray) -> complex:

@@ -153,24 +153,26 @@ def stinespring_dilation(
 
     Stacks the Kraus operators K_{i,a} of every effect into an isometry
     V psi = sum_{i,a} (K_{i,a} psi) (x) |i,a> and puts the weights on the
-    ancilla as Z = sum_{i,a} lambda_i |i,a><i,a|. Completeness of the
+    ancilla as Z = sum_{i,a} lambda_i |i,a><i,a|. An effect that carries its
+    Kraus stack contributes it as is; one given as a matrix must be completely
+    positive and is split by ``kraus_from_choi``. Completeness of the
     instrument makes V^dag V = 1.
     """
     kraus: list[np.ndarray] = []
     z_diag: list[float] = []
     for lam, eff in zip(decomp.weights, decomp.effects):
-        if not is_completely_positive(eff, tol):
+        if eff.kraus is not None:
+            ops = eff.kraus
+        elif is_completely_positive(eff, tol):
+            ops = kraus_from_choi(eff, tol)
+        else:
             raise ValueError("every effect must be completely positive")
-        for op in kraus_from_choi(eff, tol):
-            kraus.append(op)
-            z_diag.append(lam)
+        kraus.extend(ops)
+        z_diag.extend([lam] * len(ops))
     d_anc = len(kraus)
     d_in, d_out = decomp.d_in, decomp.d_out
-    v = np.zeros((d_out * d_anc, d_in), dtype=complex)
-    for m, op in enumerate(kraus):
-        basis = np.zeros((d_anc, 1), dtype=complex)
-        basis[m, 0] = 1.0
-        v += np.kron(op, basis)
+    # V[(k, m), c] = K_m[k, c]: output index slowest, ancilla index fastest.
+    v = np.stack(kraus).transpose(1, 0, 2).reshape(d_out * d_anc, d_in)
     if np.linalg.norm(v.conj().T @ v - np.eye(d_in)) > 1e-8:
         raise ValueError("effects do not sum to a trace-preserving map")
     z = np.diag(np.asarray(z_diag, dtype=complex))

@@ -65,21 +65,23 @@ def partial_trace(m: np.ndarray, keep, dims) -> np.ndarray:
     return t.reshape(kept, kept)
 
 
+def eigenvalue_clusters(w: np.ndarray, tol: float) -> list[tuple[int, int]]:
+    """Index ranges [start, stop) of the runs of ascending eigenvalues ``w``
+    in which each neighbouring gap is <= tol, in order."""
+    edges = [0, *(np.flatnonzero(np.diff(w) > tol) + 1), len(w)]
+    return list(zip(edges[:-1], edges[1:]))
+
+
 def _canonical_eigenbasis(w: np.ndarray, v: np.ndarray):
     """Phase-fix eigenvectors and order degenerate clusters deterministically."""
     v = v.copy()
-    n = v.shape[1]
-    for k in range(n):
+    for k in range(v.shape[1]):
         col = v[:, k]
         pivot = int(np.argmax(np.abs(col)))
         phase = col[pivot] / abs(col[pivot]) if abs(col[pivot]) > 0 else 1.0
         v[:, k] = col / phase
     # Lexicographic sort inside clusters of (numerically) equal eigenvalues.
-    start = 0
-    while start < n:
-        stop = start + 1
-        while stop < n and w[stop] - w[stop - 1] <= DEGENERACY_TOL:
-            stop += 1
+    for start, stop in eigenvalue_clusters(w, DEGENERACY_TOL):
         if stop - start > 1:
             cols = sorted(
                 range(start, stop),
@@ -88,7 +90,6 @@ def _canonical_eigenbasis(w: np.ndarray, v: np.ndarray):
                 ),
             )
             v[:, start:stop] = v[:, cols]
-        start = stop
     return w, v
 
 
@@ -131,11 +132,8 @@ def swap_operator(d: int) -> np.ndarray:
     """The unitary, Hermitian operator exchanging the two d-dimensional factors."""
     if d < 1:
         raise ValueError(f"dimension must be positive, got {d}")
-    s = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            s[i * d + j, j * d + i] = 1.0
-    return s
+    # Row (i, j) of S is row (j, i) of the identity.
+    return np.eye(d * d, dtype=complex)[np.arange(d * d).reshape(d, d).T.ravel()]
 
 
 def sector_projector(d: int, sign: int) -> np.ndarray:

@@ -30,7 +30,7 @@ from .correlator import (
     universal_real_decomposition,
 )
 from .decomposition import StatisticalDecomposition
-from .linalg import check_density_matrix, check_observable, hermitian_eigendecomposition
+from .linalg import check_density_matrix, check_observable, eigenvalue_clusters, hermitian_eigendecomposition
 
 # Documented default seed for reproducible-by-default runs.
 DEFAULT_SEED = 0x2A
@@ -84,16 +84,10 @@ def spectral_projectors(obs: np.ndarray, tol: float = SPECTRUM_TOL):
     w, v = hermitian_eigendecomposition(obs)
     values: list[float] = []
     projs: list[np.ndarray] = []
-    start = 0
-    n = w.size
-    while start < n:
-        stop = start + 1
-        while stop < n and w[stop] - w[stop - 1] <= tol:
-            stop += 1
+    for start, stop in eigenvalue_clusters(w, tol):
         block = v[:, start:stop]
         values.append(float(np.mean(w[start:stop])))
         projs.append(block @ block.conj().T)
-        start = stop
     return values, projs
 
 
@@ -142,13 +136,15 @@ def _joint_distribution(state2: np.ndarray, a: np.ndarray, b: np.ndarray):
             f"two-copy state side {state2.shape[0]} does not match observable "
             f"dimensions {a.shape[0]}x{b.shape[0]}"
         )
-    pairs = []
-    probs = []
-    for av, ap in zip(avals, aprojs):
-        for bv, bp in zip(bvals, bprojs):
-            pairs.append((av, bv))
-            probs.append(max(float(np.trace(state2 @ np.kron(ap, bp)).real), 0.0))
-    q = np.array(probs)
+    pairs = [(av, bv) for av in avals for bv in bvals]
+    # Tr[state2 (P_alpha (x) P_beta)] for all pairs at once: with state2 as
+    # s[i, j, k, l] (row (i, j), column (k, l)), contract i, k with P_alpha[k, i]
+    # and then j, l with P_beta[l, j].
+    da, db = a.shape[0], b.shape[0]
+    s = state2.reshape(da, db, da, db)
+    t = np.tensordot(s, np.array(aprojs), axes=([0, 2], [2, 1]))
+    born = np.tensordot(t, np.array(bprojs), axes=([0, 1], [2, 1]))
+    q = np.maximum(born.real.ravel(), 0.0)
     total = q.sum()
     if total <= 0:
         raise ValueError("conditional state has no outcome support")

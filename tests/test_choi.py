@@ -10,7 +10,12 @@ from twopoint.choi import (
     is_trace_preserving,
     kraus_from_choi,
 )
-from twopoint.correlator import CorrelatorFamily, cloner_apply
+from twopoint.correlator import (
+    CorrelatorFamily,
+    cloner_apply,
+    universal_imag_decomposition,
+    universal_real_decomposition,
+)
 from twopoint.linalg import maximally_entangled_projector, swap_operator, tensor_product
 
 
@@ -48,6 +53,17 @@ def test_choi_operator_requires_square():
         ChoiOperator(np.ones((4, 2)), d_in=2, d_out=2)
 
 
+def test_choi_operator_validates_kraus_stack():
+    with pytest.raises(ValueError, match="Kraus"):
+        ChoiOperator(None, d_in=2, d_out=4, kraus=np.ones((3, 2, 4)))
+    with pytest.raises(ValueError, match="Kraus"):
+        ChoiOperator(None, d_in=2, d_out=4, kraus=np.ones((4, 2)))
+    with pytest.raises(ValueError, match="Kraus"):
+        ChoiOperator(np.eye(4), d_in=2, d_out=2, kraus=np.ones((1, 2, 2)))
+    with pytest.raises(ValueError, match="shape"):
+        ChoiOperator(None, d_in=2, d_out=2)
+
+
 # --- apply_choi ---------------------------------------------------------------
 
 
@@ -57,6 +73,20 @@ def test_apply_identity_channel():
     j = ChoiOperator(d * maximally_entangled_projector(d), d_in=d, d_out=d)
     rho = _rand_state(rng, d)
     assert np.allclose(apply_choi(j, rho), rho, atol=1e-12)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_apply_kraus_path_matches_matrix_path(d):
+    """A map carried by its Kraus stack acts exactly as its process matrix."""
+    rng = np.random.default_rng(40 + d)
+    m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))  # any input, linearity
+    for dec in (universal_real_decomposition(d), universal_imag_decomposition(d)):
+        for eff in dec.effects:
+            assert eff.kraus is not None
+            by_matrix = ChoiOperator(eff.matrix, d_in=d, d_out=d * d)
+            for x in (_rand_state(rng, d), m):
+                diff = apply_choi(eff, x) - apply_choi(by_matrix, x)
+                assert np.abs(diff).max() <= 1e-12
 
 
 def test_apply_depolarizing_channel():

@@ -206,6 +206,22 @@ def test_half_half_branch_probabilities(d):
             assert max(abs(p - 0.5) for p in report.probabilities) <= 1e-10
 
 
+@pytest.mark.parametrize("d", range(2, 9))
+def test_kraus_built_effects_match_applied_maps(d):
+    """The universal effects, built from their Kraus stacks, against the
+    basis expansion of the half-channels they represent."""
+    fam = CorrelatorFamily(d)
+    halves = (
+        (universal_real_decomposition(d), cloner_apply),
+        (universal_imag_decomposition(d), rootswap_apply),
+    )
+    for dec, channel in halves:
+        for sign, eff in zip((+1, -1), dec.effects):
+            assert eff.kraus.shape == (d, d * d, d)
+            ref = choi_of_action(lambda m: channel(fam, sign, m) / 2, d, d * d)
+            assert np.abs(eff.matrix - ref.matrix).max() <= 1e-12
+
+
 def test_decompositions_reject_d1():
     with pytest.raises(ValueError):
         universal_real_decomposition(1)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -235,6 +237,25 @@ def test_dilation_scalar_expectations(d):
         lhs = np.trace(v @ rho @ v.conj().T @ np.kron(a, z)).real
         rhs = np.trace(real_part_apply(fam, rho) @ a).real
         assert abs(lhs - rhs) <= 1e-10
+
+
+def test_dilation_stacks_stored_kraus_operators():
+    """At d = 16 the effects' process matrices would be 268 MB each; the
+    dilation stacks the d Kraus operators each effect carries."""
+    d = 16
+    dec = universal_imag_decomposition(d)
+    tracemalloc.start()
+    try:
+        dil = stinespring_dilation(dec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert dil.d_ancilla == 2 * d
+    v = dil.isometry
+    assert np.linalg.norm(v.conj().T @ v - np.eye(d)) <= 1e-10
+    weights = np.diag(dil.ancilla_observable)
+    np.testing.assert_allclose(weights, [dec.weights[0]] * d + [dec.weights[1]] * d)
 
 
 def test_dilation_isometry_for_random_hp_maps():

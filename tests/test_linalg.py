@@ -4,6 +4,7 @@ import pytest
 from twopoint.linalg import (
     check_density_matrix,
     check_observable,
+    eigenvalue_clusters,
     hermitian_eigendecomposition,
     maximally_entangled_projector,
     operator_absolute_value,
@@ -146,6 +147,13 @@ def test_eigendecomposition_correlation_choi_vs_charpoly():
 def test_eigendecomposition_rejects_non_hermitian():
     with pytest.raises(ValueError, match="[Hh]ermitian"):
         hermitian_eigendecomposition(np.array([[0, 1], [0, 0]], dtype=complex))
+
+
+def test_eigenvalue_clusters_split_at_gaps_above_tol():
+    w = np.array([-1.0, -1.0 + 1e-10, 0.5, 2.0, 2.0, 2.0 + 2e-10])
+    assert eigenvalue_clusters(w, 1e-9) == [(0, 2), (2, 3), (3, 6)]
+    assert eigenvalue_clusters(w, 0.0) == [(0, 1), (1, 2), (2, 3), (3, 5), (5, 6)]
+    assert eigenvalue_clusters(np.array([3.0]), 1e-9) == [(0, 1)]
 
 
 # --- operator_absolute_value ----------------------------------------------

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from twopoint.choi import apply_choi
 from twopoint.decomposition import StatisticalDecomposition, statistical_decompose
 from twopoint.sampler import (
     DEFAULT_SEED,
+    _joint_distribution,
     Shot,
     draw_shot,
     estimate_component,
@@ -143,6 +146,30 @@ def test_branch_weight_magnitude_mean():
 # --- joint projective measurement ---------------------------------------------
 
 
+def _two_valued(rng, d):
+    u, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return u @ np.diag([1.0] * (d // 2) + [-1.0] * (d - d // 2)) @ u.conj().T
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_joint_distribution_matches_kron_loop(d):
+    """Born probabilities against the pair-by-pair reference
+    Tr[state2 (P_alpha (x) P_beta)], degenerate observables included."""
+    rng = np.random.default_rng(50 + d)
+    state2 = _rand_state(rng, d * d)
+    generic, two_valued = _rand_herm(rng, d), _two_valued(rng, d)
+    for a, b in ((generic, two_valued), (two_valued, two_valued), (generic, generic)):
+        pairs, q = _joint_distribution(state2, a, b)
+        avals, aprojs = spectral_projectors(a)
+        bvals, bprojs = spectral_projectors(b)
+        assert pairs == [(av, bv) for av in avals for bv in bvals]
+        ref = np.array([
+            max(float(np.trace(state2 @ np.kron(ap, bp)).real), 0.0)
+            for ap in aprojs for bp in bprojs
+        ])
+        assert np.abs(q - ref / ref.sum()).max() <= 1e-12
+
+
 def test_joint_measurement_identity_observables():
     rng = np.random.default_rng(5)
     out = sample_joint_measurement(np.kron(MIXED2, MIXED2), np.eye(2), np.eye(2), rng)
@@ -261,6 +288,21 @@ def test_estimate_report_metadata():
     assert report.n_shots == 100
     assert report.seed == 3
     assert report.std_error[0] >= 0 and report.std_error[1] >= 0
+
+
+def test_estimate_builds_no_process_matrix_at_d16():
+    """One d = 16 process matrix is 4096 x 4096 complex (268 MB); the
+    estimate needs only d^2-sided operators."""
+    rng = np.random.default_rng(24)
+    rho, a, b = _rand_state(rng, 16), _rand_herm(rng, 16), _rand_herm(rng, 16)
+    tracemalloc.start()
+    try:
+        report = estimate_two_point(rho, a, b, n_shots=4_000, seed=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert np.isfinite(report.estimate)
 
 
 # --- determinism ---------------------------------------------------------------------
