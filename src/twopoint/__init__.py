@@ -52,7 +52,6 @@ from .linalg import (
 )
 from .photonics import (
     CoincidenceStats,
-    OpticalConfiguration,
     beamsplitter_action,
     fock_norm_squared,
     pattern_probabilities,
@@ -62,12 +61,8 @@ from .photonics import (
 from .sampler import (
     DEFAULT_SEED,
     EstimationReport,
-    Shot,
-    draw_shot,
     estimate_component,
     estimate_two_point,
-    sample_instrument_branch,
-    sample_joint_measurement,
     spectral_projectors,
 )
 
@@ -81,8 +76,6 @@ __all__ = [
     "DEFAULT_SEED",
     "Dilation",
     "EstimationReport",
-    "OpticalConfiguration",
-    "Shot",
     "StatisticalDecomposition",
     "apply_choi",
     "beamsplitter_action",
@@ -92,7 +85,6 @@ __all__ = [
     "choi_of_action",
     "cloner_apply",
     "decomposition_cost",
-    "draw_shot",
     "error_lower_bound",
     "estimate_component",
     "estimate_two_point",
@@ -114,8 +106,6 @@ __all__ = [
     "recombine",
     "recombine_coincidences",
     "rootswap_apply",
-    "sample_instrument_branch",
-    "sample_joint_measurement",
     "sector_projector",
     "simulate_optics",
     "spectral_projectors",

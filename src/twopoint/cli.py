@@ -220,12 +220,12 @@ def _verify_checks(d: int, seed: int, tol: float | None):
 
     add(
         "orthogonality_sym",
-        abs(np.trace(chois["sym"].matrix @ chois["anti"].matrix)),
+        abs(np.sum(chois["sym"].matrix * chois["anti"].matrix.T)),
         thresh(1e-12),
     )
     add(
         "orthogonality_phase",
-        abs(np.trace(chois["phase_plus"].matrix @ chois["phase_minus"].matrix)),
+        abs(np.sum(chois["phase_plus"].matrix * chois["phase_minus"].matrix.T)),
         thresh(1e-10),
     )
 
@@ -258,6 +258,8 @@ def _verify_checks(d: int, seed: int, tol: float | None):
 def cmd_verify(args) -> int:
     if not 2 <= args.d <= 16:
         raise ValueError(f"dimension must satisfy 2 <= d <= 16, got {args.d}")
+    if args.tol is not None and not args.tol >= 0:  # NaN fails the comparison too
+        raise ValueError(f"--tol must be a non-negative number, got {args.tol}")
     checks, chois = _verify_checks(args.d, args.seed, args.tol)
     if args.dump is not None:
         os.makedirs(args.dump, exist_ok=True)

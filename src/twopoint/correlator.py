@@ -154,6 +154,8 @@ def universal_real_decomposition(d: int) -> StatisticalDecomposition:
 def universal_imag_decomposition(d: int) -> StatisticalDecomposition:
     """Instrument form of the imaginary part: effects {I±/2}, weights
     ±sqrt(d^2-1)."""
+    if d < 2:
+        raise ValueError(f"decomposition requires dimension >= 2, got {d}")
     lam = float(np.sqrt(d * d - 1))
     return StatisticalDecomposition(
         weights=(lam, -lam),

@@ -60,27 +60,6 @@ _SYM_PROFILE = ("e", "f", "r")
 _ANTI_PROFILE = ("c", "e", "r")
 
 
-@dataclass(frozen=True)
-class OpticalConfiguration:
-    """Input state plus the fixed bench layout (labels and photon budget)."""
-
-    input_state: np.ndarray
-    modes: tuple[str, ...] = ("a", "b", "r", "c", "d", "e", "f", "h")
-    truncation: int = 3
-
-    def __post_init__(self):
-        rho = check_density_matrix(self.input_state)
-        if rho.shape != (2, 2):
-            raise ValueError(
-                f"input photon must be a polarization qubit, got side {rho.shape[0]}"
-            )
-        object.__setattr__(self, "input_state", rho)
-        if len(set(self.modes)) != len(self.modes):
-            raise ValueError("spatial mode labels must be distinct")
-        if self.truncation != 3:
-            raise ValueError("this bench carries exactly three photons")
-
-
 @dataclass(frozen=True, eq=False)
 class CoincidenceStats:
     """Probabilities and post-selected states of the two accepted patterns.
@@ -198,24 +177,29 @@ def _profile_vector(state: FockVector, profile: tuple[str, str, str]) -> np.ndar
     return vec
 
 
-def pattern_probabilities(rho: np.ndarray) -> dict[tuple[str, ...], float]:
-    """Probability of every spatial occupation profile; values sum to 1."""
+def _bench_outputs(rho: np.ndarray) -> list[tuple[float, FockVector]]:
+    """Run the bench on each eigenvector of a polarization-qubit state.
+
+    Returns (eigenvalue, output vector) pairs for the eigenvalues above
+    1e-12; the output state is their eigenvalue-weighted mixture.
+    """
     rho = check_density_matrix(rho)
     if rho.shape != (2, 2):
-        raise ValueError(f"input photon must be a qubit, got side {rho.shape[0]}")
+        raise ValueError(
+            f"input photon must be a polarization qubit, got side {rho.shape[0]}"
+        )
     w, v = hermitian_eigendecomposition(rho)
+    return [(w[k], _pure_pipeline(v[:, k])) for k in range(w.size) if w[k] > 1e-12]
+
+
+def pattern_probabilities(rho: np.ndarray) -> dict[tuple[str, ...], float]:
+    """Probability of every spatial occupation profile; values sum to 1."""
     table: dict[tuple[str, ...], float] = {}
-    for k in range(w.size):
-        if w[k] <= 1e-12:
-            continue
-        state = _pure_pipeline(v[:, k])
+    for weight, state in _bench_outputs(rho):
         for key, amp in state.items():
             profile = tuple(sorted(s for s, _ in key))
-            mult = 1
-            for n in Counter(key).values():
-                mult *= factorial(n)
-            table[profile] = table.get(profile, 0.0) + w[k] * (
-                (amp * amp.conjugate()).real * mult
+            table[profile] = table.get(profile, 0.0) + weight * fock_norm_squared(
+                {key: amp}
             )
     return table
 
@@ -227,18 +211,13 @@ def simulate_optics(rho: np.ndarray) -> CoincidenceStats:
     1/16) and the normalized post-selected states on detected pair x
     reference.
     """
-    config = OpticalConfiguration(rho)
-    w, v = hermitian_eigendecomposition(config.input_state)
     sym_acc = np.zeros((8, 8), dtype=complex)
     anti_acc = np.zeros((8, 8), dtype=complex)
-    for k in range(w.size):
-        if w[k] <= 1e-12:
-            continue
-        state = _pure_pipeline(v[:, k])
+    for weight, state in _bench_outputs(rho):
         vs = _profile_vector(state, _SYM_PROFILE)
         va = _profile_vector(state, _ANTI_PROFILE)
-        sym_acc += w[k] * np.outer(vs, vs.conj())
-        anti_acc += w[k] * np.outer(va, va.conj())
+        sym_acc += weight * np.outer(vs, vs.conj())
+        anti_acc += weight * np.outer(va, va.conj())
     p_sym = float(np.trace(sym_acc).real)
     p_anti = float(np.trace(anti_acc).real)
     return CoincidenceStats(

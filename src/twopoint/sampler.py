@@ -1,4 +1,4 @@
-"""Shot-by-shot Monte Carlo estimation of Tr[A rho B].
+"""Monte Carlo estimation of Tr[A rho B] with one vectorized sampling kernel.
 
 Each shot draws an instrument branch i with probability p(i) = Tr[E_i(rho)],
 then draws a joint eigenvalue pair (alpha, beta) of the two commuting local
@@ -7,6 +7,11 @@ records lambda_i * alpha * beta. The running mean of those records is an
 unbiased estimator of Tr[L(rho) (A (x) B)] for the recombined map L; running
 the real- and imaginary-part instruments and combining as real - i*imag gives
 Tr[A rho B].
+
+Shots are never drawn one at a time: ``_component_plan`` tabulates the branch
+and joint-outcome distributions once per (instrument, state, observables),
+and ``_evaluate_block`` maps a block of uniforms to recorded values through
+those tables.
 
 Randomness is counter-based: every shot's uniforms are a pure function of
 (seed, pipeline tag, shot index), generated by a Philox stream keyed with
@@ -49,16 +54,6 @@ _IMAG_TAG = 1
 
 
 @dataclass(frozen=True)
-class Shot:
-    """One sample: branch index, the two eigenvalue outcomes, and the weight."""
-
-    branch: int
-    outcome_a: float
-    outcome_b: float
-    weight: float
-
-
-@dataclass(frozen=True)
 class EstimationReport:
     """Monte Carlo estimate with its exact reference value.
 
@@ -91,40 +86,6 @@ def spectral_projectors(obs: np.ndarray, tol: float = SPECTRUM_TOL):
     return values, projs
 
 
-def _branch_tables(decomp: StatisticalDecomposition, rho: np.ndarray):
-    """Branch probabilities, conditional states and weights, zero branches
-    dropped (they are never drawn)."""
-    rho = check_density_matrix(rho)
-    indices, probs, states, weights = [], [], [], []
-    for i, (lam, eff) in enumerate(zip(decomp.weights, decomp.effects)):
-        out = apply_choi(eff, rho)
-        p = float(np.trace(out).real)
-        if p > 1e-15:
-            indices.append(i)
-            probs.append(p)
-            states.append(out / p)
-            weights.append(lam)
-    if not probs:
-        raise ValueError("all branch probabilities vanish for this state")
-    total = sum(probs)
-    if abs(total - 1.0) > 1e-8:
-        raise ValueError(
-            f"branch probabilities sum to {total}, not 1: not an instrument"
-        )
-    probs = [p / total for p in probs]
-    return indices, np.array(probs), states, np.array(weights, dtype=float)
-
-
-def sample_instrument_branch(
-    decomp: StatisticalDecomposition, rho: np.ndarray, rng: np.random.Generator
-):
-    """Draw one branch index and its normalized conditional output state."""
-    indices, probs, states, _ = _branch_tables(decomp, rho)
-    cdf = np.cumsum(probs)
-    k = min(int(np.searchsorted(cdf, rng.random(), side="right")), len(probs) - 1)
-    return indices[k], states[k]
-
-
 def _joint_distribution(state2: np.ndarray, a: np.ndarray, b: np.ndarray):
     """Outcome values and Born probabilities of measuring A and B on the two
     halves of a two-copy state."""
@@ -151,40 +112,29 @@ def _joint_distribution(state2: np.ndarray, a: np.ndarray, b: np.ndarray):
     return pairs, q / total
 
 
-def sample_joint_measurement(
-    state2: np.ndarray,
-    a: np.ndarray,
-    b: np.ndarray,
-    rng: np.random.Generator,
-):
-    """Draw one (alpha, beta) eigenvalue pair with joint Born probability
-    Tr[state2 (P_alpha (x) P_beta)]."""
-    pairs, q = _joint_distribution(state2, a, b)
-    cdf = np.cumsum(q)
-    k = min(int(np.searchsorted(cdf, rng.random(), side="right")), len(q) - 1)
-    return pairs[k]
-
-
-def draw_shot(
-    decomp: StatisticalDecomposition,
-    rho: np.ndarray,
-    a: np.ndarray,
-    b: np.ndarray,
-    rng: np.random.Generator,
-) -> Shot:
-    """One full sampling round: branch draw, then a joint (alpha, beta) draw
-    on the conditional output. The shot's contribution to the estimator is
-    ``weight * outcome_a * outcome_b``."""
-    i, conditional = sample_instrument_branch(decomp, rho, rng)
-    alpha, beta = sample_joint_measurement(conditional, a, b, rng)
-    return Shot(branch=i, outcome_a=alpha, outcome_b=beta, weight=decomp.weights[i])
-
-
 def _component_plan(decomp, rho, a, b):
     """Precompute sampling tables: branch cdf, per-branch outcome cdfs, and
-    the per-(branch, outcome) recorded values lambda_i * alpha * beta."""
-    _, probs, states, weights = _branch_tables(decomp, rho)
-    branch_cdf = np.cumsum(probs)
+    the per-(branch, outcome) recorded values lambda_i * alpha * beta.
+
+    Branches of zero probability are dropped: they are never drawn.
+    """
+    rho = check_density_matrix(rho)
+    probs, states, weights = [], [], []
+    for lam, eff in zip(decomp.weights, decomp.effects):
+        out = apply_choi(eff, rho)
+        p = float(np.trace(out).real)
+        if p > 1e-15:
+            probs.append(p)
+            states.append(out / p)
+            weights.append(lam)
+    if not probs:
+        raise ValueError("all branch probabilities vanish for this state")
+    total = sum(probs)
+    if abs(total - 1.0) > 1e-8:
+        raise ValueError(
+            f"branch probabilities sum to {total}, not 1: not an instrument"
+        )
+    branch_cdf = np.cumsum(np.array([p / total for p in probs]))
     outcome_cdfs = []
     values = []
     for st, lam in zip(states, weights):
@@ -231,14 +181,14 @@ def estimate_component(
 ):
     """Monte Carlo mean and standard error of lambda_i * alpha * beta.
 
-    ``rng`` is a ``numpy.random.SeedSequence`` (or an int used as one); per
-    shot uniforms are counter-indexed so the result depends only on the key
-    and ``n_shots``, never on chunking or ``threads``.
+    ``rng`` is a ``numpy.random.SeedSequence``; per-shot uniforms are
+    counter-indexed so the result depends only on the key and ``n_shots``,
+    never on chunking or ``threads``.
     """
     if n_shots < 1:
         raise ValueError(f"need at least one shot, got {n_shots}")
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.SeedSequence(int(rng))
+    if threads < 1:
+        raise ValueError(f"need at least one thread, got {threads}")
     plan = _component_plan(decomp, rho, a, b)
     records = np.empty(n_shots)
     starts = range(0, n_shots, CHUNK)

@@ -33,18 +33,9 @@ from twopoint.decomposition import (
 from twopoint.photonics import recombine_coincidences, simulate_optics
 from twopoint.sampler import estimate_two_point
 
+from random_inputs import rand_herm, rand_state
+
 DIMS_FULL = range(2, 9)
-
-
-def _rand_state(rng, d):
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
-
-
-def _rand_herm(rng, d):
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    return (g + g.conj().T) / 2
 
 
 def test_criterion_1_real_part_decomposition_identity():
@@ -89,7 +80,7 @@ def test_criterion_3_bound_values_and_saturation():
         dec_real = universal_real_decomposition(d)
         dec_imag = universal_imag_decomposition(d)
         for _ in range(20):
-            rho = _rand_state(rng, d)
+            rho = rand_state(rng, d)
             for dec, bound in ((dec_real, b_real), (dec_imag, b_imag)):
                 report = decomposition_cost(dec, rho, bound=bound)
                 sat_dev = max(sat_dev, report.cost - report.bound)
@@ -153,7 +144,7 @@ def test_criterion_6_dilation_reproduces_both_parts():
                 worst_iso, float(np.linalg.norm(gram - np.eye(d)))
             )
             for _ in range(10):
-                rho = _rand_state(rng, d)
+                rho = rand_state(rng, d)
                 got = partial_expectation(dil, rho)
                 worst_map = max(
                     worst_map, float(np.linalg.norm(got - direct(rho)))
@@ -171,9 +162,9 @@ def test_criterion_7_unbiased_estimation_budgeted():
     rng = np.random.default_rng(7)
     good = 0
     for trial in range(20):
-        rho = _rand_state(rng, 2)
-        a = _rand_herm(rng, 2)
-        b = _rand_herm(rng, 2)
+        rho = rand_state(rng, 2)
+        a = rand_herm(rng, 2)
+        b = rand_herm(rng, 2)
         report = estimate_two_point(rho, a, b, n_shots=200_000, seed=1000 + trial)
         exact = two_point_exact(rho, a, b)
         ok_re = abs(report.estimate.real - exact.real) <= 5 * report.std_error[0]
@@ -189,13 +180,13 @@ def test_criterion_8_optics_probabilities_and_recombination():
     rng = np.random.default_rng(8)
     p_dev = 0.0
     for _ in range(20):
-        stats = simulate_optics(_rand_state(rng, 2))
+        stats = simulate_optics(rand_state(rng, 2))
         p_dev = max(p_dev, abs(stats.p_sym - 3 / 16), abs(stats.p_anti - 1 / 16))
     rec_dev = 0.0
     for _ in range(20):
-        rho = _rand_state(rng, 2)
-        a = _rand_herm(rng, 2)
-        b = _rand_herm(rng, 2)
+        rho = rand_state(rng, 2)
+        a = rand_herm(rng, 2)
+        b = rand_herm(rng, 2)
         stats = simulate_optics(rho)
         got = recombine_coincidences(stats, a, b)
         want = np.trace(rho @ (a @ b + b @ a)).real / 2
@@ -228,7 +219,7 @@ def test_criterion_9_general_decomposition_machinery():
         )
         bound = error_lower_bound(j)
         for _ in range(20):
-            rho = _rand_state(rng, d)
+            rho = rand_state(rng, d)
             report = decomposition_cost(dec, rho, bound=bound)
             min_gap = min(min_gap, report.cost - report.bound)
     print(

@@ -18,16 +18,7 @@ from twopoint.correlator import (
 )
 from twopoint.linalg import maximally_entangled_projector, swap_operator, tensor_product
 
-
-def _rand_state(rng, d):
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
-
-
-def _rand_herm(rng, d):
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    return (g + g.conj().T) / 2
+from random_inputs import rand_herm, rand_state
 
 
 def _rand_channel_choi(rng, d, n_kraus):
@@ -71,7 +62,7 @@ def test_apply_identity_channel():
     rng = np.random.default_rng(0)
     d = 3
     j = ChoiOperator(d * maximally_entangled_projector(d), d_in=d, d_out=d)
-    rho = _rand_state(rng, d)
+    rho = rand_state(rng, d)
     assert np.allclose(apply_choi(j, rho), rho, atol=1e-12)
 
 
@@ -84,7 +75,7 @@ def test_apply_kraus_path_matches_matrix_path(d):
         for eff in dec.effects:
             assert eff.kraus is not None
             by_matrix = ChoiOperator(eff.matrix, d_in=d, d_out=d * d)
-            for x in (_rand_state(rng, d), m):
+            for x in (rand_state(rng, d), m):
                 diff = apply_choi(eff, x) - apply_choi(by_matrix, x)
                 assert np.abs(diff).max() <= 1e-12
 
@@ -94,7 +85,7 @@ def test_apply_depolarizing_channel():
     rng = np.random.default_rng(1)
     d = 2
     j = ChoiOperator(np.eye(d * d) / d, d_in=d, d_out=d)
-    rho = _rand_state(rng, d)
+    rho = rand_state(rng, d)
     got = apply_choi(j, rho)
     # independent evaluation of Tr_in[J (1 x rho^T)]
     want = np.zeros((d, d), dtype=complex)
@@ -116,7 +107,7 @@ def test_apply_round_trip_on_swap_action():
         return s @ tensor_product(np.eye(d), m)
 
     j = choi_of_action(action, d_in=d, d_out=d * d)
-    rho = _rand_state(rng, d)
+    rho = rand_state(rng, d)
     assert np.allclose(apply_choi(j, rho), action(rho), atol=1e-12)
 
 
@@ -162,7 +153,7 @@ def test_choi_of_action_output_shape_error():
 
 def test_choi_round_trip_random_map():
     rng = np.random.default_rng(3)
-    m = _rand_herm(rng, 6)
+    m = rand_herm(rng, 6)
     j = ChoiOperator(m, d_in=2, d_out=3)
     j2 = choi_of_action(lambda x: apply_choi(j, x), d_in=2, d_out=3)
     assert np.linalg.norm(j2.matrix - j.matrix) <= 1e-10
@@ -235,7 +226,7 @@ def test_kraus_reproduces_symmetric_cloner():
     fam = CorrelatorFamily(2)
     ops = kraus_from_choi(fam.j_sym)
     for _ in range(10):
-        rho = _rand_state(rng, 2)
+        rho = rand_state(rng, 2)
         got = sum(k @ rho @ k.conj().T for k in ops)
         assert np.linalg.norm(got - cloner_apply(fam, +1, rho)) <= 1e-10
 
@@ -262,6 +253,6 @@ def test_random_channels_cp_tp_and_reconstruction(d, n_kraus):
     assert is_trace_preserving(j)
     ops = kraus_from_choi(j)
     for _ in range(3):
-        rho = _rand_state(rng, d)
+        rho = rand_state(rng, d)
         got = sum(k @ rho @ k.conj().T for k in ops)
         assert np.linalg.norm(got - apply_choi(j, rho)) <= 1e-10

@@ -194,6 +194,14 @@ def test_estimate_zero_shots_exits_3(tmp_path, capsys):
     assert code == EXIT_SEMANTIC
 
 
+def test_estimate_negative_threads_exits_3(tmp_path, capsys):
+    rho = _write(tmp_path, "rho.json", KET0)
+    a = _write(tmp_path, "a.json", SX)
+    code = main(["estimate", rho, a, a, "--threads", "-3"])
+    assert "thread" in capsys.readouterr().err
+    assert code == EXIT_SEMANTIC
+
+
 def test_estimate_help_mentions_default_seed(capsys):
     code = main(["estimate", "--help"])
     out = capsys.readouterr().out
@@ -233,6 +241,13 @@ def test_verify_impossible_tolerance_exits_1(capsys):
     code, out = _run(capsys, ["verify", "2", "--tol", "1e-30"])
     assert code == EXIT_VERIFY_FAILED
     assert json.loads(out)["passed"] is False
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan"])
+def test_verify_bad_tolerance_exits_3(capsys, tol):
+    code, out = _run(capsys, ["verify", "2", "--tol", tol])
+    assert code == EXIT_SEMANTIC
+    assert out == ""
 
 
 def test_verify_dump_round_trips_family(tmp_path, capsys):

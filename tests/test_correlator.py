@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -22,21 +24,12 @@ from twopoint.linalg import (
     tensor_product,
 )
 
+from random_inputs import rand_herm, rand_state
+
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]])
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 KET0 = np.diag([1.0, 0.0]).astype(complex)
-
-
-def _rand_state(rng, d):
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
-
-
-def _rand_herm(rng, d):
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    return (g + g.conj().T) / 2
 
 
 # --- ideal map and its parts -------------------------------------------------
@@ -60,7 +53,7 @@ def test_ideal_reproduces_product_trace():
 def test_ideal_normalization():
     rng = np.random.default_rng(0)
     fam = CorrelatorFamily(2)
-    rho = _rand_state(rng, 2)
+    rho = rand_state(rng, 2)
     out = ideal_correlator_apply(fam, rho)
     assert abs(np.trace(out @ np.eye(4)) - 1) <= 1e-12
 
@@ -69,7 +62,7 @@ def test_real_imag_traces():
     rng = np.random.default_rng(1)
     fam = CorrelatorFamily(3)
     for _ in range(5):
-        rho = _rand_state(rng, 3)
+        rho = rand_state(rng, 3)
         r = real_part_apply(fam, rho)
         i = imag_part_apply(fam, rho)
         assert np.linalg.norm(r - r.conj().T) <= 1e-12
@@ -83,7 +76,7 @@ def test_real_part_kills_anticommuting_pair():
     fam = CorrelatorFamily(2)
     ab = tensor_product(SX, SY)
     for _ in range(5):
-        rho = _rand_state(rng, 2)
+        rho = rand_state(rng, 2)
         assert abs(np.trace(real_part_apply(fam, rho) @ ab)) <= 1e-12
 
 
@@ -97,7 +90,7 @@ def test_ideal_equals_real_minus_i_imag():
     rng = np.random.default_rng(3)
     for d in (2, 3):
         fam = CorrelatorFamily(d)
-        rho = _rand_state(rng, d)
+        rho = rand_state(rng, d)
         lhs = ideal_correlator_apply(fam, rho)
         rhs = real_part_apply(fam, rho) - 1j * imag_part_apply(fam, rho)
         assert np.linalg.norm(lhs - rhs) <= 1e-12
@@ -108,9 +101,9 @@ def test_two_point_identity_random_triples(d):
     rng = np.random.default_rng(4 + d)
     fam = CorrelatorFamily(d)
     for _ in range(25):
-        rho = _rand_state(rng, d)
-        a = _rand_herm(rng, d)
-        b = _rand_herm(rng, d)
+        rho = rand_state(rng, d)
+        a = rand_herm(rng, d)
+        b = rand_herm(rng, d)
         lhs = np.trace(ideal_correlator_apply(fam, rho) @ tensor_product(a, b))
         assert abs(lhs - two_point_exact(rho, a, b)) <= 1e-10
 
@@ -123,7 +116,7 @@ def test_cloner_outputs_are_states(d):
     rng = np.random.default_rng(8 + d)
     fam = CorrelatorFamily(d)
     for sign in (+1, -1):
-        rho = _rand_state(rng, d)
+        rho = rand_state(rng, d)
         out = cloner_apply(fam, sign, rho)
         assert abs(np.trace(out) - 1) <= 1e-11
         assert np.linalg.eigvalsh(out).min() >= -1e-10
@@ -136,7 +129,7 @@ def test_cloner_marginal_formula_qubit():
     (4 rho + 1)/6, checked against a from-scratch projector sandwich."""
     rng = np.random.default_rng(9)
     fam = CorrelatorFamily(2)
-    rho = _rand_state(rng, 2)
+    rho = rand_state(rng, 2)
     out = cloner_apply(fam, +1, rho)
     marginal = partial_trace(out, 1, [2, 2])
     assert np.allclose(marginal, (4 * rho + np.eye(2)) / 6, atol=1e-11)
@@ -152,7 +145,7 @@ def test_rootswap_outputs_are_states(d):
     rng = np.random.default_rng(13 + d)
     fam = CorrelatorFamily(d)
     for sign in (+1, -1):
-        rho = _rand_state(rng, d)
+        rho = rand_state(rng, d)
         out = rootswap_apply(fam, sign, rho)
         assert abs(np.trace(out) - 1) <= 1e-11
         assert np.linalg.eigvalsh(out).min() >= -1e-10
@@ -162,7 +155,7 @@ def test_rootswap_outputs_are_states(d):
 def test_rootswap_difference_recovers_imag_part(d):
     rng = np.random.default_rng(18 + d)
     fam = CorrelatorFamily(d)
-    rho = _rand_state(rng, d)
+    rho = rand_state(rng, d)
     scale = np.sqrt(d * d - 1) / 2
     lhs = scale * (rootswap_apply(fam, +1, rho) - rootswap_apply(fam, -1, rho))
     assert np.linalg.norm(lhs - imag_part_apply(fam, rho)) <= 1e-11
@@ -202,7 +195,7 @@ def test_half_half_branch_probabilities(d):
     rng = np.random.default_rng(23 + d)
     for dec in (universal_real_decomposition(d), universal_imag_decomposition(d)):
         for _ in range(5):
-            report = decomposition_cost(dec, _rand_state(rng, d))
+            report = decomposition_cost(dec, rand_state(rng, d))
             assert max(abs(p - 0.5) for p in report.probabilities) <= 1e-10
 
 
@@ -222,11 +215,15 @@ def test_kraus_built_effects_match_applied_maps(d):
             assert np.abs(eff.matrix - ref.matrix).max() <= 1e-12
 
 
-def test_decompositions_reject_d1():
-    with pytest.raises(ValueError):
-        universal_real_decomposition(1)
-    with pytest.raises(ValueError):
-        universal_imag_decomposition(1)
+@pytest.mark.parametrize("d", [-1, 0, 1])
+@pytest.mark.parametrize(
+    "build", [universal_real_decomposition, universal_imag_decomposition]
+)
+def test_decompositions_reject_small_dimension(build, d):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning on the way
+        with pytest.raises(ValueError, match=f"dimension >= 2, got {d}"):
+            build(d)
 
 
 # --- Choi builders ------------------------------------------------------------------
@@ -268,7 +265,7 @@ def test_builder_orthogonality(d):
 def test_apply_choi_consistency_with_applies():
     rng = np.random.default_rng(30)
     fam = CorrelatorFamily(2)
-    rho = _rand_state(rng, 2)
+    rho = rand_state(rng, 2)
     assert np.linalg.norm(apply_choi(fam.j_real, rho) - real_part_apply(fam, rho)) <= 1e-11
     assert np.linalg.norm(apply_choi(fam.j_imag, rho) - imag_part_apply(fam, rho)) <= 1e-11
 
@@ -278,7 +275,7 @@ def test_apply_choi_consistency_with_applies():
 
 def test_two_point_exact_identity_pair():
     rng = np.random.default_rng(31)
-    rho = _rand_state(rng, 2)
+    rho = rand_state(rng, 2)
     assert two_point_exact(rho, np.eye(2), np.eye(2)) == pytest.approx(1.0)
 
 

@@ -28,20 +28,11 @@ from twopoint.decomposition import (
 )
 from twopoint.linalg import maximally_entangled_projector, partial_trace
 
-
-def _rand_state(rng, d):
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
-
-
-def _rand_herm(rng, d):
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    return (g + g.conj().T) / 2
+from random_inputs import rand_herm, rand_state
 
 
 def _rand_hp_choi(rng, d_in, d_out):
-    return ChoiOperator(_rand_herm(rng, d_out * d_in), d_in=d_in, d_out=d_out)
+    return ChoiOperator(rand_herm(rng, d_out * d_in), d_in=d_in, d_out=d_out)
 
 
 def _rand_channel_choi(rng, d):
@@ -111,7 +102,7 @@ def test_cost_universal_real_qubit():
     rng = np.random.default_rng(2)
     dec = universal_real_decomposition(2)
     for _ in range(5):
-        report = decomposition_cost(dec, _rand_state(rng, 2))
+        report = decomposition_cost(dec, rand_state(rng, 2))
         assert np.allclose(report.probabilities, [0.5, 0.5], atol=1e-10)
         assert abs(report.cost - 2.0) <= 1e-10
 
@@ -119,7 +110,7 @@ def test_cost_universal_real_qubit():
 def test_cost_universal_imag_qubit():
     rng = np.random.default_rng(3)
     dec = universal_imag_decomposition(2)
-    report = decomposition_cost(dec, _rand_state(rng, 2))
+    report = decomposition_cost(dec, rand_state(rng, 2))
     assert abs(report.cost - np.sqrt(3)) <= 1e-10
 
 
@@ -181,7 +172,7 @@ def test_cost_never_beats_bound_small_sample():
         dec = statistical_decompose(j)
         bound = error_lower_bound(j)
         for _ in range(4):
-            report = decomposition_cost(dec, _rand_state(rng, 2))
+            report = decomposition_cost(dec, rand_state(rng, 2))
             assert report.cost >= bound - 1e-9
 
 
@@ -197,7 +188,7 @@ def test_dilation_of_unitary_channel():
     dil = stinespring_dilation(dec)
     assert dil.d_ancilla == 1
     assert np.allclose(dil.ancilla_observable, [[1.0]], atol=1e-12)
-    rho = _rand_state(rng, 2)
+    rho = rand_state(rng, 2)
     assert np.linalg.norm(partial_expectation(dil, rho) - u @ rho @ u.conj().T) <= 1e-10
 
 
@@ -209,7 +200,7 @@ def test_dilation_reproduces_real_part(d):
     v = dil.isometry
     assert np.linalg.norm(v.conj().T @ v - np.eye(d)) <= 1e-10
     for _ in range(10):
-        rho = _rand_state(rng, d)
+        rho = rand_state(rng, d)
         assert np.linalg.norm(partial_expectation(dil, rho) - real_part_apply(fam, rho)) <= 1e-10
 
 
@@ -219,7 +210,7 @@ def test_dilation_reproduces_imag_part(d):
     fam = CorrelatorFamily(d)
     dil = stinespring_dilation(universal_imag_decomposition(d))
     for _ in range(10):
-        rho = _rand_state(rng, d)
+        rho = rand_state(rng, d)
         assert np.linalg.norm(partial_expectation(dil, rho) - imag_part_apply(fam, rho)) <= 1e-10
 
 
@@ -232,8 +223,8 @@ def test_dilation_scalar_expectations(d):
     dil = stinespring_dilation(universal_real_decomposition(d))
     v, z = dil.isometry, dil.ancilla_observable
     for _ in range(20):
-        rho = _rand_state(rng, d)
-        a = _rand_herm(rng, d * d)
+        rho = rand_state(rng, d)
+        a = rand_herm(rng, d * d)
         lhs = np.trace(v @ rho @ v.conj().T @ np.kron(a, z)).real
         rhs = np.trace(real_part_apply(fam, rho) @ a).real
         assert abs(lhs - rhs) <= 1e-10
@@ -272,7 +263,7 @@ def test_partial_expectation_with_identity_ancilla():
     j = _rand_channel_choi(rng, 2)
     dec = statistical_decompose(j)
     dil = stinespring_dilation(dec)
-    rho = _rand_state(rng, 2)
+    rho = rand_state(rng, 2)
     # replacing Z by the identity must give the recombined-with-|weights|...
     # here: the plain channel output when all weights are ~1? They are the
     # eigen-branch weights, so instead check the Z=1 marginal is the

@@ -15,20 +15,11 @@ from twopoint.linalg import (
     tensor_product,
 )
 
+from random_inputs import rand_herm, rand_state
+
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]])
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
-
-
-def _rand_herm(rng, d):
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    return (g + g.conj().T) / 2
-
-
-def _rand_state(rng, d):
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
 
 
 def _charpoly_eigenvalues(m):
@@ -73,8 +64,8 @@ def test_tensor_matches_index_expansion():
 
 def test_partial_trace_product_state():
     rng = np.random.default_rng(0)
-    a = _rand_herm(rng, 3)
-    b = _rand_herm(rng, 2)
+    a = rand_herm(rng, 3)
+    b = rand_herm(rng, 2)
     kept_first = partial_trace(tensor_product(a, b), 0, [3, 2])
     assert np.allclose(kept_first, a * np.trace(b), atol=1e-12)
     kept_second = partial_trace(tensor_product(a, b), 1, [3, 2])
@@ -92,7 +83,7 @@ def test_partial_trace_against_index_sum():
     """Trace out the second qubit of S(1 x rho) and compare with an explicit
     elementwise index sum."""
     rng = np.random.default_rng(1)
-    rho = _rand_state(rng, 2)
+    rho = rand_state(rng, 2)
     m = swap_operator(2) @ tensor_product(np.eye(2), rho)
     got = partial_trace(m, 0, [2, 2])
     want = np.zeros((2, 2), dtype=complex)
@@ -124,7 +115,7 @@ def test_eigendecomposition_identity_multiplicity():
 
 def test_eigendecomposition_reconstruction():
     rng = np.random.default_rng(2)
-    m = _rand_herm(rng, 6)
+    m = rand_herm(rng, 6)
     w, v = hermitian_eigendecomposition(m)
     assert np.all(np.diff(w) >= -1e-14)
     assert np.linalg.norm((v * w) @ v.conj().T - m) <= 1e-10
@@ -171,7 +162,7 @@ def test_absolute_value_negated_projector():
 def test_absolute_value_sandwich_psd():
     rng = np.random.default_rng(3)
     for _ in range(5):
-        m = _rand_herm(rng, 5)
+        m = rand_herm(rng, 5)
         am = operator_absolute_value(m)
         assert np.linalg.eigvalsh(am - m).min() >= -1e-10
         assert np.linalg.eigvalsh(am + m).min() >= -1e-10
@@ -205,7 +196,7 @@ def test_swap_is_hermitian_involution():
 
 def test_swap_conjugation_exchanges_factors():
     rng = np.random.default_rng(4)
-    rho = _rand_state(rng, 3)
+    rho = rand_state(rng, 3)
     s = swap_operator(3)
     lhs = s @ tensor_product(np.eye(3), rho) @ s
     assert np.allclose(lhs, tensor_product(rho, np.eye(3)), atol=1e-13)
@@ -214,8 +205,8 @@ def test_swap_conjugation_exchanges_factors():
 def test_swap_trace_identity():
     rng = np.random.default_rng(5)
     for d in (2, 4):
-        a = _rand_herm(rng, d)
-        b = _rand_herm(rng, d)
+        a = rand_herm(rng, d)
+        b = rand_herm(rng, d)
         got = np.trace(swap_operator(d) @ tensor_product(a, b))
         assert abs(got - np.trace(a @ b)) <= 1e-11
 
@@ -328,7 +319,7 @@ def test_entangled_transpose_trick():
 
 def test_check_density_matrix_accepts_state():
     rng = np.random.default_rng(7)
-    rho = check_density_matrix(_rand_state(rng, 3))
+    rho = check_density_matrix(rand_state(rng, 3))
     assert abs(np.trace(rho) - 1) <= 1e-9
 
 

@@ -5,7 +5,6 @@ from twopoint.correlator import CorrelatorFamily, cloner_apply, real_part_apply
 from twopoint.linalg import partial_trace, tensor_product
 from twopoint.photonics import (
     CoincidenceStats,
-    OpticalConfiguration,
     beamsplitter_action,
     fock_norm_squared,
     pattern_probabilities,
@@ -13,23 +12,14 @@ from twopoint.photonics import (
     simulate_optics,
 )
 
+from random_inputs import rand_herm, rand_state
+
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 SINGLET = np.zeros((4, 4), dtype=complex)
 _v = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
 SINGLET += np.outer(_v, _v.conj())
-
-
-def _rand_state(rng, d=2):
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
-
-
-def _rand_herm(rng, d=2):
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    return (g + g.conj().T) / 2
 
 
 # --- Fock bookkeeping -----------------------------------------------------------
@@ -100,19 +90,7 @@ def test_splitter_rejects_bad_arguments():
         beamsplitter_action({}, ("a", "b"), -0.1)
 
 
-# --- configuration and stats containers -------------------------------------------
-
-
-def test_configuration_validates_input():
-    cfg = OpticalConfiguration(np.eye(2, dtype=complex) / 2)
-    assert cfg.truncation == 3
-    assert len(cfg.modes) == 8
-    with pytest.raises(ValueError, match="qubit"):
-        OpticalConfiguration(np.eye(3, dtype=complex) / 3)
-    with pytest.raises(ValueError, match="distinct"):
-        OpticalConfiguration(np.eye(2, dtype=complex) / 2, modes=("a",) * 8)
-    with pytest.raises(ValueError, match="three photons"):
-        OpticalConfiguration(np.eye(2, dtype=complex) / 2, truncation=4)
+# --- stats container -------------------------------------------------------------
 
 
 def test_stats_ordering_enforced():
@@ -129,7 +107,7 @@ def test_stats_ordering_enforced():
 def test_pattern_probabilities_sum_to_one():
     rng = np.random.default_rng(1)
     for _ in range(5):
-        table = pattern_probabilities(_rand_state(rng))
+        table = pattern_probabilities(rand_state(rng, 2))
         assert sum(table.values()) == pytest.approx(1.0, abs=1e-10)
         assert all(p >= -1e-12 for p in table.values())
 
@@ -137,7 +115,7 @@ def test_pattern_probabilities_sum_to_one():
 def test_accepted_pattern_probabilities_are_state_independent():
     rng = np.random.default_rng(2)
     for _ in range(20):
-        stats = simulate_optics(_rand_state(rng))
+        stats = simulate_optics(rand_state(rng, 2))
         assert abs(stats.p_sym - 3 / 16) <= 1e-10
         assert abs(stats.p_anti - 1 / 16) <= 1e-10
 
@@ -151,6 +129,8 @@ def test_pattern_table_contains_accepted_profiles():
 def test_rejects_non_qubit_input():
     with pytest.raises(ValueError, match="qubit"):
         simulate_optics(np.eye(3, dtype=complex) / 3)
+    with pytest.raises(ValueError, match="qubit"):
+        pattern_probabilities(np.eye(3, dtype=complex) / 3)
 
 
 # --- full bench: post-selected states ---------------------------------------------
@@ -158,7 +138,7 @@ def test_rejects_non_qubit_input():
 
 def test_post_selected_states_are_density_matrices():
     rng = np.random.default_rng(3)
-    stats = simulate_optics(_rand_state(rng))
+    stats = simulate_optics(rand_state(rng, 2))
     for state in (stats.state_sym, stats.state_anti):
         assert state.shape == (8, 8)
         assert abs(np.trace(state) - 1) <= 1e-11
@@ -171,7 +151,7 @@ def test_detected_pairs_match_cloner_outputs():
     rng = np.random.default_rng(4)
     fam = CorrelatorFamily(2)
     for _ in range(10):
-        rho = _rand_state(rng)
+        rho = rand_state(rng, 2)
         stats = simulate_optics(rho)
         pair_sym = partial_trace(stats.state_sym, (0, 1), [2, 2, 2])
         pair_anti = partial_trace(stats.state_anti, (0, 1), [2, 2, 2])
@@ -186,7 +166,7 @@ def test_sym_pair_lives_in_symmetric_sector():
         for j in range(2):
             s[2 * i + j, 2 * j + i] = 1.0
     p_minus = (np.eye(4) - s) / 2
-    stats = simulate_optics(_rand_state(rng))
+    stats = simulate_optics(rand_state(rng, 2))
     pair_sym = partial_trace(stats.state_sym, (0, 1), [2, 2, 2])
     assert np.linalg.norm(p_minus @ pair_sym @ p_minus) <= 1e-11
 
@@ -194,7 +174,7 @@ def test_sym_pair_lives_in_symmetric_sector():
 def test_anti_pair_is_the_singlet_for_every_input():
     rng = np.random.default_rng(6)
     for _ in range(5):
-        stats = simulate_optics(_rand_state(rng))
+        stats = simulate_optics(rand_state(rng, 2))
         pair_anti = partial_trace(stats.state_anti, (0, 1), [2, 2, 2])
         assert np.linalg.norm(pair_anti - SINGLET) <= 1e-11
 
@@ -214,9 +194,9 @@ def test_recombination_reads_the_anticommutator():
     rng = np.random.default_rng(7)
     fam = CorrelatorFamily(2)
     for _ in range(20):
-        rho = _rand_state(rng)
-        a = _rand_herm(rng)
-        b = _rand_herm(rng)
+        rho = rand_state(rng, 2)
+        a = rand_herm(rng, 2)
+        b = rand_herm(rng, 2)
         stats = simulate_optics(rho)
         got = recombine_coincidences(stats, a, b)
         direct = np.trace(rho @ (a @ b + b @ a)).real / 2
@@ -234,7 +214,7 @@ def test_recombination_identity_observables():
 
 def test_recombination_anticommuting_pair_vanishes():
     rng = np.random.default_rng(8)
-    stats = simulate_optics(_rand_state(rng))
+    stats = simulate_optics(rand_state(rng, 2))
     assert recombine_coincidences(stats, SX, SZ) == pytest.approx(0.0, abs=1e-10)
 
 

@@ -9,36 +9,28 @@ from twopoint.correlator import (
     universal_imag_decomposition,
     universal_real_decomposition,
 )
-from twopoint.choi import apply_choi
+from twopoint.choi import ChoiOperator, apply_choi
 from twopoint.decomposition import StatisticalDecomposition, statistical_decompose
 from twopoint.sampler import (
     DEFAULT_SEED,
+    _component_plan,
+    _evaluate_block,
     _joint_distribution,
-    Shot,
-    draw_shot,
+    _uniform_block,
     estimate_component,
     estimate_two_point,
-    sample_instrument_branch,
-    sample_joint_measurement,
     spectral_projectors,
 )
+
+from random_inputs import rand_herm, rand_state
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]])
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 KET0 = np.diag([1.0, 0.0]).astype(complex)
 MIXED2 = np.eye(2, dtype=complex) / 2
-
-
-def _rand_state(rng, d):
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
-
-
-def _rand_herm(rng, d):
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    return (g + g.conj().T) / 2
+I2 = np.eye(2, dtype=complex)
+ONE = np.ones((1, 1), dtype=complex)
 
 
 # --- spectral grouping -------------------------------------------------------
@@ -60,7 +52,7 @@ def test_spectral_projectors_merge_degenerate():
 
 def test_spectral_projectors_reconstruct():
     rng = np.random.default_rng(0)
-    obs = _rand_herm(rng, 4)
+    obs = rand_herm(rng, 4)
     values, projectors = spectral_projectors(obs)
     rebuilt = sum(v * p for v, p in zip(values, projectors))
     assert np.linalg.norm(rebuilt - obs) <= 1e-12
@@ -68,14 +60,27 @@ def test_spectral_projectors_reconstruct():
     assert np.allclose(total, np.eye(4), atol=1e-12)
 
 
-# --- branch sampling ---------------------------------------------------------
+# --- sampling kernel: branch draws ----------------------------------------------
+
+
+def _records(decomp, rho, a, b, n, seed):
+    """The kernel's first n recorded values lambda_i * alpha * beta."""
+    plan = _component_plan(decomp, rho, a, b)
+    return _evaluate_block(_uniform_block(np.random.SeedSequence(seed), 0, n), *plan)
+
+
+def _preparation(kraus):
+    """Weight-1 single-branch instrument that prepares sum_a K_a K_a^dag from
+    the trivial input state ONE; kraus is an (r, 4, 1) stack."""
+    eff = ChoiOperator(None, d_in=1, d_out=kraus.shape[1], kraus=kraus)
+    return StatisticalDecomposition(weights=(1.0,), effects=(eff,))
 
 
 def test_branch_frequencies_universal_real():
+    # with A = B = 1 every record is its branch weight (+3 or -1)
     dec = universal_real_decomposition(2)
-    rng = np.random.default_rng(1)
     n = 4000
-    hits = sum(sample_instrument_branch(dec, MIXED2, rng)[0] for _ in range(n))
+    hits = np.count_nonzero(_records(dec, MIXED2, I2, I2, n, 1) == dec.weights[1])
     # each branch has probability 1/2 for every state
     sigma = np.sqrt(n * 0.25)
     assert abs(hits - n / 2) <= 4 * sigma
@@ -84,11 +89,12 @@ def test_branch_frequencies_universal_real():
 def test_branch_single_effect_channel():
     fam = CorrelatorFamily(2)
     dec = StatisticalDecomposition(weights=(1.0,), effects=(fam.j_sym,))
-    rng = np.random.default_rng(2)
-    for _ in range(50):
-        index, conditional = sample_instrument_branch(dec, KET0, rng)
-        assert index == 0
-        assert abs(np.trace(conditional) - 1) <= 1e-12
+    branch_cdf, outcome_cdfs, values = _component_plan(dec, KET0, I2, I2)
+    assert branch_cdf.shape == (1,)
+    assert abs(branch_cdf[0] - 1) <= 1e-12
+    assert abs(outcome_cdfs[0, -1] - 1) <= 1e-12
+    assert np.all(_records(dec, KET0, I2, I2, 50, 2) == values[0, 0])
+    assert values[0, 0] == 1.0
 
 
 def test_branch_frequencies_random_instrument():
@@ -96,7 +102,6 @@ def test_branch_frequencies_random_instrument():
     g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     j = g @ g.conj().T
     j = (j + j.conj().T) / 2
-    from twopoint.choi import ChoiOperator
     from twopoint.linalg import partial_trace
 
     # normalize so tracing out the first (output) factor leaves the identity
@@ -106,16 +111,18 @@ def test_branch_frequencies_random_instrument():
     fix = np.kron(np.eye(2), inv_sqrt)
     j = fix @ j @ fix.conj().T
     dec = statistical_decompose(ChoiOperator(j, d_in=2, d_out=2))
-    rho = _rand_state(rng, 2)
+    assert len(set(dec.weights)) == len(dec.weights)
+    rho = rand_state(rng, 2)
     probs = _branch_probabilities(dec, rho)
     assert sum(probs) == pytest.approx(1.0, abs=1e-10)
     n = 100_000
-    counts = np.zeros(len(dec.weights))
-    for _ in range(n):
-        counts[sample_instrument_branch(dec, rho, rng)[0]] += 1
-    for k, p in enumerate(probs):
+    # the output is one qubit, read as the 1 x 2 split measured with A = B = 1:
+    # each record is its branch weight, and the weights differ
+    records = _records(dec, rho, ONE, I2, n, 3)
+    for lam, p in zip(dec.weights, probs):
+        count = np.count_nonzero(records == lam)
         sigma = np.sqrt(n * p * (1 - p)) if 0 < p < 1 else 1.0
-        assert abs(counts[k] - n * p) <= 4 * sigma + 1
+        assert abs(count - n * p) <= 4 * sigma + 1
 
 
 def _herm_sqrt(m):
@@ -134,16 +141,12 @@ def _branch_probabilities(dec, rho):
 def test_branch_weight_magnitude_mean():
     # weights are (+3, -1) at p = 1/2 each, so E|weight| is the cost d = 2
     dec = universal_real_decomposition(2)
-    rng = np.random.default_rng(4)
     n = 2000
-    draws = [
-        abs(dec.weights[sample_instrument_branch(dec, MIXED2, rng)[0]])
-        for _ in range(n)
-    ]
+    draws = np.abs(_records(dec, MIXED2, I2, I2, n, 4))
     assert abs(np.mean(draws) - 2.0) <= 4 / np.sqrt(n)  # per-draw sigma is 1
 
 
-# --- joint projective measurement ---------------------------------------------
+# --- sampling kernel: joint projective measurement --------------------------------
 
 
 def _two_valued(rng, d):
@@ -156,8 +159,8 @@ def test_joint_distribution_matches_kron_loop(d):
     """Born probabilities against the pair-by-pair reference
     Tr[state2 (P_alpha (x) P_beta)], degenerate observables included."""
     rng = np.random.default_rng(50 + d)
-    state2 = _rand_state(rng, d * d)
-    generic, two_valued = _rand_herm(rng, d), _two_valued(rng, d)
+    state2 = rand_state(rng, d * d)
+    generic, two_valued = rand_herm(rng, d), _two_valued(rng, d)
     for a, b in ((generic, two_valued), (two_valued, two_valued), (generic, generic)):
         pairs, q = _joint_distribution(state2, a, b)
         avals, aprojs = spectral_projectors(a)
@@ -171,66 +174,67 @@ def test_joint_distribution_matches_kron_loop(d):
 
 
 def test_joint_measurement_identity_observables():
-    rng = np.random.default_rng(5)
-    out = sample_joint_measurement(np.kron(MIXED2, MIXED2), np.eye(2), np.eye(2), rng)
-    assert out == (1.0, 1.0)
+    # prepare 1/2 (x) 1/2 with weight 1: every record is alpha * beta, and
+    # the identities have the single outcome pair (1, 1)
+    dec = _preparation(np.eye(4, dtype=complex).reshape(4, 4, 1) / 2)
+    _, _, values = _component_plan(dec, ONE, I2, I2)
+    assert values.tolist() == [[1.0]]
+    assert np.all(_records(dec, ONE, I2, I2, 100, 5) == 1.0)
 
 
 def test_joint_measurement_product_state_born():
-    rng = np.random.default_rng(6)
-    plus = np.full((2, 2), 0.5, dtype=complex)
-    state = np.kron(KET0, plus)
+    # prepare |0>|+> with weight 1; measuring SZ (x) 1 records the outcome of
+    # SZ alone and 1 (x) SX that of SX alone
+    psi = np.kron([1.0, 0.0], [1.0, 1.0]) / np.sqrt(2)
+    dec = _preparation(psi.astype(complex).reshape(1, 4, 1))
     n = 10_000
-    za = np.empty(n)
-    xb = np.empty(n)
-    for k in range(n):
-        za[k], xb[k] = sample_joint_measurement(state, SZ, SX, rng)
+    za = _records(dec, ONE, SZ, I2, n, 6)
+    xb = _records(dec, ONE, I2, SX, n, 6)
     assert np.allclose(za, 1.0)  # |0><0| is a z eigenstate
     sigma = 1 / np.sqrt(n)
-    assert abs(xb.mean() - 1.0) <= 4 * sigma + 1e-9 or xb.mean() == 1.0
+    assert abs(xb.mean() - 1.0) <= 4 * sigma + 1e-9
 
 
 def test_joint_measurement_mean_tracks_effect_state():
     rng = np.random.default_rng(7)
     fam = CorrelatorFamily(2)
-    rho = _rand_state(rng, 2)
-    state = apply_choi(fam.j_sym, rho) / 2
+    rho = rand_state(rng, 2)
+    state = apply_choi(fam.j_sym, rho)
     state = state / np.trace(state).real
     exact = np.trace(state @ np.kron(SZ, SX)).real
+    dec = StatisticalDecomposition(weights=(1.0,), effects=(fam.j_sym,))
     n = 100_000
-    vals = np.empty(n)
-    for k in range(n):
-        a, b = sample_joint_measurement(state, SZ, SX, rng)
-        vals[k] = a * b
-    se = vals.std(ddof=1) / np.sqrt(n)
-    assert abs(vals.mean() - exact) <= 4 * se
+    mean, se = estimate_component(dec, rho, SZ, SX, n, np.random.SeedSequence(7))
+    assert abs(mean - exact) <= 4 * se
 
 
-# --- single-shot draws ----------------------------------------------------------
+# --- sampling kernel: recorded values ---------------------------------------------
 
 
-def test_draw_shot_fields():
+def _distance_to(records, allowed):
+    return np.abs(records[:, None] - np.asarray(allowed)[None, :]).min(axis=1).max()
+
+
+def test_records_are_weighted_pauli_products():
+    # branch weights (+3, -1) times Pauli outcome pairs (+-1, +-1)
     dec = universal_real_decomposition(2)
-    rng = np.random.default_rng(8)
-    shot = draw_shot(dec, MIXED2, SZ, SX, rng)
-    assert isinstance(shot, Shot)
-    assert shot.weight in dec.weights
-    assert shot.branch in (0, 1)
-    assert shot.outcome_a in (-1.0, 1.0)
-    assert shot.outcome_b in (-1.0, 1.0)
+    records = _records(dec, MIXED2, SZ, SX, 1000, 8)
+    assert _distance_to(records, [3.0, -3.0, 1.0, -1.0]) <= 1e-12
+    # both branches are drawn, so both weights show up as magnitudes
+    assert set(np.round(np.abs(records), 9)) == {3.0, 1.0}
 
 
-def test_draw_shot_outcomes_live_in_spectra():
+def test_records_live_in_weighted_spectra():
     rng = np.random.default_rng(9)
-    a = _rand_herm(rng, 2)
-    b = _rand_herm(rng, 2)
+    a = rand_herm(rng, 2)
+    b = rand_herm(rng, 2)
     va, _ = spectral_projectors(a)
     vb, _ = spectral_projectors(b)
     dec = universal_imag_decomposition(2)
-    for _ in range(40):
-        shot = draw_shot(dec, _rand_state(rng, 2), a, b, rng)
-        assert min(abs(shot.outcome_a - v) for v in va) <= 1e-9
-        assert min(abs(shot.outcome_b - v) for v in vb) <= 1e-9
+    allowed = [lam * x * y for lam in dec.weights for x in va for y in vb]
+    for k in range(40):
+        records = _records(dec, rand_state(rng, 2), a, b, 100, k)
+        assert _distance_to(records, allowed) <= 1e-9
 
 
 # --- component estimators --------------------------------------------------------
@@ -294,7 +298,7 @@ def test_estimate_builds_no_process_matrix_at_d16():
     """One d = 16 process matrix is 4096 x 4096 complex (268 MB); the
     estimate needs only d^2-sided operators."""
     rng = np.random.default_rng(24)
-    rho, a, b = _rand_state(rng, 16), _rand_herm(rng, 16), _rand_herm(rng, 16)
+    rho, a, b = rand_state(rng, 16), rand_herm(rng, 16), rand_herm(rng, 16)
     tracemalloc.start()
     try:
         report = estimate_two_point(rho, a, b, n_shots=4_000, seed=10)
@@ -323,9 +327,9 @@ def test_different_seed_differs():
 
 def test_threads_do_not_change_stream():
     rng = np.random.default_rng(23)
-    rho = _rand_state(rng, 2)
-    a = _rand_herm(rng, 2)
-    b = _rand_herm(rng, 2)
+    rho = rand_state(rng, 2)
+    a = rand_herm(rng, 2)
+    b = rand_herm(rng, 2)
     serial = estimate_two_point(rho, a, b, n_shots=70_000, seed=5, threads=1)
     pooled = estimate_two_point(rho, a, b, n_shots=70_000, seed=5, threads=3)
     assert serial.estimate == pooled.estimate
@@ -351,9 +355,9 @@ def test_unbiased_qubit_ensemble():
     rng = np.random.default_rng(24)
     good = 0
     for trial in range(20):
-        rho = _rand_state(rng, 2)
-        a = _rand_herm(rng, 2)
-        b = _rand_herm(rng, 2)
+        rho = rand_state(rng, 2)
+        a = rand_herm(rng, 2)
+        b = rand_herm(rng, 2)
         report = estimate_two_point(rho, a, b, n_shots=100_000, seed=100 + trial)
         exact = report.exact
         ok_r = abs(report.estimate.real - exact.real) <= 5 * report.std_error[0] + 1e-12
@@ -365,9 +369,9 @@ def test_unbiased_qubit_ensemble():
 def test_unbiased_qutrit_sample():
     rng = np.random.default_rng(25)
     for trial in range(5):
-        rho = _rand_state(rng, 3)
-        a = _rand_herm(rng, 3)
-        b = _rand_herm(rng, 3)
+        rho = rand_state(rng, 3)
+        a = rand_herm(rng, 3)
+        b = rand_herm(rng, 3)
         report = estimate_two_point(rho, a, b, n_shots=60_000, seed=300 + trial)
         assert abs(report.estimate.real - report.exact.real) <= 5 * report.std_error[0] + 1e-12
         assert abs(report.estimate.imag - report.exact.imag) <= 5 * report.std_error[1] + 1e-12
@@ -401,6 +405,12 @@ def test_rejects_starving_split():
         estimate_two_point(KET0, SX, SY, n_shots=10, split=0.999)
     with pytest.raises(ValueError, match="split"):
         estimate_two_point(KET0, SX, SY, n_shots=100, split=1.5)
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+def test_rejects_nonpositive_threads(threads):
+    with pytest.raises(ValueError, match="thread"):
+        estimate_two_point(KET0, SX, SY, n_shots=100, threads=threads)
 
 
 def test_rejects_scalar_system():
