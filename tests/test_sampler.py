@@ -12,7 +12,9 @@ from twopoint.correlator import (
 from twopoint.choi import ChoiOperator, apply_choi
 from twopoint.decomposition import StatisticalDecomposition, statistical_decompose
 from twopoint.sampler import (
+    CHUNK,
     DEFAULT_SEED,
+    _cdf_keys,
     _component_plan,
     _evaluate_block,
     _joint_distribution,
@@ -65,8 +67,9 @@ def test_spectral_projectors_reconstruct():
 
 def _records(decomp, rho, a, b, n, seed):
     """The kernel's first n recorded values lambda_i * alpha * beta."""
-    plan = _component_plan(decomp, rho, a, b)
-    return _evaluate_block(_uniform_block(np.random.SeedSequence(seed), 0, n), *plan)
+    branch_cdf, keys, values = _component_plan(decomp, rho, a, b)
+    cells = _evaluate_block(_uniform_block(np.random.SeedSequence(seed), 0, n), branch_cdf, keys)
+    return values.ravel()[cells]
 
 
 def _preparation(kraus):
@@ -89,10 +92,11 @@ def test_branch_frequencies_universal_real():
 def test_branch_single_effect_channel():
     fam = CorrelatorFamily(2)
     dec = StatisticalDecomposition(weights=(1.0,), effects=(fam.j_sym,))
-    branch_cdf, outcome_cdfs, values = _component_plan(dec, KET0, I2, I2)
+    branch_cdf, keys, values = _component_plan(dec, KET0, I2, I2)
     assert branch_cdf.shape == (1,)
     assert abs(branch_cdf[0] - 1) <= 1e-12
-    assert abs(outcome_cdfs[0, -1] - 1) <= 1e-12
+    # the single outcome pair takes every shot: its key is the largest u index
+    assert keys.tolist() == [[2**53 - 1]]
     assert np.all(_records(dec, KET0, I2, I2, 50, 2) == values[0, 0])
     assert values[0, 0] == 1.0
 
@@ -162,9 +166,9 @@ def test_joint_distribution_matches_kron_loop(d):
     state2 = rand_state(rng, d * d)
     generic, two_valued = rand_herm(rng, d), _two_valued(rng, d)
     for a, b in ((generic, two_valued), (two_valued, two_valued), (generic, generic)):
-        pairs, q = _joint_distribution(state2, a, b)
         avals, aprojs = spectral_projectors(a)
         bvals, bprojs = spectral_projectors(b)
+        pairs, q = _joint_distribution(state2, (avals, aprojs), (bvals, bprojs))
         assert pairs == [(av, bv) for av in avals for bv in bvals]
         ref = np.array([
             max(float(np.trace(state2 @ np.kron(ap, bp)).real), 0.0)
@@ -235,6 +239,112 @@ def test_records_live_in_weighted_spectra():
     for k in range(40):
         records = _records(dec, rand_state(rng, 2), a, b, 100, k)
         assert _distance_to(records, allowed) <= 1e-9
+
+
+# --- sampling kernel: exact integer search ---------------------------------------
+
+
+def _comparison_cells(u, branch_cdf, outcome_cdfs):
+    """Reference kernel: compare each u[:, 1] with every outcome-CDF entry of
+    its branch, and return the flat cell index branch * m + outcome."""
+    nb, m = outcome_cdfs.shape
+    branch = np.minimum(np.searchsorted(branch_cdf, u[:, 0], side="right"), nb - 1)
+    outcome = np.minimum((u[:, 1][:, None] > outcome_cdfs[branch]).sum(axis=1), m - 1)
+    return branch * m + outcome
+
+
+def _outcome_cdfs(decomp, rho, a, b):
+    """The per-branch outcome CDFs of the plan, before they become keys."""
+    aspec, bspec = spectral_projectors(a), spectral_projectors(b)
+    rows = []
+    for eff in decomp.effects:
+        out = apply_choi(eff, rho)
+        p = float(np.trace(out).real)
+        if p > 1e-15:
+            rows.append(np.cumsum(_joint_distribution(out / p, aspec, bspec)[1]))
+    return np.vstack(rows)
+
+
+def _pure(rng, d):
+    psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+    psi /= np.linalg.norm(psi)
+    return np.outer(psi, psi.conj())
+
+
+@pytest.mark.parametrize("d", [2, 4, 8])
+def test_integer_search_matches_comparison_kernel(d):
+    rng = np.random.default_rng(60 + d)
+    a, b = rand_herm(rng, d), _two_valued(rng, d)
+    u = _uniform_block(np.random.SeedSequence(d), 0, 1 << 16)
+    # the keys rest on Generator.random returning k * 2**-53
+    assert np.array_equal(np.floor(u * 2.0**53), u * 2.0**53)
+    for rho in (rand_state(rng, d), _pure(rng, d)):
+        for dec in (universal_real_decomposition(d), universal_imag_decomposition(d)):
+            branch_cdf, keys, _ = _component_plan(dec, rho, a, b)
+            ref = _comparison_cells(u, branch_cdf, _outcome_cdfs(dec, rho, a, b))
+            assert np.array_equal(_evaluate_block(u, branch_cdf, keys), ref)
+
+
+def _lattice(cdf):
+    """Generator outputs k * 2**-53 at and next to each CDF entry, plus
+    u = 0 and u = 1 - 2**-53."""
+    k = np.floor(np.ravel(cdf) * 2.0**53).astype(np.int64)
+    k = np.concatenate([k - 1, k, k + 1, [0, 2**53 - 1]])
+    return np.unique(np.clip(k, 0, 2**53 - 1)) / 2.0**53
+
+
+@pytest.mark.parametrize(
+    "outcome_cdfs",
+    [
+        [[0.25, 0.5, 0.75, 1.0], [0.125, 0.5, 0.875, 1.0]],  # entries on the lattice
+        [[0.0, 0.25, 0.25, 1.0], [0.5, 0.5, 0.5, 1.0]],  # zero-probability outcomes
+        [[0.3, 0.6, 1 - 2**-52, 1 - 2**-52], [0.1, 0.2, 0.3, 1 - 2**-53]],  # last below 1
+        [[0.5, 1 + 2**-52, 1 + 2**-52, 1 + 2**-52], [0.25, 0.5, 1.0, 1 + 2**-52]],  # above 1
+    ],
+    ids=["exact", "repeated", "last-below-1", "above-1"],
+)
+def test_integer_search_edge_uniforms(outcome_cdfs):
+    outcome_cdfs = np.array(outcome_cdfs)
+    branch_cdf = np.array([0.5, 1.0])
+    u0, u1 = np.meshgrid(_lattice(branch_cdf), _lattice(outcome_cdfs), indexing="ij")
+    u = np.column_stack([u0.ravel(), u1.ravel()])
+    assert {0.0, 1 - 2**-53} <= set(u[:, 1])
+    cells = _evaluate_block(u, branch_cdf, _cdf_keys(outcome_cdfs))
+    assert np.array_equal(cells, _comparison_cells(u, branch_cdf, outcome_cdfs))
+
+
+def test_integer_search_uniform_on_an_entry():
+    # u == c is not beyond c: u = 0.5 lands in the cell whose cdf reaches 0.5
+    keys = _cdf_keys(np.array([[0.25, 0.5, 0.75, 1.0]]))
+    u = np.array([[0.0, 0.5], [0.0, 0.5 + 2**-53], [0.0, 0.0], [0.0, 1 - 2**-53]])
+    assert _evaluate_block(u, np.array([1.0]), keys).tolist() == [1, 2, 0, 3]
+
+
+def _many_branch_instrument(rng, n):
+    """n branches K_i = sqrt(p_i) V_i, V_i a random 4 x 2 isometry; the
+    effects sum to a channel and the branch probabilities are p_i."""
+    effects = []
+    for p in rng.dirichlet(np.ones(n)):
+        v, _ = np.linalg.qr(rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2)))
+        effects.append(ChoiOperator(None, d_in=2, d_out=4, kraus=np.sqrt(p) * v[None]))
+    return StatisticalDecomposition(weights=tuple(rng.normal(size=n)), effects=tuple(effects))
+
+
+def test_more_branches_than_one_key_group():
+    # int64 keys hold 1024 branches; 2500 branches need three key groups
+    rng = np.random.default_rng(70)
+    dec = _many_branch_instrument(rng, 2500)
+    rho, a, b = rand_state(rng, 2), rand_herm(rng, 2), rand_herm(rng, 2)
+    branch_cdf, keys, _ = _component_plan(dec, rho, a, b)
+    assert keys.shape == (2500, 4)
+    u = _uniform_block(np.random.SeedSequence(71), 0, 1 << 16)
+    cells = _evaluate_block(u, branch_cdf, keys)
+    assert np.array_equal(cells, _comparison_cells(u, branch_cdf, _outcome_cdfs(dec, rho, a, b)))
+    assert set(np.unique(cells // (1024 * 4))) == {0, 1, 2}
+    ss = np.random.SeedSequence(72)
+    serial = estimate_component(dec, rho, a, b, 3 * CHUNK + 10, ss, threads=1)
+    pooled = estimate_component(dec, rho, a, b, 3 * CHUNK + 10, ss, threads=3)
+    assert serial == pooled
 
 
 # --- component estimators --------------------------------------------------------
@@ -309,6 +419,26 @@ def test_estimate_builds_no_process_matrix_at_d16():
     assert np.isfinite(report.estimate)
 
 
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_estimate_memory_does_not_grow_with_shots():
+    rng = np.random.default_rng(80)
+    dec = universal_real_decomposition(4)
+    rho, a, b = rand_state(rng, 4), rand_herm(rng, 4), rand_herm(rng, 4)
+    ss = np.random.SeedSequence(81)
+    small = _peak_bytes(lambda: estimate_component(dec, rho, a, b, 2 * CHUNK, ss))
+    large = _peak_bytes(lambda: estimate_component(dec, rho, a, b, 4_000_000, ss))
+    assert large < 8 * 2**20
+    assert large - small <= 2**20
+
+
 # --- determinism ---------------------------------------------------------------------
 
 
@@ -375,6 +505,20 @@ def test_unbiased_qutrit_sample():
         report = estimate_two_point(rho, a, b, n_shots=60_000, seed=300 + trial)
         assert abs(report.estimate.real - report.exact.real) <= 5 * report.std_error[0] + 1e-12
         assert abs(report.estimate.imag - report.exact.imag) <= 5 * report.std_error[1] + 1e-12
+
+
+def test_standard_error_is_calibrated():
+    """The share of parts within 2 SE of the exact value, over 400 seeded
+    d = 2 estimates, lies in the 4-sigma binomial band around 95 %."""
+    rng = np.random.default_rng(26)
+    hits = []
+    for trial in range(400):
+        rho, a, b = rand_state(rng, 2), rand_herm(rng, 2), rand_herm(rng, 2)
+        report = estimate_two_point(rho, a, b, n_shots=2_000, seed=500 + trial)
+        err = report.estimate - report.exact
+        hits += [abs(err.real) <= 2 * report.std_error[0], abs(err.imag) <= 2 * report.std_error[1]]
+    band = 4 * np.sqrt(0.95 * 0.05 / len(hits))
+    assert abs(np.mean(hits) - 0.95) <= band
 
 
 def test_error_scales_like_inverse_sqrt():
