@@ -48,7 +48,6 @@ from .linalg import (
     q_operator,
     sector_projector,
     swap_operator,
-    tensor_product,
 )
 from .photonics import (
     CoincidenceStats,
@@ -112,7 +111,6 @@ __all__ = [
     "statistical_decompose",
     "stinespring_dilation",
     "swap_operator",
-    "tensor_product",
     "two_point_exact",
     "universal_imag_decomposition",
     "universal_real_decomposition",

@@ -9,8 +9,8 @@ All structured output is JSON: UTF-8, two-space indentation, sorted keys,
 complex numbers as [re, im] pairs. Matrices travel as MatrixFile objects —
 ``{"rows": r, "cols": c, "data": [[re, im], ...]}`` with row-major data.
 Exit codes: 0 success, 1 verification failure, 2 parse error, 3 semantic or
-validation error. Diagnostics go to standard error; results go to --out or
-standard output.
+validation error or an unwritable output path. Diagnostics go to standard
+error; results go to --out or standard output.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ def json_to_matrix(obj) -> np.ndarray:
         if key not in obj:
             raise MatrixFileError(f"matrix object missing key {key!r}")
     rows, cols, data = obj["rows"], obj["cols"], obj["data"]
-    if not isinstance(rows, int) or not isinstance(cols, int) or rows < 1 or cols < 1:
+    if not all(isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in (rows, cols)):
         raise MatrixFileError(f"rows/cols must be positive integers, got {rows!r}, {cols!r}")
     if not isinstance(data, list) or len(data) != rows * cols:
         raise MatrixFileError(
@@ -124,7 +124,16 @@ def _random_observable(rng: np.random.Generator, d: int) -> np.ndarray:
     return (g + g.conj().T) / 2
 
 
+def _check_tol(tol: float) -> None:
+    if not tol >= 0:  # NaN fails the comparison too
+        raise ValueError(f"--tol must be a non-negative number, got {tol}")
+
+
 def cmd_decompose(args) -> int:
+    for flag, dim in (("--din", args.din), ("--dout", args.dout)):
+        if dim < 1:
+            raise ValueError(f"{flag} must be a positive integer, got {dim}")
+    _check_tol(args.tol)
     m = _load_matrix(args.input)
     if args.din * args.dout != m.shape[0] or m.shape[0] != m.shape[1]:
         raise ValueError(
@@ -258,8 +267,8 @@ def _verify_checks(d: int, seed: int, tol: float | None):
 def cmd_verify(args) -> int:
     if not 2 <= args.d <= 16:
         raise ValueError(f"dimension must satisfy 2 <= d <= 16, got {args.d}")
-    if args.tol is not None and not args.tol >= 0:  # NaN fails the comparison too
-        raise ValueError(f"--tol must be a non-negative number, got {args.tol}")
+    if args.tol is not None:
+        _check_tol(args.tol)
     checks, chois = _verify_checks(args.d, args.seed, args.tol)
     if args.dump is not None:
         os.makedirs(args.dump, exist_ok=True)
@@ -372,7 +381,7 @@ def main(argv=None) -> int:
     except MatrixFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SEMANTIC
 

@@ -3,7 +3,7 @@
 Matrices are plain complex ``numpy.ndarray`` values treated as immutable:
 every function returns a fresh array and never mutates its inputs. The global
 tensor index convention is row-major with subsystem 1 as the slowest index,
-i.e. ``tensor_product(a, b)[i*db + k, j*db + l] == a[i, j] * b[k, l]``.
+i.e. ``np.kron(a, b)[i*db + k, j*db + l] == a[i, j] * b[k, l]``.
 
 Eigendecompositions order eigenvalues ascending; within a degenerate cluster
 the eigenvector columns are phase-canonicalized (largest-magnitude entry made
@@ -22,11 +22,6 @@ EIG_TOL = 1e-10
 # Absolute gap below which eigenvalues are treated as one degenerate cluster
 # when canonicalizing eigenvector ordering.
 DEGENERACY_TOL = 1e-9
-
-
-def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with the slowest-index-first subsystem convention."""
-    return np.kron(np.asarray(a), np.asarray(b))
 
 
 def partial_trace(m: np.ndarray, keep, dims) -> np.ndarray:

@@ -1,25 +1,26 @@
 """Monte Carlo estimation of Tr[A rho B] with one vectorized sampling kernel.
 
-Each shot draws an instrument branch i with probability p(i) = Tr[E_i(rho)],
-then draws a joint eigenvalue pair (alpha, beta) of the two commuting local
-observables A (x) 1 and 1 (x) B on the conditional two-copy output state, and
-records lambda_i * alpha * beta. The running mean of those records is an
-unbiased estimator of Tr[L(rho) (A (x) B)] for the recombined map L; running
-the real- and imaginary-part instruments and combining as real - i*imag gives
-Tr[A rho B].
+Each shot lands in the cell of instrument branch i and joint eigenvalue pair
+(alpha, beta) with probability p(i) q_i(alpha, beta): p(i) = Tr[E_i(rho)] is
+the branch probability and q_i the Born distribution of the two commuting
+local observables A (x) 1 and 1 (x) B on the conditional two-copy output
+state. The shot records lambda_i * alpha * beta. The running mean of those
+records is an unbiased estimator of Tr[L(rho) (A (x) B)] for the recombined
+map L; running the real- and imaginary-part instruments and combining as
+real - i*imag gives Tr[A rho B].
 
 Shots are never drawn one at a time. ``_component_plan`` tabulates, once per
 (instrument, state, observables), the finite set of (branch, outcome) cells:
-the branch distribution, integer search keys of each branch's joint-outcome
-distribution, and each cell's recorded value. ``_evaluate_block`` finds the
-cell of every shot in a block of uniforms with one integer search per shot,
-and ``estimate_component`` reduces each block to integer cell counts. The
-mean and standard error follow exactly from the counts, so memory does not
-grow with the shot count.
+the running sum of the cells' joint probabilities p(i) q_i(alpha, beta) and
+each cell's recorded value. ``_evaluate_block`` finds the cell of every shot
+in a block of uniforms, one uniform and one search per shot, and
+``estimate_component`` reduces each block to integer cell counts. The mean
+and standard error follow exactly from the counts, so memory does not grow
+with the shot count.
 
-Randomness is counter-based: every shot's uniforms are a pure function of
+Randomness is counter-based: every shot's uniform is a pure function of
 (seed, pipeline tag, shot index), generated by a Philox stream keyed with
-``numpy.random.SeedSequence(seed, spawn_key=(tag, role))`` and extracted in
+``numpy.random.SeedSequence(seed, spawn_key=(tag,))`` and extracted in
 aligned blocks via ``Philox.advance``. Integer counts add up the same in any
 order, so estimates are bit-identical for a fixed seed, independent of
 chunking and of how many threads evaluate the chunks.
@@ -48,20 +49,13 @@ DEFAULT_SEED = 0x2A
 # outcome, sampled through the grouped spectral projector.
 SPECTRUM_TOL = 1e-9
 
-# Shots are generated and evaluated in fixed-size blocks; the size is even so
-# block starts stay aligned with the Philox counter (2 uniforms per shot,
-# 4 words per counter tick). Cell counts do not depend on the size. At 2**14
-# shots a block's arrays (256 KB of uniforms) stay in a core's L2 cache; on a
-# 2-core Xeon with 2 MB of L2 a d = 4 estimate ran about 15 % faster than
-# with 2**16-shot blocks.
+# Shots are generated and evaluated in fixed-size blocks; the size is a
+# multiple of 4 so block starts stay aligned with the Philox counter (1 uniform
+# per shot, 4 words per counter tick). Cell counts do not depend on the size.
+# At 2**14 shots a block's arrays (128 KB of uniforms) stay in a core's L2
+# cache; on a 2-core Xeon with 2 MB of L2 a d = 4 estimate ran about 15 %
+# faster than with 2**16-shot blocks.
 CHUNK = 1 << 14
-
-# Outcome search keys (``_cdf_keys``) put a uniform's 53 mantissa bits below
-# the branch index in one int64, so one search array holds _KEY_GROUP branches.
-_U_BITS = 53
-_U_SCALE = float(1 << _U_BITS)
-_K_MAX = (1 << _U_BITS) - 1
-_KEY_GROUP = 1 << (63 - _U_BITS)
 
 _REAL_TAG = 0
 _IMAG_TAG = 1
@@ -127,27 +121,13 @@ def _joint_distribution(state2: np.ndarray, aspec, bspec):
     return pairs, q / total
 
 
-def _cdf_keys(outcome_cdfs: np.ndarray) -> np.ndarray:
-    """Integer search keys of per-branch outcome CDFs, shape (branches, m).
-
-    ``Generator.random`` returns k * 2**-53 for an integer k < 2**53, so
-    u > c holds exactly when k > floor(c * 2**53). Entry (b, j) is
-    ``(b mod _KEY_GROUP) << 53 | min(floor(c * 2**53), 2**53 - 1)``; each
-    group of _KEY_GROUP consecutive branches, raveled, is one sorted int64
-    array. A branch's last key is 2**53 - 1, which no k exceeds, so a shot
-    beyond a CDF that rounds to below 1 lands in the branch's last cell.
-    """
-    floors = np.floor(outcome_cdfs * _U_SCALE)
-    keys = np.minimum(floors, _K_MAX).astype(np.int64)
-    keys[:, -1] = _K_MAX
-    rows = np.arange(keys.shape[0], dtype=np.int64) & (_KEY_GROUP - 1)
-    return keys | (rows << _U_BITS)[:, None]
-
-
 def _component_plan(decomp, rho, a, b):
-    """Precompute sampling tables: branch cdf, per-branch outcome search keys
-    (``_cdf_keys``), and the per-(branch, outcome) recorded values
-    lambda_i * alpha * beta.
+    """Sampling table of the (branch, outcome) cells: ``(cell_cdf, values)``.
+
+    ``values[i, j]`` is the recorded value lambda_i * alpha * beta of branch
+    i and outcome pair j. ``cell_cdf`` is the running sum of the cells' joint
+    probabilities p(i) q_i(j) in the order of ``values.ravel()``, capped at 1
+    with its last entry set to 1, so every uniform in [0, 1) has a cell.
 
     Branches of zero probability are dropped: they are never drawn.
     """
@@ -167,49 +147,34 @@ def _component_plan(decomp, rho, a, b):
         raise ValueError(
             f"branch probabilities sum to {total}, not 1: not an instrument"
         )
-    branch_cdf = np.cumsum(np.array([p / total for p in probs]))
     aspec, bspec = spectral_projectors(a), spectral_projectors(b)
-    outcome_cdfs = []
+    cell_probs = []
     values = []
-    for st, lam in zip(states, weights):
+    for p, st, lam in zip(probs, states, weights):
         pairs, q = _joint_distribution(st, aspec, bspec)
-        outcome_cdfs.append(np.cumsum(q))
+        cell_probs.append(p / total * q)
         values.append([lam * av * bv for av, bv in pairs])
-    return branch_cdf, _cdf_keys(np.vstack(outcome_cdfs)), np.array(values)
+    cell_cdf = np.minimum(np.cumsum(np.concatenate(cell_probs)), 1.0)
+    cell_cdf[-1] = 1.0
+    return cell_cdf, np.array(values)
 
 
 def _uniform_block(ss: np.random.SeedSequence, start: int, count: int) -> np.ndarray:
-    """Shots [start, start+count) of the stream keyed by ``ss``, as (count, 2)
-    uniforms. ``start`` must be even so the 2-per-shot word offset lands on a
-    Philox counter tick."""
-    if start % 2:
-        raise ValueError("block start must be even")
+    """Uniforms of shots [start, start+count) of the stream keyed by ``ss``,
+    one per shot. ``start`` must be a multiple of 4 so the word offset lands
+    on a Philox counter tick."""
+    if start % 4:
+        raise ValueError("block start must be a multiple of 4")
     bg = np.random.Philox(seed=ss)
-    bg.advance((2 * start) // 4)
-    return np.random.Generator(bg).random((count, 2))
+    bg.advance(start // 4)
+    return np.random.Generator(bg).random(count)
 
 
-def _evaluate_block(u, branch_cdf, keys):
-    """Flat (branch, outcome) cell index, branch * m + outcome, of each shot
-    in a block of uniforms.
-
-    The branch is the first with cdf > u[:, 0]; the outcome is the number of
-    the branch's outcome-cdf entries below u[:, 1], at most m - 1, found by
-    one integer search per shot in the branch's key group (``_cdf_keys``).
-    """
-    nb, m = keys.shape
-    branch = np.searchsorted(branch_cdf, u[:, 0], side="right")
-    np.minimum(branch, nb - 1, out=branch)
-    query = (u[:, 1] * _U_SCALE).astype(np.int64)
-    query |= (branch & (_KEY_GROUP - 1)) << _U_BITS
-    # Every shot is first searched in the first group's keys; shots of later
-    # groups (more than _KEY_GROUP branches) are searched again in their own.
-    cells = np.searchsorted(keys[:_KEY_GROUP].ravel(), query)
-    for first in range(_KEY_GROUP, nb, _KEY_GROUP):
-        mine = np.flatnonzero(branch // _KEY_GROUP == first // _KEY_GROUP)
-        group_keys = keys[first : first + _KEY_GROUP].ravel()
-        cells[mine] = first * m + np.searchsorted(group_keys, query[mine])
-    return cells
+def _evaluate_block(u, cell_cdf):
+    """Flat (branch, outcome) cell index of each shot in a block of uniforms:
+    the number of ``cell_cdf`` entries below u. The last entry is 1 and
+    u < 1, so the index is at most ``cell_cdf.size - 1``."""
+    return np.searchsorted(cell_cdf, u)
 
 
 def estimate_component(
@@ -232,13 +197,13 @@ def estimate_component(
         raise ValueError(f"need at least one shot, got {n_shots}")
     if threads < 1:
         raise ValueError(f"need at least one thread, got {threads}")
-    branch_cdf, keys, values = _component_plan(decomp, rho, a, b)
+    cell_cdf, values = _component_plan(decomp, rho, a, b)
     values = values.ravel()
     starts = range(0, n_shots, CHUNK)
 
     def job(s0: int) -> np.ndarray:
         u = _uniform_block(rng, s0, min(CHUNK, n_shots - s0))
-        return np.bincount(_evaluate_block(u, branch_cdf, keys), minlength=values.size)
+        return np.bincount(_evaluate_block(u, cell_cdf), minlength=values.size)
 
     counts = np.zeros(values.size, dtype=np.int64)
     if threads > 1:

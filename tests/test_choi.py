@@ -16,7 +16,7 @@ from twopoint.correlator import (
     universal_imag_decomposition,
     universal_real_decomposition,
 )
-from twopoint.linalg import maximally_entangled_projector, swap_operator, tensor_product
+from twopoint.linalg import maximally_entangled_projector, swap_operator
 
 from random_inputs import rand_herm, rand_state
 
@@ -89,7 +89,7 @@ def test_apply_depolarizing_channel():
     got = apply_choi(j, rho)
     # independent evaluation of Tr_in[J (1 x rho^T)]
     want = np.zeros((d, d), dtype=complex)
-    full = (np.eye(d * d) / d) @ tensor_product(np.eye(d), rho.T)
+    full = (np.eye(d * d) / d) @ np.kron(np.eye(d), rho.T)
     for i in range(d):
         for j2 in range(d):
             for k in range(d):
@@ -104,7 +104,7 @@ def test_apply_round_trip_on_swap_action():
     s = swap_operator(d)
 
     def action(m):
-        return s @ tensor_product(np.eye(d), m)
+        return s @ np.kron(np.eye(d), m)
 
     j = choi_of_action(action, d_in=d, d_out=d * d)
     rho = rand_state(rng, d)
@@ -136,12 +136,12 @@ def test_choi_of_ideal_correlator_matches_family():
     d = 2
     fam = CorrelatorFamily(d)
     s = swap_operator(d)
-    j = choi_of_action(lambda m: s @ tensor_product(np.eye(d), m), d_in=d, d_out=d * d)
+    j = choi_of_action(lambda m: s @ np.kron(np.eye(d), m), d_in=d, d_out=d * d)
     combined = fam.j_real.matrix - 1j * fam.j_imag.matrix
     assert np.linalg.norm(j.matrix - combined) <= 1e-10
     # second route: the closed product formula for the same matrix
-    phi23 = tensor_product(np.eye(d), maximally_entangled_projector(d))
-    s12 = tensor_product(s, np.eye(d))
+    phi23 = np.kron(np.eye(d), maximally_entangled_projector(d))
+    s12 = np.kron(s, np.eye(d))
     direct = d * (s12 @ phi23)
     assert np.linalg.norm(j.matrix - direct) <= 1e-10
 

@@ -123,6 +123,33 @@ def test_decompose_missing_file_exits_2(tmp_path, capsys):
     assert code == EXIT_PARSE
 
 
+def test_decompose_boolean_dimensions_exits_2(tmp_path, capsys):
+    # booleans are JSON literals, not integers, here as in data entries
+    path = tmp_path / "bool.json"
+    path.write_text('{"rows": true, "cols": true, "data": [[1.0, 0.0]]}', encoding="utf-8")
+    code = main(["decompose", str(path), "--din", "1", "--dout", "1"])
+    assert code == EXIT_PARSE
+    assert capsys.readouterr().err.startswith("error: rows/cols must be positive integers")
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--din", "-1", "--dout", "-4"], "--din"),
+        (["--din", "2", "--dout", "0"], "--dout"),
+        (["--din", "2", "--dout", "2", "--tol", "-1"], "--tol"),
+        (["--din", "2", "--dout", "2", "--tol", "nan"], "--tol"),
+    ],
+)
+def test_decompose_bad_flags_exit_3(tmp_path, capsys, flags, named):
+    path = _write(tmp_path, "m.json", np.eye(4, dtype=complex))
+    code = main(["decompose", path, *flags])
+    captured = capsys.readouterr()
+    assert code == EXIT_SEMANTIC
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {named} must be")
+
+
 # --- estimate -------------------------------------------------------------------
 
 
@@ -309,3 +336,17 @@ def test_output_file_flag(tmp_path, capsys):
     assert code == EXIT_OK
     payload = json.loads(out_path.read_text(encoding="utf-8"))
     assert abs(payload["p_sym"] - 3 / 16) <= 1e-10
+
+
+@pytest.mark.parametrize("target", ["out-in-missing-dir", "dump-on-a-file"])
+def test_unwritable_output_exits_3(tmp_path, capsys, target):
+    if target == "out-in-missing-dir":
+        argv = ["verify", "2", "--out", str(tmp_path / "missing" / "report.json")]
+    else:
+        blocker = tmp_path / "taken"
+        blocker.write_text("", encoding="utf-8")
+        argv = ["verify", "2", "--dump", str(blocker)]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == EXIT_SEMANTIC
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -21,7 +21,6 @@ from twopoint.linalg import (
     partial_trace,
     sector_projector,
     swap_operator,
-    tensor_product,
 )
 
 from random_inputs import rand_herm, rand_state
@@ -44,7 +43,7 @@ def test_ideal_on_maximally_mixed():
 def test_ideal_reproduces_product_trace():
     fam = CorrelatorFamily(2)
     out = ideal_correlator_apply(fam, KET0)
-    got = np.trace(out @ tensor_product(SX, SY))
+    got = np.trace(out @ np.kron(SX, SY))
     assert abs(got - (-1j)) <= 1e-12
     # independent matrix-product oracle
     assert abs(np.trace(SX @ KET0 @ SY) - (-1j)) <= 1e-15
@@ -74,7 +73,7 @@ def test_real_imag_traces():
 def test_real_part_kills_anticommuting_pair():
     rng = np.random.default_rng(2)
     fam = CorrelatorFamily(2)
-    ab = tensor_product(SX, SY)
+    ab = np.kron(SX, SY)
     for _ in range(5):
         rho = rand_state(rng, 2)
         assert abs(np.trace(real_part_apply(fam, rho) @ ab)) <= 1e-12
@@ -82,7 +81,7 @@ def test_real_part_kills_anticommuting_pair():
 
 def test_imag_part_reads_commutator():
     fam = CorrelatorFamily(2)
-    got = np.trace(imag_part_apply(fam, KET0) @ tensor_product(SX, SY))
+    got = np.trace(imag_part_apply(fam, KET0) @ np.kron(SX, SY))
     assert abs(got - 1.0) <= 1e-12  # [sx, sy]/2i = sz and <0|sz|0> = 1
 
 
@@ -104,7 +103,7 @@ def test_two_point_identity_random_triples(d):
         rho = rand_state(rng, d)
         a = rand_herm(rng, d)
         b = rand_herm(rng, d)
-        lhs = np.trace(ideal_correlator_apply(fam, rho) @ tensor_product(a, b))
+        lhs = np.trace(ideal_correlator_apply(fam, rho) @ np.kron(a, b))
         assert abs(lhs - two_point_exact(rho, a, b)) <= 1e-10
 
 
@@ -136,7 +135,7 @@ def test_cloner_marginal_formula_qubit():
     # independent construction of the same map
     s = swap_operator(2)
     pp = (np.eye(4) + s) / 2
-    direct = (2 / 3) * pp @ tensor_product(np.eye(2), rho) @ pp
+    direct = (2 / 3) * pp @ np.kron(np.eye(2), rho) @ pp
     assert np.allclose(out, direct, atol=1e-11)
 
 

@@ -12,7 +12,6 @@ from twopoint.linalg import (
     q_operator,
     sector_projector,
     swap_operator,
-    tensor_product,
 )
 
 from random_inputs import rand_herm, rand_state
@@ -37,15 +36,15 @@ def _charpoly_eigenvalues(m):
     return np.sort(np.roots(coeffs).real)
 
 
-# --- tensor_product -------------------------------------------------------
+# --- index convention: np.kron, subsystem 1 slowest -----------------------
 
 
 def test_tensor_identity():
-    assert np.array_equal(tensor_product(np.eye(2), np.eye(2)), np.eye(4))
+    assert np.array_equal(np.kron(np.eye(2), np.eye(2)), np.eye(4))
 
 
 def test_tensor_diagonal():
-    assert np.allclose(tensor_product(SZ, SZ), np.diag([1, -1, -1, 1]))
+    assert np.allclose(np.kron(SZ, SZ), np.diag([1, -1, -1, 1]))
 
 
 def test_tensor_matches_index_expansion():
@@ -56,7 +55,7 @@ def test_tensor_matches_index_expansion():
             for k in range(2):
                 for l in range(2):
                     want[i * 2 + k, j * 2 + l] = SX[i, j] * SY[k, l]
-    assert np.allclose(tensor_product(SX, SY), want, atol=1e-14)
+    assert np.allclose(np.kron(SX, SY), want, atol=1e-14)
 
 
 # --- partial_trace --------------------------------------------------------
@@ -66,9 +65,9 @@ def test_partial_trace_product_state():
     rng = np.random.default_rng(0)
     a = rand_herm(rng, 3)
     b = rand_herm(rng, 2)
-    kept_first = partial_trace(tensor_product(a, b), 0, [3, 2])
+    kept_first = partial_trace(np.kron(a, b), 0, [3, 2])
     assert np.allclose(kept_first, a * np.trace(b), atol=1e-12)
-    kept_second = partial_trace(tensor_product(a, b), 1, [3, 2])
+    kept_second = partial_trace(np.kron(a, b), 1, [3, 2])
     assert np.allclose(kept_second, b * np.trace(a), atol=1e-12)
 
 
@@ -84,7 +83,7 @@ def test_partial_trace_against_index_sum():
     elementwise index sum."""
     rng = np.random.default_rng(1)
     rho = rand_state(rng, 2)
-    m = swap_operator(2) @ tensor_product(np.eye(2), rho)
+    m = swap_operator(2) @ np.kron(np.eye(2), rho)
     got = partial_trace(m, 0, [2, 2])
     want = np.zeros((2, 2), dtype=complex)
     for i in range(2):
@@ -198,8 +197,8 @@ def test_swap_conjugation_exchanges_factors():
     rng = np.random.default_rng(4)
     rho = rand_state(rng, 3)
     s = swap_operator(3)
-    lhs = s @ tensor_product(np.eye(3), rho) @ s
-    assert np.allclose(lhs, tensor_product(rho, np.eye(3)), atol=1e-13)
+    lhs = s @ np.kron(np.eye(3), rho) @ s
+    assert np.allclose(lhs, np.kron(rho, np.eye(3)), atol=1e-13)
 
 
 def test_swap_trace_identity():
@@ -207,7 +206,7 @@ def test_swap_trace_identity():
     for d in (2, 4):
         a = rand_herm(rng, d)
         b = rand_herm(rng, d)
-        got = np.trace(swap_operator(d) @ tensor_product(a, b))
+        got = np.trace(swap_operator(d) @ np.kron(a, b))
         assert abs(got - np.trace(a @ b)) <= 1e-11
 
 
@@ -309,8 +308,8 @@ def test_entangled_transpose_trick():
     d = 3
     vec = np.eye(d).reshape(-1) / np.sqrt(d)
     m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    lhs = tensor_product(m, np.eye(d)) @ vec
-    rhs = tensor_product(np.eye(d), m.T) @ vec
+    lhs = np.kron(m, np.eye(d)) @ vec
+    rhs = np.kron(np.eye(d), m.T) @ vec
     assert np.allclose(lhs, rhs, atol=1e-13)
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from twopoint.correlator import CorrelatorFamily, cloner_apply, real_part_apply
-from twopoint.linalg import partial_trace, tensor_product
+from twopoint.linalg import partial_trace
 from twopoint.photonics import (
     CoincidenceStats,
     beamsplitter_action,
@@ -202,7 +202,7 @@ def test_recombination_reads_the_anticommutator():
         direct = np.trace(rho @ (a @ b + b @ a)).real / 2
         assert abs(got - direct) <= 1e-9
         # cross-route through the process-matrix pipeline
-        routed = np.trace(real_part_apply(fam, rho) @ tensor_product(a, b)).real
+        routed = np.trace(real_part_apply(fam, rho) @ np.kron(a, b)).real
         assert abs(got - routed) <= 1e-9
 
 

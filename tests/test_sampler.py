@@ -14,7 +14,6 @@ from twopoint.decomposition import StatisticalDecomposition, statistical_decompo
 from twopoint.sampler import (
     CHUNK,
     DEFAULT_SEED,
-    _cdf_keys,
     _component_plan,
     _evaluate_block,
     _joint_distribution,
@@ -67,8 +66,8 @@ def test_spectral_projectors_reconstruct():
 
 def _records(decomp, rho, a, b, n, seed):
     """The kernel's first n recorded values lambda_i * alpha * beta."""
-    branch_cdf, keys, values = _component_plan(decomp, rho, a, b)
-    cells = _evaluate_block(_uniform_block(np.random.SeedSequence(seed), 0, n), branch_cdf, keys)
+    cell_cdf, values = _component_plan(decomp, rho, a, b)
+    cells = _evaluate_block(_uniform_block(np.random.SeedSequence(seed), 0, n), cell_cdf)
     return values.ravel()[cells]
 
 
@@ -92,11 +91,9 @@ def test_branch_frequencies_universal_real():
 def test_branch_single_effect_channel():
     fam = CorrelatorFamily(2)
     dec = StatisticalDecomposition(weights=(1.0,), effects=(fam.j_sym,))
-    branch_cdf, keys, values = _component_plan(dec, KET0, I2, I2)
-    assert branch_cdf.shape == (1,)
-    assert abs(branch_cdf[0] - 1) <= 1e-12
-    # the single outcome pair takes every shot: its key is the largest u index
-    assert keys.tolist() == [[2**53 - 1]]
+    cell_cdf, values = _component_plan(dec, KET0, I2, I2)
+    # one branch and one outcome pair: the single cell takes every shot
+    assert cell_cdf.tolist() == [1.0]
     assert np.all(_records(dec, KET0, I2, I2, 50, 2) == values[0, 0])
     assert values[0, 0] == 1.0
 
@@ -181,7 +178,7 @@ def test_joint_measurement_identity_observables():
     # prepare 1/2 (x) 1/2 with weight 1: every record is alpha * beta, and
     # the identities have the single outcome pair (1, 1)
     dec = _preparation(np.eye(4, dtype=complex).reshape(4, 4, 1) / 2)
-    _, _, values = _component_plan(dec, ONE, I2, I2)
+    _, values = _component_plan(dec, ONE, I2, I2)
     assert values.tolist() == [[1.0]]
     assert np.all(_records(dec, ONE, I2, I2, 100, 5) == 1.0)
 
@@ -241,28 +238,41 @@ def test_records_live_in_weighted_spectra():
         assert _distance_to(records, allowed) <= 1e-9
 
 
-# --- sampling kernel: exact integer search ---------------------------------------
+# --- sampling kernel: exact cell search ---------------------------------------
+# Generator.random returns k * 2**-53 for an integer k, so a lattice of such
+# uniforms at and next to every CDF entry reaches each tie the kernel can meet.
 
 
-def _comparison_cells(u, branch_cdf, outcome_cdfs):
-    """Reference kernel: compare each u[:, 1] with every outcome-CDF entry of
-    its branch, and return the flat cell index branch * m + outcome."""
-    nb, m = outcome_cdfs.shape
-    branch = np.minimum(np.searchsorted(branch_cdf, u[:, 0], side="right"), nb - 1)
-    outcome = np.minimum((u[:, 1][:, None] > outcome_cdfs[branch]).sum(axis=1), m - 1)
-    return branch * m + outcome
+def _brute_force_cells(u, cdf):
+    """Reference kernel: min(#{c < u}, n_cells - 1) for each uniform, from a
+    comparison with every entry of ``cdf``."""
+    cdf = np.asarray(cdf)
+    return np.concatenate([
+        np.minimum((u[s : s + 1024, None] > cdf).sum(axis=1), cdf.size - 1)
+        for s in range(0, u.size, 1024)
+    ])
 
 
-def _outcome_cdfs(decomp, rho, a, b):
-    """The per-branch outcome CDFs of the plan, before they become keys."""
+def _uncapped_cell_cdf(decomp, rho, a, b):
+    """Running sum of p(i) q_i(j) over the (branch, outcome) cells, built
+    here from apply_choi and _joint_distribution, not capped at 1."""
     aspec, bspec = spectral_projectors(a), spectral_projectors(b)
-    rows = []
+    probs, born = [], []
     for eff in decomp.effects:
         out = apply_choi(eff, rho)
         p = float(np.trace(out).real)
         if p > 1e-15:
-            rows.append(np.cumsum(_joint_distribution(out / p, aspec, bspec)[1]))
-    return np.vstack(rows)
+            probs.append(p)
+            born.append(_joint_distribution(out / p, aspec, bspec)[1])
+    total = sum(probs)
+    return np.cumsum(np.concatenate([p / total * q for p, q in zip(probs, born)]))
+
+
+def _capped(cdf):
+    """The plan's form of a cell CDF: capped at 1, last entry set to 1."""
+    cdf = np.minimum(cdf, 1.0)
+    cdf[-1] = 1.0
+    return cdf
 
 
 def _pure(rng, d):
@@ -276,13 +286,14 @@ def test_integer_search_matches_comparison_kernel(d):
     rng = np.random.default_rng(60 + d)
     a, b = rand_herm(rng, d), _two_valued(rng, d)
     u = _uniform_block(np.random.SeedSequence(d), 0, 1 << 16)
-    # the keys rest on Generator.random returning k * 2**-53
+    # the edge lattice below rests on Generator.random returning k * 2**-53
     assert np.array_equal(np.floor(u * 2.0**53), u * 2.0**53)
     for rho in (rand_state(rng, d), _pure(rng, d)):
         for dec in (universal_real_decomposition(d), universal_imag_decomposition(d)):
-            branch_cdf, keys, _ = _component_plan(dec, rho, a, b)
-            ref = _comparison_cells(u, branch_cdf, _outcome_cdfs(dec, rho, a, b))
-            assert np.array_equal(_evaluate_block(u, branch_cdf, keys), ref)
+            cell_cdf, _ = _component_plan(dec, rho, a, b)
+            assert np.all(np.diff(cell_cdf) >= 0) and cell_cdf[-1] == 1.0
+            ref = _brute_force_cells(u, _uncapped_cell_cdf(dec, rho, a, b))
+            assert np.array_equal(_evaluate_block(u, cell_cdf), ref)
 
 
 def _lattice(cdf):
@@ -294,30 +305,35 @@ def _lattice(cdf):
 
 
 @pytest.mark.parametrize(
-    "outcome_cdfs",
+    "cdf",
     [
-        [[0.25, 0.5, 0.75, 1.0], [0.125, 0.5, 0.875, 1.0]],  # entries on the lattice
-        [[0.0, 0.25, 0.25, 1.0], [0.5, 0.5, 0.5, 1.0]],  # zero-probability outcomes
-        [[0.3, 0.6, 1 - 2**-52, 1 - 2**-52], [0.1, 0.2, 0.3, 1 - 2**-53]],  # last below 1
-        [[0.5, 1 + 2**-52, 1 + 2**-52, 1 + 2**-52], [0.25, 0.5, 1.0, 1 + 2**-52]],  # above 1
+        [0.125, 0.25, 0.5, 0.75, 0.875, 1.0],  # entries on the lattice
+        [0.0, 0.25, 0.25, 0.5, 0.5, 0.5, 1.0],  # zero-probability cells
+        [0.1, 0.3, 0.6, 0.6, 1 - 2**-51, 1 - 2**-52],  # last below 1
+        [0.25, 0.5, 1.0, 1 + 2**-52, 1 + 2**-52, 1 + 2**-52],  # above 1
     ],
     ids=["exact", "repeated", "last-below-1", "above-1"],
 )
-def test_integer_search_edge_uniforms(outcome_cdfs):
-    outcome_cdfs = np.array(outcome_cdfs)
-    branch_cdf = np.array([0.5, 1.0])
-    u0, u1 = np.meshgrid(_lattice(branch_cdf), _lattice(outcome_cdfs), indexing="ij")
-    u = np.column_stack([u0.ravel(), u1.ravel()])
-    assert {0.0, 1 - 2**-53} <= set(u[:, 1])
-    cells = _evaluate_block(u, branch_cdf, _cdf_keys(outcome_cdfs))
-    assert np.array_equal(cells, _comparison_cells(u, branch_cdf, outcome_cdfs))
+def test_integer_search_edge_uniforms(cdf):
+    cdf = np.array(cdf)
+    u = _lattice(cdf)
+    assert {0.0, 1 - 2**-53} <= set(u)
+    assert np.array_equal(_evaluate_block(u, _capped(cdf)), _brute_force_cells(u, cdf))
 
 
 def test_integer_search_uniform_on_an_entry():
     # u == c is not beyond c: u = 0.5 lands in the cell whose cdf reaches 0.5
-    keys = _cdf_keys(np.array([[0.25, 0.5, 0.75, 1.0]]))
-    u = np.array([[0.0, 0.5], [0.0, 0.5 + 2**-53], [0.0, 0.0], [0.0, 1 - 2**-53]])
-    assert _evaluate_block(u, np.array([1.0]), keys).tolist() == [1, 2, 0, 3]
+    u = np.array([0.5, 0.5 + 2**-53, 0.0, 1 - 2**-53])
+    assert _evaluate_block(u, np.array([0.25, 0.5, 0.75, 1.0])).tolist() == [1, 2, 0, 3]
+
+
+def test_uniform_blocks_tile_one_stream():
+    ss = np.random.SeedSequence(73)
+    whole = np.random.Generator(np.random.Philox(seed=ss)).random(40)
+    blocks = [_uniform_block(ss, start, 8) for start in range(0, 40, 8)]
+    assert np.array_equal(np.concatenate(blocks), whole)
+    with pytest.raises(ValueError, match="multiple of 4"):
+        _uniform_block(ss, 2, 8)
 
 
 def _many_branch_instrument(rng, n):
@@ -330,17 +346,15 @@ def _many_branch_instrument(rng, n):
     return StatisticalDecomposition(weights=tuple(rng.normal(size=n)), effects=tuple(effects))
 
 
-def test_more_branches_than_one_key_group():
-    # int64 keys hold 1024 branches; 2500 branches need three key groups
+def test_cell_search_many_branches():
     rng = np.random.default_rng(70)
     dec = _many_branch_instrument(rng, 2500)
     rho, a, b = rand_state(rng, 2), rand_herm(rng, 2), rand_herm(rng, 2)
-    branch_cdf, keys, _ = _component_plan(dec, rho, a, b)
-    assert keys.shape == (2500, 4)
+    cell_cdf, values = _component_plan(dec, rho, a, b)
+    assert values.shape == (2500, 4)
     u = _uniform_block(np.random.SeedSequence(71), 0, 1 << 16)
-    cells = _evaluate_block(u, branch_cdf, keys)
-    assert np.array_equal(cells, _comparison_cells(u, branch_cdf, _outcome_cdfs(dec, rho, a, b)))
-    assert set(np.unique(cells // (1024 * 4))) == {0, 1, 2}
+    ref = _brute_force_cells(u, _uncapped_cell_cdf(dec, rho, a, b))
+    assert np.array_equal(_evaluate_block(u, cell_cdf), ref)
     ss = np.random.SeedSequence(72)
     serial = estimate_component(dec, rho, a, b, 3 * CHUNK + 10, ss, threads=1)
     pooled = estimate_component(dec, rho, a, b, 3 * CHUNK + 10, ss, threads=3)
