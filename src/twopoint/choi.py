@@ -80,32 +80,6 @@ def apply_choi(j: ChoiOperator, m: np.ndarray) -> np.ndarray:
     return np.einsum("kilj,ij->kl", t, m)
 
 
-def choi_of_action(action, d_in: int, d_out: int) -> ChoiOperator:
-    """Build the representing operator of a linear map given as a callback.
-
-    ``action`` must return d_out x d_out arrays for d_in x d_in inputs and be
-    linear (the caller's responsibility). The result is accumulated from the
-    map's action on the matrix units |i><j|.
-    """
-    side = d_out * d_in
-    jm = np.zeros((side, side), dtype=complex)
-    unit = np.zeros((d_in, d_in), dtype=complex)
-    for i in range(d_in):
-        for jdx in range(d_in):
-            unit[i, jdx] = 1.0
-            out = np.asarray(action(unit.copy()), dtype=complex)
-            if out.shape != (d_out, d_out):
-                raise ValueError(
-                    f"action returned shape {out.shape}, expected "
-                    f"({d_out}, {d_out})"
-                )
-            eij = np.zeros((d_in, d_in), dtype=complex)
-            eij[i, jdx] = 1.0
-            jm += np.kron(out, eij)
-            unit[i, jdx] = 0.0
-    return ChoiOperator(jm, d_in=d_in, d_out=d_out)
-
-
 def is_hermiticity_preserving(j: ChoiOperator, tol: float = 1e-10) -> bool:
     """True iff ||J - J^dag||_F <= tol * ||J||_F."""
     m = j.matrix

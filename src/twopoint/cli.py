@@ -38,7 +38,7 @@ from .decomposition import (
     recombine,
     statistical_decompose,
 )
-from .linalg import check_density_matrix, check_observable
+from .linalg import check_density_matrix
 from .photonics import recombine_coincidences, simulate_optics
 from .sampler import DEFAULT_SEED, estimate_two_point
 
@@ -84,7 +84,10 @@ def json_to_matrix(obj) -> np.ndarray:
             or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
         ):
             raise MatrixFileError(f"data[{i}] must be a [re, im] number pair, got {pair!r}")
-        out[i] = complex(pair[0], pair[1])
+        try:
+            out[i] = complex(pair[0], pair[1])
+        except OverflowError as exc:  # an integer too large for a float
+            raise MatrixFileError(f"data[{i}] is not a finite number pair: {exc}") from exc
     if not np.all(np.isfinite(out.real)) or not np.all(np.isfinite(out.imag)):
         raise MatrixFileError("matrix entries must be finite")
     return out.reshape(rows, cols)
@@ -96,8 +99,8 @@ def _load_matrix(path: str) -> np.ndarray:
             obj = json.load(fh)
     except OSError as exc:
         raise MatrixFileError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise MatrixFileError(f"{path} is not valid JSON: {exc}") from exc
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise MatrixFileError(f"{path} is not valid UTF-8 JSON: {exc}") from exc
     return json_to_matrix(obj)
 
 
@@ -113,13 +116,29 @@ def _emit(text: str, out_path: str | None) -> None:
             fh.write(text)
 
 
+def _check_out(path: str | None) -> None:
+    """Raise OSError, before any work is done, if ``path`` cannot be written."""
+    if path is None:
+        return
+    if os.path.exists(path):
+        writable = not os.path.isdir(path) and os.access(path, os.W_OK)
+    else:
+        parent = os.path.dirname(path) or "."
+        writable = os.path.isdir(parent) and os.access(parent, os.W_OK)
+    if not writable:
+        raise OSError(f"cannot write {path}")
+
+
 def _random_state(rng: np.random.Generator, d: int) -> np.ndarray:
+    """Full-rank density matrix G G^dag / Tr[G G^dag] from a complex Gaussian
+    G (real parts drawn first, then imaginary parts)."""
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
 
 
 def _random_observable(rng: np.random.Generator, d: int) -> np.ndarray:
+    """Hermitian observable (G + G^dag) / 2, G drawn as in _random_state."""
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     return (g + g.conj().T) / 2
 
@@ -269,9 +288,10 @@ def cmd_verify(args) -> int:
         raise ValueError(f"dimension must satisfy 2 <= d <= 16, got {args.d}")
     if args.tol is not None:
         _check_tol(args.tol)
-    checks, chois = _verify_checks(args.d, args.seed, args.tol)
     if args.dump is not None:
         os.makedirs(args.dump, exist_ok=True)
+    checks, chois = _verify_checks(args.d, args.seed, args.tol)
+    if args.dump is not None:
         for name, j in chois.items():
             path = os.path.join(args.dump, f"choi_{name}_d{args.d}.json")
             with open(path, "w", encoding="utf-8") as fh:
@@ -377,6 +397,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     try:
+        _check_out(args.out)
         return args.func(args)
     except MatrixFileError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -62,45 +62,28 @@ def _ideal_part(d: int, c: complex) -> ChoiOperator:
 class CorrelatorFamily:
     """Fixed operators for one system dimension d >= 2.
 
-    Holds the swap operator, sector projectors and phase blends, and builds
-    the representing operators of all six maps (real/imaginary parts and
-    their four physical branches) on first access. The branches carry their
-    Kraus stacks; the parts are built from the defining map S (1 (x) rho),
-    never from the branches. Everything is read-only once built; threads that
-    first touch a process matrix at once may each build it, with equal results.
+    Holds the swap operator and builds the representing operators of all six
+    maps (real/imaginary parts and their four physical branches) on first
+    access. The branches carry their Kraus stacks; the parts are built from
+    the defining map S (1 (x) rho), never from the branches. Everything is
+    read-only once built; threads that first touch a process matrix at once
+    may each build it, with equal results.
     """
 
     d: int
     swap: np.ndarray = field(init=False, repr=False)
-    proj_sym: np.ndarray = field(init=False, repr=False)
-    proj_anti: np.ndarray = field(init=False, repr=False)
-    q_plus: np.ndarray = field(init=False, repr=False)
-    q_minus: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        d = self.d
-        if d < 2:
-            raise ValueError(f"family requires dimension >= 2, got {d}")
-        set_ = lambda name, value: object.__setattr__(self, name, value)
-        set_("swap", _frozen(swap_operator(d)))
-        set_("proj_sym", _frozen(sector_projector(d, +1)))
-        set_("proj_anti", _frozen(sector_projector(d, -1)))
-        set_("q_plus", _frozen(q_operator(d, +1)))
-        set_("q_minus", _frozen(q_operator(d, -1)))
+        if self.d < 2:
+            raise ValueError(f"family requires dimension >= 2, got {self.d}")
+        object.__setattr__(self, "swap", _frozen(swap_operator(self.d)))
 
     j_real = cached_property(lambda self: _ideal_part(self.d, 0.5))
     j_imag = cached_property(lambda self: _ideal_part(self.d, 0.5j))
-    j_sym = cached_property(lambda self: _sandwich(self.proj_sym, 2 / (self.d + 1)))
-    j_anti = cached_property(lambda self: _sandwich(self.proj_anti, 2 / (self.d - 1)))
-    j_phase_plus = cached_property(lambda self: _sandwich(self.q_plus, 2 * self.d / (self.d**2 - 1)))
-    j_phase_minus = cached_property(lambda self: _sandwich(self.q_minus, 2 * self.d / (self.d**2 - 1)))
-
-
-def ideal_correlator_apply(fam: CorrelatorFamily, rho: np.ndarray) -> np.ndarray:
-    """S (1 (x) rho): the unphysical map whose pairing with A (x) B gives
-    Tr[A rho B]. The output is generally not Hermitian."""
-    rho = _check_dim(fam, rho)
-    return fam.swap @ np.kron(np.eye(fam.d), rho)
+    j_sym = cached_property(lambda self: _sandwich(sector_projector(self.d, +1), 2 / (self.d + 1)))
+    j_anti = cached_property(lambda self: _sandwich(sector_projector(self.d, -1), 2 / (self.d - 1)))
+    j_phase_plus = cached_property(lambda self: _sandwich(q_operator(self.d, +1), 2 * self.d / (self.d**2 - 1)))
+    j_phase_minus = cached_property(lambda self: _sandwich(q_operator(self.d, -1), 2 * self.d / (self.d**2 - 1)))
 
 
 def real_part_apply(fam: CorrelatorFamily, rho: np.ndarray) -> np.ndarray:
@@ -115,30 +98,6 @@ def imag_part_apply(fam: CorrelatorFamily, rho: np.ndarray) -> np.ndarray:
     rho = _check_dim(fam, rho)
     x = np.kron(np.eye(fam.d), rho)
     return (x @ fam.swap - fam.swap @ x) / 2j
-
-
-def cloner_apply(fam: CorrelatorFamily, sign: int, rho: np.ndarray) -> np.ndarray:
-    """The two-copy channel 2/(d±1) P± (1 (x) rho) P±.
-
-    ``sign=+1`` spreads the input symmetrically over both output copies (the
-    optimal cloning channel); ``sign=-1`` projects into the antisymmetric
-    sector.
-    """
-    if sign not in (+1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    rho = _check_dim(fam, rho)
-    p = fam.proj_sym if sign > 0 else fam.proj_anti
-    return (2 / (fam.d + sign)) * (p @ np.kron(np.eye(fam.d), rho) @ p)
-
-
-def rootswap_apply(fam: CorrelatorFamily, sign: int, rho: np.ndarray) -> np.ndarray:
-    """The two-copy channel 2d/(d^2-1) Q± (1 (x) rho) Q∓ (adjoint sandwich,
-    hence completely positive and trace preserving)."""
-    if sign not in (+1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    rho = _check_dim(fam, rho)
-    q, qdag = (fam.q_plus, fam.q_minus) if sign > 0 else (fam.q_minus, fam.q_plus)
-    return (2 * fam.d / (fam.d**2 - 1)) * (q @ np.kron(np.eye(fam.d), rho) @ qdag)
 
 
 def universal_real_decomposition(d: int) -> StatisticalDecomposition:

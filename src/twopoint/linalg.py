@@ -156,14 +156,6 @@ def q_operator(d: int, sign: int) -> np.ndarray:
     return (np.eye(d * d, dtype=complex) + z * swap_operator(d)) / 2
 
 
-def maximally_entangled_projector(d: int) -> np.ndarray:
-    """Rank-1 projector onto d^-1/2 sum_i |i,i>; both marginals are 1/d."""
-    if d < 1:
-        raise ValueError(f"dimension must be positive, got {d}")
-    vec = np.eye(d, dtype=complex).reshape(d * d) / np.sqrt(d)
-    return np.outer(vec, vec.conj())
-
-
 def check_density_matrix(rho: np.ndarray, *, eig_floor: float = -1e-9,
                          trace_tol: float = 1e-9) -> np.ndarray:
     """Validate rho as a state: Hermitian, min eigenvalue >= eig_floor,

@@ -38,9 +38,8 @@ no sampling is involved.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
-from math import factorial, sqrt
+from math import sqrt
 
 import numpy as np
 
@@ -80,17 +79,6 @@ class CoincidenceStats:
                 f"coincidence probabilities out of order: "
                 f"p_anti={self.p_anti}, p_sym={self.p_sym}"
             )
-
-
-def fock_norm_squared(state: FockVector) -> float:
-    """<v|v> with bosonic multiplicity factors."""
-    total = 0.0
-    for key, amp in state.items():
-        mult = 1
-        for n in Counter(key).values():
-            mult *= factorial(n)
-        total += (amp * amp.conjugate()).real * mult
-    return total
 
 
 def _substitute(state: FockVector, table) -> FockVector:
@@ -190,18 +178,6 @@ def _bench_outputs(rho: np.ndarray) -> list[tuple[float, FockVector]]:
         )
     w, v = hermitian_eigendecomposition(rho)
     return [(w[k], _pure_pipeline(v[:, k])) for k in range(w.size) if w[k] > 1e-12]
-
-
-def pattern_probabilities(rho: np.ndarray) -> dict[tuple[str, ...], float]:
-    """Probability of every spatial occupation profile; values sum to 1."""
-    table: dict[tuple[str, ...], float] = {}
-    for weight, state in _bench_outputs(rho):
-        for key, amp in state.items():
-            profile = tuple(sorted(s for s, _ in key))
-            table[profile] = table.get(profile, 0.0) + weight * fock_norm_squared(
-                {key: amp}
-            )
-    return table
 
 
 def simulate_optics(rho: np.ndarray) -> CoincidenceStats:

@@ -14,6 +14,7 @@ from twopoint.choi import (
     is_hermiticity_preserving,
     is_trace_preserving,
 )
+from twopoint.cli import _random_observable as rand_herm, _random_state as rand_state
 from twopoint.correlator import (
     CorrelatorFamily,
     imag_part_apply,
@@ -32,8 +33,6 @@ from twopoint.decomposition import (
 )
 from twopoint.photonics import recombine_coincidences, simulate_optics
 from twopoint.sampler import estimate_two_point
-
-from random_inputs import rand_herm, rand_state
 
 DIMS_FULL = range(2, 9)
 

@@ -4,21 +4,20 @@ import pytest
 from twopoint.choi import (
     ChoiOperator,
     apply_choi,
-    choi_of_action,
     is_completely_positive,
     is_hermiticity_preserving,
     is_trace_preserving,
     kraus_from_choi,
 )
+from twopoint.cli import _random_observable as rand_herm, _random_state as rand_state
 from twopoint.correlator import (
     CorrelatorFamily,
-    cloner_apply,
     universal_imag_decomposition,
     universal_real_decomposition,
 )
-from twopoint.linalg import maximally_entangled_projector, swap_operator
+from twopoint.linalg import swap_operator
 
-from random_inputs import rand_herm, rand_state
+from reference_maps import choi_of_action, cloner_apply, maximally_entangled_projector
 
 
 def _rand_channel_choi(rng, d, n_kraus):
@@ -144,11 +143,6 @@ def test_choi_of_ideal_correlator_matches_family():
     s12 = np.kron(s, np.eye(d))
     direct = d * (s12 @ phi23)
     assert np.linalg.norm(j.matrix - direct) <= 1e-10
-
-
-def test_choi_of_action_output_shape_error():
-    with pytest.raises(ValueError, match="shape"):
-        choi_of_action(lambda m: np.eye(3), d_in=2, d_out=2)
 
 
 def test_choi_round_trip_random_map():

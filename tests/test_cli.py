@@ -110,6 +110,21 @@ def test_decompose_malformed_json_exits_2(tmp_path, capsys):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize(
+    "content",
+    [b'{"rows": 1, "cols": 1, "data": [[1' + b"0" * 400 + b', 0]]}', b"\xff\xfe{}"],
+    ids=["integer-beyond-float", "not-utf8"],
+)
+def test_estimate_unreadable_matrix_exits_2(tmp_path, capsys, content):
+    bad = tmp_path / "rho.json"
+    bad.write_bytes(content)
+    a = _write(tmp_path, "a.json", SX)
+    code = main(["estimate", str(bad), a, a])
+    err = capsys.readouterr().err
+    assert code == EXIT_PARSE
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_decompose_dimension_mismatch_exits_3(tmp_path, capsys):
     path = _write(tmp_path, "m.json", np.eye(4, dtype=complex))
     code = main(["decompose", path, "--din", "3", "--dout", "2"])
@@ -338,14 +353,27 @@ def test_output_file_flag(tmp_path, capsys):
     assert abs(payload["p_sym"] - 3 / 16) <= 1e-10
 
 
-@pytest.mark.parametrize("target", ["out-in-missing-dir", "dump-on-a-file"])
-def test_unwritable_output_exits_3(tmp_path, capsys, target):
+@pytest.mark.parametrize(
+    "target", ["out-in-missing-dir", "dump-on-a-file", "decompose-out-in-missing-dir"]
+)
+def test_unwritable_output_exits_3(tmp_path, capsys, monkeypatch, target):
+    """An unwritable --out or --dump fails before any check or decomposition runs."""
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("work started before the output path was checked")
+
+    monkeypatch.setattr("twopoint.cli._verify_checks", must_not_run)
+    monkeypatch.setattr("twopoint.cli.statistical_decompose", must_not_run)
+    missing = str(tmp_path / "missing" / "report.json")
     if target == "out-in-missing-dir":
-        argv = ["verify", "2", "--out", str(tmp_path / "missing" / "report.json")]
-    else:
+        argv = ["verify", "2", "--out", missing]
+    elif target == "dump-on-a-file":
         blocker = tmp_path / "taken"
         blocker.write_text("", encoding="utf-8")
         argv = ["verify", "2", "--dump", str(blocker)]
+    else:
+        path = _write(tmp_path, "choi.json", np.eye(4) / 2)
+        argv = ["decompose", path, "--din", "2", "--dout", "2", "--out", missing]
     code = main(argv)
     err = capsys.readouterr().err
     assert code == EXIT_SEMANTIC

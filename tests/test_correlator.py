@@ -3,15 +3,13 @@ import warnings
 import numpy as np
 import pytest
 
-from twopoint.choi import apply_choi, choi_of_action, is_trace_preserving
+from twopoint.choi import apply_choi, is_trace_preserving
+from twopoint.cli import _random_observable as rand_herm, _random_state as rand_state
 from twopoint.correlator import (
     CorrelatorFamily,
     choi_builders,
-    cloner_apply,
-    ideal_correlator_apply,
     imag_part_apply,
     real_part_apply,
-    rootswap_apply,
     two_point_exact,
     universal_imag_decomposition,
     universal_real_decomposition,
@@ -23,7 +21,7 @@ from twopoint.linalg import (
     swap_operator,
 )
 
-from random_inputs import rand_herm, rand_state
+from reference_maps import choi_of_action, cloner_apply, ideal_correlator_apply, rootswap_apply
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]])

@@ -6,10 +6,10 @@ import pytest
 from twopoint.choi import (
     ChoiOperator,
     apply_choi,
-    choi_of_action,
     is_completely_positive,
     is_trace_preserving,
 )
+from twopoint.cli import _random_observable as rand_herm, _random_state as rand_state
 from twopoint.correlator import (
     CorrelatorFamily,
     imag_part_apply,
@@ -26,9 +26,9 @@ from twopoint.decomposition import (
     statistical_decompose,
     stinespring_dilation,
 )
-from twopoint.linalg import maximally_entangled_projector, partial_trace
+from twopoint.linalg import partial_trace
 
-from random_inputs import rand_herm, rand_state
+from reference_maps import choi_of_action, maximally_entangled_projector
 
 
 def _rand_hp_choi(rng, d_in, d_out):

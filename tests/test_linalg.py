@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
+from twopoint.cli import _random_observable as rand_herm, _random_state as rand_state
 from twopoint.linalg import (
     check_density_matrix,
     check_observable,
     eigenvalue_clusters,
     hermitian_eigendecomposition,
-    maximally_entangled_projector,
     operator_absolute_value,
     partial_trace,
     q_operator,
@@ -14,7 +14,7 @@ from twopoint.linalg import (
     swap_operator,
 )
 
-from random_inputs import rand_herm, rand_state
+from reference_maps import maximally_entangled_projector
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]])

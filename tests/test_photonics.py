@@ -1,18 +1,17 @@
 import numpy as np
 import pytest
 
-from twopoint.correlator import CorrelatorFamily, cloner_apply, real_part_apply
+from twopoint.cli import _random_observable as rand_herm, _random_state as rand_state
+from twopoint.correlator import CorrelatorFamily, real_part_apply
 from twopoint.linalg import partial_trace
 from twopoint.photonics import (
     CoincidenceStats,
     beamsplitter_action,
-    fock_norm_squared,
-    pattern_probabilities,
     recombine_coincidences,
     simulate_optics,
 )
 
-from random_inputs import rand_herm, rand_state
+from reference_maps import cloner_apply, fock_norm_squared, pattern_probabilities
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)

@@ -8,7 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import twopoint
 from twopoint.cli import main, matrix_to_json
+from twopoint.correlator import CorrelatorFamily, real_part_apply
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -33,6 +35,20 @@ def test_readme_python_example():
     assert stats.p_anti == pytest.approx(1 / 16, abs=1e-12)
     want = np.trace(rho @ (sx @ sx + sx @ sx)).real / 2  # Tr[rho (AB+BA)]/2
     assert ns["recombine_coincidences"](stats, sx, sx) == pytest.approx(want, abs=1e-12)
+    readout = ns["partial_expectation"](ns["dil"], rho)
+    assert np.abs(readout - real_part_apply(CorrelatorFamily(2), rho)).max() <= 1e-10
+
+
+def test_public_surface_is_what_readme_and_benchmark_use():
+    """twopoint.__all__ is README's Python imports, the documented dilation
+    readout, and every tp.<name> the benchmark scripts use; nothing else."""
+    imported = re.search(r"from twopoint import \((.*?)\)", _python_block(), re.S).group(1)
+    names = {n.strip() for n in imported.split(",") if n.strip()}
+    for script in (README.parent / "perfbench").glob("*.py"):
+        names |= set(re.findall(r"\btp\.(\w+)", script.read_text(encoding="utf-8")))
+    names.add("partial_expectation")
+    assert sorted(twopoint.__all__) == sorted(names)
+    assert all(hasattr(twopoint, n) for n in twopoint.__all__)
 
 
 def test_readme_estimate_example_is_real_output(tmp_path, capsys):

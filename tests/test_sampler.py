@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from twopoint.cli import _random_observable as rand_herm, _random_state as rand_state
 from twopoint.correlator import (
     CorrelatorFamily,
     two_point_exact,
@@ -22,8 +23,6 @@ from twopoint.sampler import (
     estimate_two_point,
     spectral_projectors,
 )
-
-from random_inputs import rand_herm, rand_state
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]])
