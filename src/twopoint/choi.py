@@ -8,15 +8,24 @@ represented canonically by the matrix
 on the (output (x) input) space, with the output factor as the slowest tensor
 index. Complete positivity, hermiticity preservation and trace preservation
 are predicates on J, and Kraus operators come out of its eigendecomposition.
-A map known by its Kraus operators keeps them, acts through them, and builds
-J only when something asks for it.
+
+A map can also be carried by a two-sided stack of d_out x d_in operators
+(L_a, R_a): it acts as m -> sum_a L_a m R_a^dag, and its matrix is
+J = sum_a vec(L_a) vec(R_a)^dag (row-major vec). A Kraus stack is the case
+R_a = L_a. A stacked map keeps its operators, acts through them, and builds
+J only when something asks for it. Every predicate and value below works on
+the compression J = Q C Q^dag, with Q the orthonormal columns of a thin QR of
+[vec L | vec R] (the identity for a map given as a matrix), so a map of rank
+r costs QR and eigendecompositions of 2r-sided matrices, not of J.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
-from .linalg import hermitian_eigendecomposition, partial_trace
+from .linalg import hermitian_eigendecomposition
 
 # Eigenvalues below KRAUS_RTOL * (max eigenvalue) are treated as zero rank
 # when extracting Kraus operators.
@@ -24,23 +33,32 @@ KRAUS_RTOL = 1e-12
 
 
 class ChoiOperator:
-    """A linear map carried as its (d_out*d_in)-sided matrix or its Kraus stack.
+    """A linear map carried as its (d_out*d_in)-sided matrix or an operator stack.
 
     ``matrix`` lives on output (x) input with the output index slowest;
     ``d_in`` and ``d_out`` are the map's input/output dimensions. A map given
-    by ``kraus``, an (r, d_out, d_in) stack of operators K_a, builds ``matrix``
-    on first access as sum_a vec(K_a) vec(K_a)^dag and keeps it read-only;
-    ``kraus`` is None for a map given as a matrix.
+    by ``kraus``, an (r, d_out, d_in) stack of operators L_a, and optionally
+    ``right``, a stack R_a of the same shape (R_a = L_a if omitted), builds
+    ``matrix`` on first access as sum_a vec(L_a) vec(R_a)^dag and keeps it
+    read-only. ``kraus`` reads the stack of a map with R_a = L_a, and is
+    None for a two-sided stack or a map given as a matrix.
     """
 
-    def __init__(self, matrix, d_in: int, d_out: int, kraus=None):
-        self.d_in, self.d_out, self.kraus, self._matrix = d_in, d_out, None, None
+    def __init__(self, matrix, d_in: int, d_out: int, kraus=None, right=None):
+        self.d_in, self.d_out = d_in, d_out
+        self._left = self._right = self._matrix = None
+        if right is not None and kraus is None:
+            raise ValueError("a right stack needs a Kraus (left) stack")
         if kraus is not None:
-            self.kraus = np.asarray(kraus, dtype=complex)
-            if matrix is not None or self.kraus.shape[1:] != (d_out, d_in):
+            self._left = np.asarray(kraus, dtype=complex)
+            self._right = self._left if right is None else np.asarray(right, dtype=complex)
+            if matrix is not None or not (
+                self._left.shape[1:] == (d_out, d_in) and self._right.shape == self._left.shape
+            ):
                 raise ValueError(
-                    f"Kraus stack must have shape (r, {d_out}, {d_in}) and come "
-                    f"without a matrix; got shape {self.kraus.shape}"
+                    f"Kraus stack must have shape (r, {d_out}, {d_in}), with a right "
+                    f"stack of the same shape, and come without a matrix; got shape "
+                    f"{self._left.shape}"
                 )
             return
         side = d_out * d_in
@@ -53,18 +71,71 @@ class ChoiOperator:
         self._matrix = m
 
     @property
+    def kraus(self) -> np.ndarray | None:
+        return self._left if self._right is self._left else None
+
+    @property
+    def stacks(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """(L, R) for a map carried by operator stacks, else None."""
+        return None if self._left is None else (self._left, self._right)
+
+    @property
     def matrix(self) -> np.ndarray:
         if self._matrix is None:
-            vecs = self.kraus.reshape(len(self.kraus), -1)  # row-major vec(K_a)
-            self._matrix = vecs.T @ vecs.conj()
+            n = len(self._left)  # row-major vec(L_a), vec(R_a)
+            self._matrix = self._left.reshape(n, -1).T @ self._right.reshape(n, -1).conj()
             self._matrix.flags.writeable = False
         return self._matrix
+
+    @cached_property
+    def _compressed(self) -> tuple[np.ndarray, np.ndarray]:
+        """(Q, C) with orthonormal columns Q and J = Q C Q^dag."""
+        if self._left is None:
+            return np.eye(len(self._matrix)), self._matrix
+        n = len(self._left)
+        vecs = np.concatenate([self._left.reshape(n, -1), self._right.reshape(n, -1)]).T
+        q, t = np.linalg.qr(vecs)
+        return q, t[:, :n] @ t[:, n:].conj().T
+
+
+def combine(coeffs, maps) -> ChoiOperator:
+    """The map sum_i c_i L_i. Stacked maps combine into one stack
+    [c_i L_i] / [R_i]; if any map is given as a matrix, the matrices add."""
+    maps = list(maps)
+    d_in, d_out = maps[0].d_in, maps[0].d_out
+    if all(j.stacks is not None for j in maps):
+        return ChoiOperator(
+            None, d_in=d_in, d_out=d_out,
+            kraus=np.concatenate([c * j.stacks[0] for c, j in zip(coeffs, maps)]),
+            right=np.concatenate([j.stacks[1] for j in maps]),
+        )
+    return ChoiOperator(sum(c * j.matrix for c, j in zip(coeffs, maps)), d_in=d_in, d_out=d_out)
+
+
+def frobenius_norm(j: ChoiOperator) -> float:
+    """||J||_F."""
+    return float(np.linalg.norm(j._compressed[1]))
+
+
+def trace_product(j1: ChoiOperator, j2: ChoiOperator) -> complex:
+    """Tr[J_1 J_2] = Tr[C_1 (Q_1^dag Q_2) C_2 (Q_2^dag Q_1)]."""
+    (q1, c1), (q2, c2) = j1._compressed, j2._compressed
+    g = q1.conj().T @ q2
+    return complex(np.trace(c1 @ g @ c2 @ g.conj().T))
+
+
+def output_trace(j: ChoiOperator, x: np.ndarray) -> np.ndarray:
+    """Tr_out[Q x Q^dag] for the map's Q, without building the product: the
+    input-side reduction of the operator that x represents in Q's basis."""
+    q = j._compressed[0]
+    qx = (q @ x).reshape(j.d_out, j.d_in, -1)
+    return np.einsum("oil,ojl->ij", qx, q.conj().reshape(j.d_out, j.d_in, -1))
 
 
 def apply_choi(j: ChoiOperator, m: np.ndarray) -> np.ndarray:
     """Act with the map represented by ``j`` on the matrix ``m``.
 
-    Computes sum_a K_a m K_a^dag for a map given by its Kraus stack, and
+    Computes sum_a L_a m R_a^dag for a map given by its stacks, and
     Tr_in[ J (1_out (x) m^T) ] otherwise; linear in both arguments.
     """
     m = np.asarray(m, dtype=complex)
@@ -72,8 +143,9 @@ def apply_choi(j: ChoiOperator, m: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"input shape {m.shape} does not match map input dimension {j.d_in}"
         )
-    if j.kraus is not None:
-        return np.tensordot(j.kraus @ m, j.kraus.conj(), axes=([0, 2], [0, 2]))
+    if j.stacks is not None:
+        left, right = j.stacks
+        return np.tensordot(left @ m, right.conj(), axes=([0, 2], [0, 2]))
     # Contract without building the d_out*d_in sized product explicitly:
     # J reshaped to (k, i, l, j) gives L(m)[k, l] = sum_{ij} J[k,i,l,j] m[j,i].
     t = j.matrix.reshape(j.d_out, j.d_in, j.d_out, j.d_in)
@@ -82,23 +154,26 @@ def apply_choi(j: ChoiOperator, m: np.ndarray) -> np.ndarray:
 
 def is_hermiticity_preserving(j: ChoiOperator, tol: float = 1e-10) -> bool:
     """True iff ||J - J^dag||_F <= tol * ||J||_F."""
-    m = j.matrix
-    return np.linalg.norm(m - m.conj().T) <= tol * np.linalg.norm(m)
+    c = j._compressed[1]
+    return np.linalg.norm(c - c.conj().T) <= tol * np.linalg.norm(c)
 
 
 def is_completely_positive(j: ChoiOperator, tol: float = 1e-10) -> bool:
     """True iff J is Hermitian within tol (absolute, Frobenius) and its
-    Hermitian part is PSD within -tol."""
-    m = j.matrix
-    if np.linalg.norm(m - m.conj().T) > tol:
+    Hermitian part is PSD within -tol.
+
+    J is zero outside the span of Q. Those zero eigenvalues are in C's
+    spectrum too: C = A B^dag for a stack of r pairs has rank <= r, and Q
+    has 2r columns unless it spans the whole space."""
+    c = j._compressed[1]
+    if np.linalg.norm(c - c.conj().T) > tol:
         return False
-    wmin = np.linalg.eigvalsh((m + m.conj().T) / 2).min()
-    return wmin >= -tol
+    return np.linalg.eigvalsh((c + c.conj().T) / 2).min() >= -tol
 
 
 def is_trace_preserving(j: ChoiOperator, tol: float = 1e-10) -> bool:
     """True iff tracing out the output factor of J leaves the identity."""
-    reduced = partial_trace(j.matrix, keep=1, dims=[j.d_out, j.d_in])
+    reduced = output_trace(j, j._compressed[1])
     return np.linalg.norm(reduced - np.eye(j.d_in)) <= tol
 
 

@@ -16,13 +16,23 @@ error; results go to --out or standard output.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
+from json.encoder import encode_basestring
 
 import numpy as np
 
-from .choi import ChoiOperator, is_completely_positive, is_hermiticity_preserving, is_trace_preserving
+from .choi import (
+    ChoiOperator,
+    combine,
+    frobenius_norm,
+    is_completely_positive,
+    is_hermiticity_preserving,
+    is_trace_preserving,
+    trace_product,
+)
 from .correlator import (
     CorrelatorFamily,
     choi_builders,
@@ -46,6 +56,9 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_PARSE = 2
 EXIT_SEMANTIC = 3
+# verify --dump writes each d^3-sided process matrix as side^2 [re, im] pairs:
+# about 60 MB per file at d = 10, and 6 GB of JSON in all at d = 16.
+DUMP_MAX_D = 10
 
 
 class MatrixFileError(ValueError):
@@ -57,7 +70,7 @@ def matrix_to_json(m: np.ndarray) -> dict:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2:
         raise ValueError(f"expected a matrix, got ndim={m.ndim}")
-    data = [[float(z.real), float(z.imag)] for z in m.reshape(-1)]
+    data = m.reshape(-1).view(float).reshape(-1, 2).tolist()
     return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "data": data}
 
 
@@ -105,7 +118,60 @@ def _load_matrix(path: str) -> np.ndarray:
 
 
 def _dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    """The text of json.dumps(obj, indent=2, sort_keys=True,
+    ensure_ascii=False) and a newline, for objects with string keys.
+
+    ``indent`` sends json.dumps to its pure-Python encoder, which spends
+    seconds on the side^3 numbers of a ``decompose`` report; this writer
+    formats a list of [float, float] pairs (MatrixFile data) in bulk and
+    hands every other scalar to json.dumps.
+    """
+    chunks: list[str] = []
+    _encode(obj, "\n", chunks)
+    chunks.append("\n")
+    return "".join(chunks)
+
+
+def _encode(obj, nl: str, out: list[str]) -> None:
+    """Append one JSON value, whose lines continue with ``nl`` (a newline and
+    the value's indentation), to ``out``."""
+    inner = nl + "  "
+    if isinstance(obj, dict) and obj:
+        sep = "{"
+        for key, value in sorted(obj.items()):
+            out += (sep, inner, encode_basestring(key), ": ")
+            _encode(value, inner, out)
+            sep = ","
+        out += (nl, "}")
+    elif isinstance(obj, (list, tuple)) and obj:
+        pairs = _float_pairs(obj, inner)
+        if pairs is not None:
+            out += ("[", inner, pairs)
+        else:
+            sep = "["
+            for value in obj:
+                out += (sep, inner)
+                _encode(value, inner, out)
+                sep = ","
+        out += (nl, "]")
+    else:
+        out.append(json.dumps(obj, ensure_ascii=False))
+
+
+def _float_pairs(seq, nl: str) -> str | None:
+    """The entries of a list of [float, float] pairs joined by "," + ``nl``,
+    formatted in bulk; None for any other list."""
+    if not all(type(p) is list and len(p) == 2 for p in seq):
+        return None
+    try:
+        numbers = iter(list(map(float.__repr__, itertools.chain.from_iterable(seq))))
+    except TypeError:  # an entry that is not a float
+        return None
+    inner = nl + "  "
+    between = nl + "]," + nl + "[" + inner
+    text = "[" + inner + between.join(map(("," + inner).join, zip(numbers, numbers))) + nl + "]"
+    # float.__repr__ spells nan and inf where JSON has NaN and Infinity
+    return None if "n" in text else text
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -217,16 +283,9 @@ def _verify_checks(d: int, seed: int, tol: float | None):
 
     dec_real = universal_real_decomposition(d)
     dec_imag = universal_imag_decomposition(d)
-    add(
-        "real_identity",
-        np.linalg.norm(chois["real"].matrix - recombine(dec_real).matrix),
-        thresh(1e-10),
-    )
-    add(
-        "imag_identity",
-        np.linalg.norm(chois["imag"].matrix - recombine(dec_imag).matrix),
-        thresh(1e-10),
-    )
+    for part, dec in (("real", dec_real), ("imag", dec_imag)):
+        residual = frobenius_norm(combine((1, -1), (chois[part], recombine(dec))))
+        add(f"{part}_identity", residual, thresh(1e-10))
 
     bound_real = error_lower_bound(chois["real"])
     bound_imag = error_lower_bound(chois["imag"])
@@ -246,14 +305,10 @@ def _verify_checks(d: int, seed: int, tol: float | None):
     add("imag_saturation", sat_imag, thresh(1e-9))
     add("branch_probabilities", prob_dev, thresh(1e-10))
 
-    add(
-        "orthogonality_sym",
-        abs(np.sum(chois["sym"].matrix * chois["anti"].matrix.T)),
-        thresh(1e-12),
-    )
+    add("orthogonality_sym", abs(trace_product(chois["sym"], chois["anti"])), thresh(1e-12))
     add(
         "orthogonality_phase",
-        abs(np.sum(chois["phase_plus"].matrix * chois["phase_minus"].matrix.T)),
+        abs(trace_product(chois["phase_plus"], chois["phase_minus"])),
         thresh(1e-10),
     )
 
@@ -261,9 +316,7 @@ def _verify_checks(d: int, seed: int, tol: float | None):
         is_completely_positive(chois[k]) and is_trace_preserving(chois[k])
         for k in ("sym", "anti", "phase_plus", "phase_minus")
     )
-    total = ChoiOperator(
-        chois["real"].matrix - 1j * chois["imag"].matrix, d_in=d, d_out=d * d
-    )
+    total = combine((1, -1j), (chois["real"], chois["imag"]))
     flags_ok = flags_ok and not is_hermiticity_preserving(total)
     flags_ok = flags_ok and not is_trace_preserving(chois["imag"])
     add("cp_tp_flags", 0.0 if flags_ok else 1.0, 0.5)
@@ -286,6 +339,11 @@ def _verify_checks(d: int, seed: int, tol: float | None):
 def cmd_verify(args) -> int:
     if not 2 <= args.d <= 16:
         raise ValueError(f"dimension must satisfy 2 <= d <= 16, got {args.d}")
+    if args.dump is not None and args.d > DUMP_MAX_D:
+        raise ValueError(
+            f"--dump writes six {args.d**3}-sided process matrices; it takes "
+            f"d <= {DUMP_MAX_D}, got {args.d}"
+        )
     if args.tol is not None:
         _check_tol(args.tol)
     if args.dump is not None:
@@ -378,7 +436,12 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"seed for random states (default {DEFAULT_SEED} = 0x2A)",
     )
     p.add_argument("--tol", type=float, default=None, help="override per-check residual thresholds")
-    p.add_argument("--dump", default=None, metavar="DIR", help="also write all process matrices as MatrixFiles")
+    p.add_argument(
+        "--dump",
+        default=None,
+        metavar="DIR",
+        help=f"also write all process matrices as MatrixFiles (d <= {DUMP_MAX_D})",
+    )
     p.add_argument("--out", default=None, help="output file (default: stdout)")
     p.set_defaults(func=cmd_verify)
 

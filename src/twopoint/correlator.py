@@ -36,26 +36,32 @@ def _frozen(m: np.ndarray) -> np.ndarray:
     return m
 
 
+def _column_blocks(op: np.ndarray) -> np.ndarray:
+    """The (d, d*d, d) stack of operators op (|i> (x) 1) of a d^2-sided op:
+    column i*d + c of op is op (|i> (x) |c>)."""
+    d = math.isqrt(op.shape[0])
+    return op.reshape(d * d, d, d).transpose(1, 0, 2)
+
+
 def _sandwich(left: np.ndarray, scale: float) -> ChoiOperator:
     """The map rho -> scale * L (1 (x) rho) L^dag on two d-dimensional copies,
     carried by its d Kraus operators sqrt(scale) L (|i> (x) 1)."""
-    d = math.isqrt(left.shape[0])
-    # Column i*d + c of L is L (|i> (x) |c>): the column blocks are L (|i> (x) 1).
-    kraus = np.sqrt(scale) * left.reshape(d * d, d, d).transpose(1, 0, 2)
-    return ChoiOperator(None, d_in=d, d_out=d * d, kraus=kraus)
+    kraus = np.sqrt(scale) * _column_blocks(left)
+    return ChoiOperator(None, d_in=kraus.shape[2], d_out=kraus.shape[1], kraus=kraus)
 
 
 def _ideal_part(d: int, c: complex) -> ChoiOperator:
-    """c X + conj(c) X^T, X the process matrix of S (1 (x) rho): c = 1/2 gives
-    the real part, c = i/2 the imaginary part. S (1 (x) |i><j|) is
-    sum_a |i,a><a,j|, so X has a 1 at row (i,a,i), column (a,j,j) for all
-    i, a, j; X^T is the process matrix of (1 (x) rho) S."""
-    i, a, j = np.indices((d, d, d)).reshape(3, -1)
-    rows, cols = (i * d + a) * d + i, (a * d + j) * d + j
-    m = np.zeros((d**3, d**3), dtype=complex)
-    m[rows, cols] = c
-    m[cols, rows] += np.conj(c)  # (row, col) pairs are distinct within X
-    return ChoiOperator(_frozen(m), d_in=d, d_out=d * d)
+    """c X + conj(c) X^dag, X the process matrix of S (1 (x) rho): c = 1/2
+    gives the real part, c = i/2 the imaginary part. 1 (x) rho is
+    sum_a (|a> (x) 1) rho (<a| (x) 1), so S (1 (x) rho) = sum_a L_a rho R_a^dag
+    with L_a = S (|a> (x) 1) and R_a = |a> (x) 1; X^dag is the process matrix
+    of (1 (x) rho) S, carried by the swapped stacks."""
+    left, right = _column_blocks(swap_operator(d)), _column_blocks(np.eye(d * d))
+    return ChoiOperator(
+        None, d_in=d, d_out=d * d,
+        kraus=np.concatenate([c * left, np.conj(c) * right]),
+        right=np.concatenate([right, left]),
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,10 +70,10 @@ class CorrelatorFamily:
 
     Holds the swap operator and builds the representing operators of all six
     maps (real/imaginary parts and their four physical branches) on first
-    access. The branches carry their Kraus stacks; the parts are built from
-    the defining map S (1 (x) rho), never from the branches. Everything is
-    read-only once built; threads that first touch a process matrix at once
-    may each build it, with equal results.
+    access. The branches carry their Kraus stacks; the parts carry two-sided
+    stacks built from the defining map S (1 (x) rho), never from the
+    branches. Everything is read-only once built; threads that first touch a
+    process matrix at once may each build it, with equal results.
     """
 
     d: int

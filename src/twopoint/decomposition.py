@@ -21,9 +21,11 @@ import numpy as np
 from .choi import (
     ChoiOperator,
     apply_choi,
+    combine,
     is_completely_positive,
     is_hermiticity_preserving,
     kraus_from_choi,
+    output_trace,
 )
 from .linalg import (
     check_density_matrix,
@@ -99,11 +101,9 @@ def statistical_decompose(j: ChoiOperator, tol: float = 1e-10) -> StatisticalDec
 
 
 def recombine(decomp: StatisticalDecomposition) -> ChoiOperator:
-    """Sum the weighted effects back into the represented map."""
-    total = sum(
-        lam * eff.matrix for lam, eff in zip(decomp.weights, decomp.effects)
-    )
-    return ChoiOperator(total, d_in=decomp.d_in, d_out=decomp.d_out)
+    """Sum the weighted effects back into the represented map (one operator
+    stack if every effect carries one)."""
+    return combine(decomp.weights, decomp.effects)
 
 
 def error_lower_bound(j: ChoiOperator, tol: float = 1e-10) -> float:
@@ -112,12 +112,12 @@ def error_lower_bound(j: ChoiOperator, tol: float = 1e-10) -> float:
     Equals min over states sigma of Tr[|J| (1 (x) sigma)], which reduces to
     the minimum eigenvalue of the input-side partial trace of |J| (the trace
     against sigma of a fixed PSD operator is minimized by its ground-state
-    projector).
+    projector). With J = Q C Q^dag, |J| = Q |C| Q^dag for a Hermitian C.
     """
     if not is_hermiticity_preserving(j, tol):
         raise ValueError("map is not hermiticity-preserving within tolerance")
-    absj = operator_absolute_value((j.matrix + j.matrix.conj().T) / 2)
-    reduced = partial_trace(absj, keep=1, dims=[j.d_out, j.d_in])
+    c = j._compressed[1]
+    reduced = output_trace(j, operator_absolute_value((c + c.conj().T) / 2))
     return float(np.linalg.eigvalsh(reduced).min())
 
 
@@ -129,7 +129,8 @@ def decomposition_cost(
     p(i) = Tr[effect_i(rho)]; the bound comes from ``error_lower_bound`` of
     the recombined map and holds for every valid input state. Since it does
     not depend on rho, callers sweeping many states can precompute it once
-    and pass it in.
+    and pass it in; for effects that carry operator stacks it is cheap
+    either way.
     """
     rho = check_density_matrix(rho)
     if rho.shape != (decomp.d_in, decomp.d_in):

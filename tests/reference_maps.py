@@ -1,8 +1,10 @@
 """Independent references that the tests compare the package against.
 
 Each map is built from its defining formula with dense two-copy operators,
-never from the package's Kraus stacks or cached process matrices, so a test
-that compares the two checks one construction against another.
+never from the package's operator stacks or cached process matrices, so a test
+that compares the two checks one construction against another. The check
+suite of ``twopoint verify`` has a dense counterpart here too, which works on
+d^3-sided process matrices where the package works on their factors.
 """
 
 from collections import Counter
@@ -11,7 +13,14 @@ from math import factorial
 import numpy as np
 
 from twopoint.choi import ChoiOperator
-from twopoint.linalg import q_operator, sector_projector, swap_operator
+from twopoint.cli import _random_observable, _random_state
+from twopoint.correlator import (
+    CorrelatorFamily,
+    universal_imag_decomposition,
+    universal_real_decomposition,
+)
+from twopoint.decomposition import decomposition_cost
+from twopoint.linalg import partial_trace, q_operator, sector_projector, swap_operator
 from twopoint.photonics import _bench_outputs
 
 
@@ -71,3 +80,79 @@ def pattern_probabilities(rho):
             profile = tuple(sorted(s for s, _ in key))
             table[profile] = table.get(profile, 0.0) + weight * fock_norm_squared({key: amp})
     return table
+
+
+def ideal_part_matrix(d, c):
+    """c X + conj(c) X^T as a dense d^3-sided matrix, X the process matrix of
+    S (1 (x) rho), placed index by index: S (1 (x) |i><j|) is
+    sum_a |i,a><a,j|, so X has a 1 at row (i,a,i), column (a,j,j)."""
+    i, a, j = np.indices((d, d, d)).reshape(3, -1)
+    rows, cols = (i * d + a) * d + i, (a * d + j) * d + j
+    m = np.zeros((d**3, d**3), dtype=complex)
+    m[rows, cols] = c
+    m[cols, rows] += np.conj(c)  # (row, col) pairs are distinct within X
+    return m
+
+
+def dense_verify_values(d, seed):
+    """The residual of every ``twopoint verify d`` check, computed on dense
+    process matrices: eigendecompositions of d^3-sided matrices, partial
+    traces and matrix sums. The real and imaginary parts are placed index by
+    index; the branches and effects are the matrices of their Kraus stacks,
+    and the branch probabilities act through those stacks."""
+    fam = CorrelatorFamily(d)
+    real, imag = ideal_part_matrix(d, 0.5), ideal_part_matrix(d, 0.5j)
+    branches = [getattr(fam, f"j_{k}").matrix for k in ("sym", "anti", "phase_plus", "phase_minus")]
+    dec_real, dec_imag = universal_real_decomposition(d), universal_imag_decomposition(d)
+
+    def recombined(dec):
+        return sum(lam * eff.matrix for lam, eff in zip(dec.weights, dec.effects))
+
+    def bound(m):
+        w, v = np.linalg.eigh(m)
+        absm = (v * np.abs(w)) @ v.conj().T
+        return np.linalg.eigvalsh(partial_trace(absm, keep=1, dims=[d * d, d])).min()
+
+    def tp(m):
+        reduced = partial_trace(m, keep=1, dims=[d * d, d])
+        return np.linalg.norm(reduced - np.eye(d)) <= 1e-10
+
+    def cp(m):
+        return (
+            np.linalg.norm(m - m.conj().T) <= 1e-10
+            and np.linalg.eigvalsh((m + m.conj().T) / 2).min() >= -1e-10
+        )
+
+    b_real, b_imag = bound(real), bound(imag)
+    values = {
+        "real_identity": np.linalg.norm(real - recombined(dec_real)),
+        "imag_identity": np.linalg.norm(imag - recombined(dec_imag)),
+        "real_bound_value": abs(b_real - d),
+        "imag_bound_value": abs(b_imag - np.sqrt(d * d - 1.0)),
+    }
+    rng = np.random.default_rng(seed)
+    sat_real = sat_imag = prob_dev = 0.0
+    for _ in range(20):
+        rho = _random_state(rng, d)
+        cr = decomposition_cost(dec_real, rho, bound=b_real)
+        ci = decomposition_cost(dec_imag, rho, bound=b_imag)
+        sat_real = max(sat_real, abs(cr.cost - b_real))
+        sat_imag = max(sat_imag, abs(ci.cost - b_imag))
+        prob_dev = max([prob_dev] + [abs(p - 0.5) for p in cr.probabilities + ci.probabilities])
+    values["real_saturation"] = sat_real
+    values["imag_saturation"] = sat_imag
+    values["branch_probabilities"] = prob_dev
+    values["orthogonality_sym"] = abs(np.sum(branches[0] * branches[1].T))
+    values["orthogonality_phase"] = abs(np.sum(branches[2] * branches[3].T))
+    total = real - 1j * imag
+    flags = all(cp(m) and tp(m) for m in branches)
+    flags = flags and np.linalg.norm(total - total.conj().T) > 1e-10 * np.linalg.norm(total)
+    flags = flags and not tp(imag)
+    values["cp_tp_flags"] = 0.0 if flags else 1.0
+    two_point_dev = 0.0
+    for _ in range(5):
+        rho, a, b = _random_state(rng, d), _random_observable(rng, d), _random_observable(rng, d)
+        got = np.trace(ideal_correlator_apply(fam, rho) @ np.kron(a, b))
+        two_point_dev = max(two_point_dev, abs(got - np.trace(a @ rho @ b)))
+    values["two_point_identity"] = two_point_dev
+    return values

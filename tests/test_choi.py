@@ -4,10 +4,13 @@ import pytest
 from twopoint.choi import (
     ChoiOperator,
     apply_choi,
+    combine,
+    frobenius_norm,
     is_completely_positive,
     is_hermiticity_preserving,
     is_trace_preserving,
     kraus_from_choi,
+    trace_product,
 )
 from twopoint.cli import _random_observable as rand_herm, _random_state as rand_state
 from twopoint.correlator import (
@@ -15,6 +18,7 @@ from twopoint.correlator import (
     universal_imag_decomposition,
     universal_real_decomposition,
 )
+from twopoint.decomposition import error_lower_bound
 from twopoint.linalg import swap_operator
 
 from reference_maps import choi_of_action, cloner_apply, maximally_entangled_projector
@@ -52,6 +56,74 @@ def test_choi_operator_validates_kraus_stack():
         ChoiOperator(np.eye(4), d_in=2, d_out=2, kraus=np.ones((1, 2, 2)))
     with pytest.raises(ValueError, match="shape"):
         ChoiOperator(None, d_in=2, d_out=2)
+    with pytest.raises(ValueError, match="Kraus"):
+        ChoiOperator(None, d_in=2, d_out=4, kraus=np.ones((3, 4, 2)), right=np.ones((2, 4, 2)))
+    with pytest.raises(ValueError, match="Kraus"):
+        ChoiOperator(np.eye(4), d_in=2, d_out=2, right=np.ones((1, 2, 2)))
+
+
+# --- two-sided stacks -----------------------------------------------------------
+
+
+def _stack(rng, r, d_out, d_in):
+    return rng.normal(size=(r, d_out, d_in)) + 1j * rng.normal(size=(r, d_out, d_in))
+
+
+def _stacked_map(case, rng):
+    """A (d_in, d_out) = (2, 3) map carried by stacks, per ``case``."""
+    left, right = _stack(rng, 3, 3, 2), _stack(rng, 3, 3, 2)
+    if case == "channel":  # Kraus operators with sum K^dag K = 1
+        w, v = np.linalg.eigh(np.einsum("aoi,aoj->ij", left.conj(), left))
+        return ChoiOperator(None, 2, 3, kraus=left @ ((v * w**-0.5) @ v.conj().T))
+    if case == "hermitian":  # X + X^dag
+        return ChoiOperator(None, 2, 3, kraus=np.concatenate([left, right]),
+                            right=np.concatenate([right, left]))
+    if case == "negative":  # minus a CP map
+        return ChoiOperator(None, 2, 3, kraus=left, right=-left)
+    return ChoiOperator(None, 2, 3, kraus=left, right=right)
+
+
+@pytest.mark.parametrize("case", ["channel", "hermitian", "negative", "two-sided"])
+def test_stacked_map_matches_its_matrix(case):
+    """J = sum_a vec(L_a) vec(R_a)^dag; the action, predicates and values on
+    the factors equal those on the dense matrix."""
+    rng = np.random.default_rng(["channel", "hermitian", "negative", "two-sided"].index(case))
+    j = _stacked_map(case, rng)
+    left, right = j.stacks
+    want = sum(np.outer(a.reshape(-1), b.reshape(-1).conj()) for a, b in zip(left, right))
+    assert np.abs(j.matrix - want).max() <= 1e-12
+    dense = ChoiOperator(want, d_in=2, d_out=3)
+    m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    action = sum(a @ m @ b.conj().T for a, b in zip(left, right))
+    assert np.abs(apply_choi(j, m) - action).max() <= 1e-12
+    assert np.abs(apply_choi(dense, m) - action).max() <= 1e-12
+    for pred in (is_hermiticity_preserving, is_completely_positive, is_trace_preserving):
+        assert pred(j) == pred(dense), pred.__name__
+    assert abs(frobenius_norm(j) - np.linalg.norm(want)) <= 1e-12
+    other = _stacked_map("two-sided", rng)
+    for a, b in ((j, other), (dense, other), (j, ChoiOperator(other.matrix, 2, 3))):
+        assert abs(trace_product(a, b) - np.trace(want @ other.matrix)) <= 1e-12
+    if is_hermiticity_preserving(dense):
+        assert abs(error_lower_bound(j) - error_lower_bound(dense)) <= 1e-12
+    flags = [is_hermiticity_preserving(j), is_completely_positive(j), is_trace_preserving(j)]
+    assert flags == {
+        "channel": [True, True, True],
+        "hermitian": [True, False, False],
+        "negative": [True, False, False],
+        "two-sided": [False, False, False],
+    }[case]
+
+
+def test_combine_stacks_or_adds_matrices():
+    rng = np.random.default_rng(11)
+    a, b = _stacked_map("two-sided", rng), _stacked_map("hermitian", rng)
+    want = 2 * a.matrix - 1j * b.matrix
+    stacked = combine((2, -1j), (a, b))
+    assert stacked.stacks is not None and stacked.kraus is None
+    assert np.abs(stacked.matrix - want).max() <= 1e-12
+    mixed = combine((2, -1j), (a, ChoiOperator(b.matrix, 2, 3)))
+    assert mixed.stacks is None
+    assert np.abs(mixed.matrix - want).max() <= 1e-12
 
 
 # --- apply_choi ---------------------------------------------------------------

@@ -1,19 +1,30 @@
 import json
+import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from twopoint import correlator
+from twopoint.choi import ChoiOperator
 from twopoint.cli import (
     EXIT_OK,
     EXIT_PARSE,
     EXIT_SEMANTIC,
     EXIT_VERIFY_FAILED,
     MatrixFileError,
+    _dumps,
+    _random_observable,
+    _verify_checks,
     json_to_matrix,
     main,
     matrix_to_json,
 )
 from twopoint.correlator import CorrelatorFamily, choi_builders
+from twopoint.sampler import DEFAULT_SEED
+
+from reference_maps import dense_verify_values
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]])
@@ -60,6 +71,63 @@ def test_json_to_matrix_rejects_malformed_objects():
         json_to_matrix({"rows": 1, "cols": 1, "data": [[True, 0]]})
     with pytest.raises(MatrixFileError, match="finite"):
         json_to_matrix({"rows": 1, "cols": 1, "data": [[1e999, 0]]})
+
+
+# --- JSON writer ----------------------------------------------------------------
+
+
+def _reference_dumps(obj):
+    return json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+
+
+SPECIAL_FLOATS = [-0.0, 5e-324, 1e-5, 1e16, float("nan"), float("inf"), -float("inf")]
+FLOATS = st.floats() | st.sampled_from(SPECIAL_FLOATS)
+SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.sampled_from([10**40, -(2**70)])
+    | FLOATS | st.text()
+)
+
+
+@st.composite
+def matrix_files(draw):
+    """MatrixFile dicts of random complex arrays, some entries special floats."""
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+    flat = m.reshape(-1).view(float)
+    for value in draw(st.lists(st.sampled_from(SPECIAL_FLOATS), max_size=3)):
+        flat[rng.integers(flat.size)] = value
+    return matrix_to_json(m)
+
+
+JSON_VALUES = st.recursive(
+    SCALARS | matrix_files(),
+    lambda children: st.lists(children, max_size=4)
+    | st.tuples(children, children)
+    | st.dictionaries(st.text(), children, max_size=4)
+    | st.lists(st.lists(FLOATS | SCALARS, min_size=2, max_size=2), max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(JSON_VALUES)
+@example({"\u00e9t\u00e9": [[-0.0, 5e-324]], "\u043a\u043b\u044e\u0447": None, "a": {}, "b": []})
+@example([[1e-5, 1e16], [2.5, -0.0]])
+def test_writer_matches_json_dumps(obj):
+    assert _dumps(obj) == _reference_dumps(obj)
+
+
+def test_decompose_output_matches_json_dumps(tmp_path, capsys):
+    """A d_in = 4, d_out = 16 map: 64 effects of 4,096 [re, im] pairs each."""
+    rng = np.random.default_rng(416)
+    path = _write(tmp_path, "map.json", _random_observable(rng, 64))
+    code, out = _run(capsys, ["decompose", path, "--din", "4", "--dout", "16"])
+    assert code == EXIT_OK
+    want = _reference_dumps(json.loads(out))
+    if out != want:  # report the place, not a diff of two 25 MB strings
+        at = len(os.path.commonprefix([out, want]))
+        pytest.fail(f"differs from json.dumps at {at}: {out[at - 40:at + 40]!r}")
 
 
 # --- decompose ------------------------------------------------------------------
@@ -272,6 +340,56 @@ def test_verify_d8(capsys):
     assert json.loads(out)["passed"] is True
 
 
+@pytest.mark.parametrize("d", range(2, 17))
+def test_verify_checks_pass_at_default_thresholds(d):
+    checks, _ = _verify_checks(d, DEFAULT_SEED, None)
+    assert [c["name"] for c in checks if not c["passed"]] == []
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_verify_checks_match_dense_reference(d):
+    """Every residual, bound and flag equals the dense computation's; above
+    d = 8 the d^3-sided eigendecompositions of the reference take seconds."""
+    checks, _ = _verify_checks(d, DEFAULT_SEED, None)
+    want = dense_verify_values(d, DEFAULT_SEED)
+    assert [c["name"] for c in checks] == list(want)
+    for c in checks:
+        assert abs(c["residual"] - want[c["name"]]) <= 1e-12, c["name"]
+
+
+def test_verify_eigendecompositions_are_at_most_d_squared(monkeypatch):
+    sides = []
+    for name in ("eigh", "eigvalsh"):
+
+        def recorded(m, *args, _eig=getattr(np.linalg, name), **kwargs):
+            sides.append(np.shape(m)[-1])
+            return _eig(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recorded)
+    checks, _ = _verify_checks(8, DEFAULT_SEED, None)
+    assert all(c["passed"] for c in checks)
+    assert sides and max(sides) <= 8 * 8
+
+
+def test_verify_fails_real_identity_on_a_flipped_factor(monkeypatch):
+    """The identity checks compare the parts built from S (1 (x) rho) with the
+    branches, so a sign flipped in the factor L_0 = S (|0> (x) 1) must show.
+    L_0 sits in both halves of the stack [c L, conj(c) R] / [R, L]; flipping
+    it in both keeps the part Hermitian, so every check still runs."""
+    ideal_part = correlator._ideal_part
+
+    def flipped(d, c):
+        left, right = (s.copy() for s in ideal_part(d, c).stacks)
+        left[0] *= -1
+        right[d] *= -1
+        return ChoiOperator(None, d_in=d, d_out=d * d, kraus=left, right=right)
+
+    monkeypatch.setattr(correlator, "_ideal_part", flipped)
+    checks = {c["name"]: c for c in _verify_checks(3, DEFAULT_SEED, None)[0]}
+    assert checks["real_identity"]["residual"] > 0.1
+    assert not checks["real_identity"]["passed"]
+
+
 @pytest.mark.parametrize("d", ["1", "17"])
 def test_verify_out_of_range_exits_3(capsys, d):
     code = main(["verify", d])
@@ -354,10 +472,12 @@ def test_output_file_flag(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "target", ["out-in-missing-dir", "dump-on-a-file", "decompose-out-in-missing-dir"]
+    "target",
+    ["out-in-missing-dir", "dump-on-a-file", "decompose-out-in-missing-dir", "dump-above-d10"],
 )
 def test_unwritable_output_exits_3(tmp_path, capsys, monkeypatch, target):
-    """An unwritable --out or --dump fails before any check or decomposition runs."""
+    """An unwritable --out or --dump, or a --dump above d = 10 (gigabytes of
+    JSON at d = 16), fails before any check or decomposition runs."""
 
     def must_not_run(*args, **kwargs):
         raise AssertionError("work started before the output path was checked")
@@ -371,6 +491,8 @@ def test_unwritable_output_exits_3(tmp_path, capsys, monkeypatch, target):
         blocker = tmp_path / "taken"
         blocker.write_text("", encoding="utf-8")
         argv = ["verify", "2", "--dump", str(blocker)]
+    elif target == "dump-above-d10":
+        argv = ["verify", "11", "--dump", str(tmp_path / "mats")]
     else:
         path = _write(tmp_path, "choi.json", np.eye(4) / 2)
         argv = ["decompose", path, "--din", "2", "--dout", "2", "--out", missing]

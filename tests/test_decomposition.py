@@ -165,6 +165,23 @@ def test_bound_reduction_matches_direct_minimization(case):
     assert best - value <= 0.35
 
 
+@pytest.mark.parametrize("d", range(2, 11))
+def test_cost_default_bound_equals_passed_bound(d):
+    """Without ``bound=`` the cost report bounds the recombined branches'
+    stack, at the cost of a few 2d-sided eigendecompositions."""
+    rng = np.random.default_rng(90 + d)
+    rho = rand_state(rng, d)
+    fam = CorrelatorFamily(d)
+    for dec, j in (
+        (universal_real_decomposition(d), fam.j_real),
+        (universal_imag_decomposition(d), fam.j_imag),
+    ):
+        passed = decomposition_cost(dec, rho, bound=error_lower_bound(j))
+        default = decomposition_cost(dec, rho)
+        assert abs(default.bound - passed.bound) <= 1e-12
+        assert (default.cost, default.probabilities) == (passed.cost, passed.probabilities)
+
+
 def test_cost_never_beats_bound_small_sample():
     rng = np.random.default_rng(6)
     for _ in range(5):
