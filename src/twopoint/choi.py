@@ -97,6 +97,11 @@ class ChoiOperator:
         q, t = np.linalg.qr(vecs)
         return q, t[:, :n] @ t[:, n:].conj().T
 
+    @cached_property
+    def _input_marginal(self) -> np.ndarray:
+        """Tr_out J: the d_in x d_in matrix M with Tr[L(m)] = sum_ij M[i, j] m[i, j]."""
+        return output_trace(self, self._compressed[1])
+
 
 def combine(coeffs, maps) -> ChoiOperator:
     """The map sum_i c_i L_i. Stacked maps combine into one stack
@@ -173,8 +178,7 @@ def is_completely_positive(j: ChoiOperator, tol: float = 1e-10) -> bool:
 
 def is_trace_preserving(j: ChoiOperator, tol: float = 1e-10) -> bool:
     """True iff tracing out the output factor of J leaves the identity."""
-    reduced = output_trace(j, j._compressed[1])
-    return np.linalg.norm(reduced - np.eye(j.d_in)) <= tol
+    return np.linalg.norm(j._input_marginal - np.eye(j.d_in)) <= tol
 
 
 def kraus_from_choi(j: ChoiOperator, tol: float = 1e-10) -> list[np.ndarray]:

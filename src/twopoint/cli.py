@@ -417,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_SEED,
         help=f"RNG seed (default {DEFAULT_SEED} = 0x2A); same seed, same output",
     )
-    p.add_argument("--threads", type=int, default=1, help="shot-evaluation threads (results unchanged)")
+    p.add_argument("--threads", type=int, default=1, help="accepted (N >= 1), no effect")
     p.add_argument(
         "--split",
         type=float,

@@ -20,7 +20,6 @@ import numpy as np
 
 from .choi import (
     ChoiOperator,
-    apply_choi,
     combine,
     is_completely_positive,
     is_hermiticity_preserving,
@@ -126,11 +125,12 @@ def decomposition_cost(
 ) -> CostReport:
     """Evaluate sum_i |lambda_i| p(i) at the state rho, with its lower bound.
 
-    p(i) = Tr[effect_i(rho)]; the bound comes from ``error_lower_bound`` of
-    the recombined map and holds for every valid input state. Since it does
-    not depend on rho, callers sweeping many states can precompute it once
-    and pass it in; for effects that carry operator stacks it is cheap
-    either way.
+    p(i) = Tr[effect_i(rho)] is read off the effect's input marginal
+    Tr_out J (d_in-sided, cached per effect). The bound comes from
+    ``error_lower_bound`` of the recombined map and holds for every valid
+    input state. Since it does not depend on rho, callers sweeping many
+    states can precompute it once and pass it in; for effects that carry
+    operator stacks it is cheap either way.
     """
     rho = check_density_matrix(rho)
     if rho.shape != (decomp.d_in, decomp.d_in):
@@ -138,9 +138,7 @@ def decomposition_cost(
             f"state dimension {rho.shape[0]} does not match map input "
             f"dimension {decomp.d_in}"
         )
-    probs = tuple(
-        float(np.trace(apply_choi(eff, rho)).real) for eff in decomp.effects
-    )
+    probs = tuple(float(np.sum(eff._input_marginal * rho).real) for eff in decomp.effects)
     cost = float(sum(abs(lam) * p for lam, p in zip(decomp.weights, probs)))
     if bound is None:
         bound = error_lower_bound(recombine(decomp))

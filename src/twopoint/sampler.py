@@ -1,34 +1,29 @@
-"""Monte Carlo estimation of Tr[A rho B] with one vectorized sampling kernel.
+"""Monte Carlo estimation of Tr[A rho B] from one multinomial draw of cell counts.
 
 Each shot lands in the cell of instrument branch i and joint eigenvalue pair
 (alpha, beta) with probability p(i) q_i(alpha, beta): p(i) = Tr[E_i(rho)] is
 the branch probability and q_i the Born distribution of the two commuting
 local observables A (x) 1 and 1 (x) B on the conditional two-copy output
-state. The shot records lambda_i * alpha * beta. The running mean of those
-records is an unbiased estimator of Tr[L(rho) (A (x) B)] for the recombined
-map L; running the real- and imaginary-part instruments and combining as
+state. The shot records lambda_i * alpha * beta. The mean of those records
+is an unbiased estimator of Tr[L(rho) (A (x) B)] for the recombined map L;
+running the real- and imaginary-part instruments and combining as
 real - i*imag gives Tr[A rho B].
 
-Shots are never drawn one at a time. ``_component_plan`` tabulates, once per
-(instrument, state, observables), the finite set of (branch, outcome) cells:
-the running sum of the cells' joint probabilities p(i) q_i(alpha, beta) and
-each cell's recorded value. ``_evaluate_block`` finds the cell of every shot
-in a block of uniforms, one uniform and one search per shot, and
-``estimate_component`` reduces each block to integer cell counts. The mean
-and standard error follow exactly from the counts, so memory does not grow
-with the shot count.
+The mean and its standard error depend on the shots only through how many
+landed in each cell, and those counts are Multinomial(n, cell
+probabilities). ``_component_plan`` tabulates, once per (instrument, state,
+observables), the cells' probabilities and recorded values, and
+``_cell_counts`` draws all n shots' counts at once. The work per estimate
+grows with the number of cells, not with the shot count, and so does the
+memory.
 
-Randomness is counter-based: every shot's uniform is a pure function of
-(seed, pipeline tag, shot index), generated by a Philox stream keyed with
-``numpy.random.SeedSequence(seed, spawn_key=(tag,))`` and extracted in
-aligned blocks via ``Philox.advance``. Integer counts add up the same in any
-order, so estimates are bit-identical for a fixed seed, independent of
-chunking and of how many threads evaluate the chunks.
+The draw comes from a generator keyed with
+``numpy.random.SeedSequence(seed, spawn_key=(tag,))``, one tag per pipeline,
+so the same (seed, pipeline tag, n) gives the same counts.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,14 +43,6 @@ DEFAULT_SEED = 0x2A
 # Eigenvalues of an observable closer than this are treated as one degenerate
 # outcome, sampled through the grouped spectral projector.
 SPECTRUM_TOL = 1e-9
-
-# Shots are generated and evaluated in fixed-size blocks; the size is a
-# multiple of 4 so block starts stay aligned with the Philox counter (1 uniform
-# per shot, 4 words per counter tick). Cell counts do not depend on the size.
-# At 2**14 shots a block's arrays (128 KB of uniforms) stay in a core's L2
-# cache; on a 2-core Xeon with 2 MB of L2 a d = 4 estimate ran about 15 %
-# faster than with 2**16-shot blocks.
-CHUNK = 1 << 14
 
 _REAL_TAG = 0
 _IMAG_TAG = 1
@@ -122,12 +109,12 @@ def _joint_distribution(state2: np.ndarray, aspec, bspec):
 
 
 def _component_plan(decomp, rho, a, b):
-    """Sampling table of the (branch, outcome) cells: ``(cell_cdf, values)``.
+    """Cells of the (branch, outcome) table: ``(cell_probs, values)``.
 
     ``values[i, j]`` is the recorded value lambda_i * alpha * beta of branch
-    i and outcome pair j. ``cell_cdf`` is the running sum of the cells' joint
-    probabilities p(i) q_i(j) in the order of ``values.ravel()``, capped at 1
-    with its last entry set to 1, so every uniform in [0, 1) has a cell.
+    i and outcome pair j. ``cell_probs`` holds the cells' joint
+    probabilities p(i) q_i(j) in the order of ``values.ravel()``, with the
+    branch probabilities normalised so that they sum to 1.
 
     Branches of zero probability are dropped: they are never drawn.
     """
@@ -154,27 +141,15 @@ def _component_plan(decomp, rho, a, b):
         pairs, q = _joint_distribution(st, aspec, bspec)
         cell_probs.append(p / total * q)
         values.append([lam * av * bv for av, bv in pairs])
-    cell_cdf = np.minimum(np.cumsum(np.concatenate(cell_probs)), 1.0)
-    cell_cdf[-1] = 1.0
-    return cell_cdf, np.array(values)
+    return np.concatenate(cell_probs), np.array(values)
 
 
-def _uniform_block(ss: np.random.SeedSequence, start: int, count: int) -> np.ndarray:
-    """Uniforms of shots [start, start+count) of the stream keyed by ``ss``,
-    one per shot. ``start`` must be a multiple of 4 so the word offset lands
-    on a Philox counter tick."""
-    if start % 4:
-        raise ValueError("block start must be a multiple of 4")
-    bg = np.random.Philox(seed=ss)
-    bg.advance(start // 4)
-    return np.random.Generator(bg).random(count)
-
-
-def _evaluate_block(u, cell_cdf):
-    """Flat (branch, outcome) cell index of each shot in a block of uniforms:
-    the number of ``cell_cdf`` entries below u. The last entry is 1 and
-    u < 1, so the index is at most ``cell_cdf.size - 1``."""
-    return np.searchsorted(cell_cdf, u)
+def _cell_counts(decomp, rho, a, b, n_shots, rng):
+    """Shots per cell and the cells' recorded values, both in the order of
+    ``values.ravel()``: one multinomial draw of ``n_shots`` from the
+    generator keyed by the ``SeedSequence`` ``rng``."""
+    cell_probs, values = _component_plan(decomp, rho, a, b)
+    return np.random.default_rng(rng).multinomial(n_shots, cell_probs), values.ravel()
 
 
 def estimate_component(
@@ -188,31 +163,15 @@ def estimate_component(
 ):
     """Monte Carlo mean and standard error of lambda_i * alpha * beta.
 
-    ``rng`` is a ``numpy.random.SeedSequence``; per-shot uniforms are
-    counter-indexed and reduced to integer cell counts, so the result
-    depends only on the key and ``n_shots``, never on chunking or
-    ``threads``.
+    ``rng`` is a ``numpy.random.SeedSequence``; the result depends only on
+    the key and ``n_shots``. ``threads`` must be at least 1 and has no
+    effect.
     """
-    if n_shots < 1:
-        raise ValueError(f"need at least one shot, got {n_shots}")
+    if not 1 <= n_shots <= 2**63 - 1:  # cell counts are int64
+        raise ValueError(f"need between 1 and 2**63 - 1 shots, got {n_shots}")
     if threads < 1:
         raise ValueError(f"need at least one thread, got {threads}")
-    cell_cdf, values = _component_plan(decomp, rho, a, b)
-    values = values.ravel()
-    starts = range(0, n_shots, CHUNK)
-
-    def job(s0: int) -> np.ndarray:
-        u = _uniform_block(rng, s0, min(CHUNK, n_shots - s0))
-        return np.bincount(_evaluate_block(u, cell_cdf), minlength=values.size)
-
-    counts = np.zeros(values.size, dtype=np.int64)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for c in pool.map(job, starts):
-                counts += c
-    else:
-        for s0 in starts:
-            counts += job(s0)
+    counts, values = _cell_counts(decomp, rho, a, b, n_shots, rng)
     mean = float(counts @ values / n_shots)
     if n_shots > 1:
         se = float(np.sqrt(counts @ (values - mean) ** 2 / (n_shots - 1) / n_shots))
@@ -232,7 +191,9 @@ def estimate_two_point(
 ) -> EstimationReport:
     """Estimate Tr[A rho B] as real-pipeline mean minus i times imag-pipeline
     mean. ``split`` is the fraction of the budget spent on the real part
-    (default even split; the real part gets the odd shot)."""
+    (default even split; the real part gets the odd shot). ``n_shots`` may be
+    up to 2**63 - 1 at no extra cost; ``threads`` must be at least 1 and has
+    no effect."""
     rho = check_density_matrix(rho)
     a = check_observable(a)
     b = check_observable(b)
@@ -244,8 +205,10 @@ def estimate_two_point(
             f"observable shapes {a.shape}, {b.shape} do not match state "
             f"dimension {d}"
         )
-    if n_shots < 2:
-        raise ValueError(f"need at least 2 shots to run both pipelines, got {n_shots}")
+    if not 2 <= n_shots <= 2**63 - 1:  # cell counts are int64
+        raise ValueError(
+            f"need between 2 and 2**63 - 1 shots to run both pipelines, got {n_shots}"
+        )
     if not 0.0 < split < 1.0:
         raise ValueError(f"split must lie strictly between 0 and 1, got {split}")
     n_imag = int(n_shots * (1.0 - split))

@@ -304,6 +304,21 @@ def test_estimate_zero_shots_exits_3(tmp_path, capsys):
     assert code == EXIT_SEMANTIC
 
 
+def test_estimate_shot_budget_range(tmp_path, capsys):
+    """Budgets up to 2**63 - 1 run (the counts are int64); above, one error
+    line and exit 3."""
+    rho = _write(tmp_path, "rho.json", KET0)
+    a = _write(tmp_path, "a.json", SX)
+    code, out = _run(capsys, ["estimate", rho, a, a, "--shots", str(2**63 - 1)])
+    assert code == EXIT_OK
+    assert json.loads(out)["n_shots"] == 2**63 - 1
+    code = main(["estimate", rho, a, a, "--shots", "100000000000000000000"])
+    captured = capsys.readouterr()
+    assert code == EXIT_SEMANTIC
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
 def test_estimate_negative_threads_exits_3(tmp_path, capsys):
     rho = _write(tmp_path, "rho.json", KET0)
     a = _write(tmp_path, "a.json", SX)

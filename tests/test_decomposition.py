@@ -122,6 +122,26 @@ def test_cost_trivial_identity_decomposition():
     assert abs(report.probabilities[0] - 1.0) <= 1e-12
 
 
+@pytest.mark.parametrize("d", range(2, 9))
+def test_cost_probabilities_match_apply_choi(d):
+    """p(i) from the input marginal equals Tr[apply_choi(effect, rho)] for
+    Kraus, two-sided and dense maps."""
+    rng = np.random.default_rng(40 + d)
+    rho = rand_state(rng, d)
+    fam = CorrelatorFamily(d)
+    kraus = universal_real_decomposition(d).effects + universal_imag_decomposition(d).effects
+    two_sided = (fam.j_real, fam.j_imag)
+    dense = (
+        ChoiOperator(kraus[0].matrix, d_in=d, d_out=d * d),
+        ChoiOperator(fam.j_imag.matrix, d_in=d, d_out=d * d),
+        _rand_hp_choi(rng, d, 3),
+    )
+    for eff in kraus + two_sided + dense:
+        dec = StatisticalDecomposition(weights=(1.0,), effects=(eff,))
+        (p,) = decomposition_cost(dec, rho, bound=0.0).probabilities
+        assert abs(p - np.trace(apply_choi(eff, rho)).real) <= 1e-12
+
+
 def test_cost_rejects_invalid_state():
     dec = universal_real_decomposition(2)
     with pytest.raises(ValueError, match="trace"):

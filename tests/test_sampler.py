@@ -13,12 +13,10 @@ from twopoint.correlator import (
 from twopoint.choi import ChoiOperator, apply_choi
 from twopoint.decomposition import StatisticalDecomposition, statistical_decompose
 from twopoint.sampler import (
-    CHUNK,
     DEFAULT_SEED,
+    _cell_counts,
     _component_plan,
-    _evaluate_block,
     _joint_distribution,
-    _uniform_block,
     estimate_component,
     estimate_two_point,
     spectral_projectors,
@@ -60,14 +58,14 @@ def test_spectral_projectors_reconstruct():
     assert np.allclose(total, np.eye(4), atol=1e-12)
 
 
-# --- sampling kernel: branch draws ----------------------------------------------
+# --- cell counts: branch draws --------------------------------------------------
 
 
 def _records(decomp, rho, a, b, n, seed):
-    """The kernel's first n recorded values lambda_i * alpha * beta."""
-    cell_cdf, values = _component_plan(decomp, rho, a, b)
-    cells = _evaluate_block(_uniform_block(np.random.SeedSequence(seed), 0, n), cell_cdf)
-    return values.ravel()[cells]
+    """The n recorded values lambda_i * alpha * beta of one draw of cell
+    counts, grouped by cell."""
+    counts, values = _cell_counts(decomp, rho, a, b, n, np.random.SeedSequence(seed))
+    return np.repeat(values, counts)
 
 
 def _preparation(kraus):
@@ -90,9 +88,9 @@ def test_branch_frequencies_universal_real():
 def test_branch_single_effect_channel():
     fam = CorrelatorFamily(2)
     dec = StatisticalDecomposition(weights=(1.0,), effects=(fam.j_sym,))
-    cell_cdf, values = _component_plan(dec, KET0, I2, I2)
+    cell_probs, values = _component_plan(dec, KET0, I2, I2)
     # one branch and one outcome pair: the single cell takes every shot
-    assert cell_cdf.tolist() == [1.0]
+    assert cell_probs.tolist() == [1.0]
     assert np.all(_records(dec, KET0, I2, I2, 50, 2) == values[0, 0])
     assert values[0, 0] == 1.0
 
@@ -146,7 +144,7 @@ def test_branch_weight_magnitude_mean():
     assert abs(np.mean(draws) - 2.0) <= 4 / np.sqrt(n)  # per-draw sigma is 1
 
 
-# --- sampling kernel: joint projective measurement --------------------------------
+# --- cell counts: joint projective measurement -----------------------------------
 
 
 def _two_valued(rng, d):
@@ -208,7 +206,7 @@ def test_joint_measurement_mean_tracks_effect_state():
     assert abs(mean - exact) <= 4 * se
 
 
-# --- sampling kernel: recorded values ---------------------------------------------
+# --- cell counts: recorded values ------------------------------------------------
 
 
 def _distance_to(records, allowed):
@@ -237,19 +235,7 @@ def test_records_live_in_weighted_spectra():
         assert _distance_to(records, allowed) <= 1e-9
 
 
-# --- sampling kernel: exact cell search ---------------------------------------
-# Generator.random returns k * 2**-53 for an integer k, so a lattice of such
-# uniforms at and next to every CDF entry reaches each tie the kernel can meet.
-
-
-def _brute_force_cells(u, cdf):
-    """Reference kernel: min(#{c < u}, n_cells - 1) for each uniform, from a
-    comparison with every entry of ``cdf``."""
-    cdf = np.asarray(cdf)
-    return np.concatenate([
-        np.minimum((u[s : s + 1024, None] > cdf).sum(axis=1), cdf.size - 1)
-        for s in range(0, u.size, 1024)
-    ])
+# --- cell counts: distribution ------------------------------------------------
 
 
 def _uncapped_cell_cdf(decomp, rho, a, b):
@@ -267,97 +253,95 @@ def _uncapped_cell_cdf(decomp, rho, a, b):
     return np.cumsum(np.concatenate([p / total * q for p, q in zip(probs, born)]))
 
 
-def _capped(cdf):
-    """The plan's form of a cell CDF: capped at 1, last entry set to 1."""
-    cdf = np.minimum(cdf, 1.0)
-    cdf[-1] = 1.0
-    return cdf
-
-
 def _pure(rng, d):
     psi = rng.normal(size=d) + 1j * rng.normal(size=d)
     psi /= np.linalg.norm(psi)
     return np.outer(psi, psi.conj())
 
 
-@pytest.mark.parametrize("d", [2, 4, 8])
-def test_integer_search_matches_comparison_kernel(d):
-    rng = np.random.default_rng(60 + d)
-    a, b = rand_herm(rng, d), _two_valued(rng, d)
-    u = _uniform_block(np.random.SeedSequence(d), 0, 1 << 16)
-    # the edge lattice below rests on Generator.random returning k * 2**-53
-    assert np.array_equal(np.floor(u * 2.0**53), u * 2.0**53)
-    for rho in (rand_state(rng, d), _pure(rng, d)):
-        for dec in (universal_real_decomposition(d), universal_imag_decomposition(d)):
-            cell_cdf, _ = _component_plan(dec, rho, a, b)
-            assert np.all(np.diff(cell_cdf) >= 0) and cell_cdf[-1] == 1.0
-            ref = _brute_force_cells(u, _uncapped_cell_cdf(dec, rho, a, b))
-            assert np.array_equal(_evaluate_block(u, cell_cdf), ref)
-
-
-def _lattice(cdf):
-    """Generator outputs k * 2**-53 at and next to each CDF entry, plus
-    u = 0 and u = 1 - 2**-53."""
-    k = np.floor(np.ravel(cdf) * 2.0**53).astype(np.int64)
-    k = np.concatenate([k - 1, k, k + 1, [0, 2**53 - 1]])
-    return np.unique(np.clip(k, 0, 2**53 - 1)) / 2.0**53
-
-
-@pytest.mark.parametrize(
-    "cdf",
-    [
-        [0.125, 0.25, 0.5, 0.75, 0.875, 1.0],  # entries on the lattice
-        [0.0, 0.25, 0.25, 0.5, 0.5, 0.5, 1.0],  # zero-probability cells
-        [0.1, 0.3, 0.6, 0.6, 1 - 2**-51, 1 - 2**-52],  # last below 1
-        [0.25, 0.5, 1.0, 1 + 2**-52, 1 + 2**-52, 1 + 2**-52],  # above 1
-    ],
-    ids=["exact", "repeated", "last-below-1", "above-1"],
-)
-def test_integer_search_edge_uniforms(cdf):
-    cdf = np.array(cdf)
-    u = _lattice(cdf)
-    assert {0.0, 1 - 2**-53} <= set(u)
-    assert np.array_equal(_evaluate_block(u, _capped(cdf)), _brute_force_cells(u, cdf))
-
-
-def test_integer_search_uniform_on_an_entry():
-    # u == c is not beyond c: u = 0.5 lands in the cell whose cdf reaches 0.5
-    u = np.array([0.5, 0.5 + 2**-53, 0.0, 1 - 2**-53])
-    assert _evaluate_block(u, np.array([0.25, 0.5, 0.75, 1.0])).tolist() == [1, 2, 0, 3]
-
-
-def test_uniform_blocks_tile_one_stream():
-    ss = np.random.SeedSequence(73)
-    whole = np.random.Generator(np.random.Philox(seed=ss)).random(40)
-    blocks = [_uniform_block(ss, start, 8) for start in range(0, 40, 8)]
-    assert np.array_equal(np.concatenate(blocks), whole)
-    with pytest.raises(ValueError, match="multiple of 4"):
-        _uniform_block(ss, 2, 8)
-
-
 def _many_branch_instrument(rng, n):
-    """n branches K_i = sqrt(p_i) V_i, V_i a random 4 x 2 isometry; the
-    effects sum to a channel and the branch probabilities are p_i."""
+    """n branches K_i = sqrt(p_i) V_i, V_i a random 4 x 2 isometry. The
+    branch probabilities p_i sum to 1 + 5e-9, inside the plan's 1e-8
+    completeness tolerance, so only a plan that normalises them gives a
+    distribution."""
     effects = []
-    for p in rng.dirichlet(np.ones(n)):
+    for p in rng.dirichlet(np.ones(n)) * (1 + 5e-9):
         v, _ = np.linalg.qr(rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2)))
         effects.append(ChoiOperator(None, d_in=2, d_out=4, kraus=np.sqrt(p) * v[None]))
     return StatisticalDecomposition(weights=tuple(rng.normal(size=n)), effects=tuple(effects))
+
+
+def _chi_square_rejections(decomp, rho, a, b, n, seeds):
+    """How many of the seeds' draws of n shots a chi-square goodness-of-fit
+    test at level 0.01 rejects against the cell probabilities of
+    _uncapped_cell_cdf. Cells expecting fewer than 5 shots are pooled into
+    one bin; a shot in a bin expecting none rejects outright."""
+    # multinomial hands the last cell whatever the others leave, so a plan
+    # that does not sum to 1 would not show in the counts
+    assert abs(_component_plan(decomp, rho, a, b)[0].sum() - 1.0) <= 1e-12
+    probs = np.diff(_uncapped_cell_cdf(decomp, rho, a, b), prepend=0.0)
+    small = n * probs < 5
+    expected = np.append(n * probs[~small], n * probs[small].sum())
+    k = expected.size - 1
+    # Wilson-Hilferty quantile of chi-square with k degrees of freedom, z = 2.326
+    critical = k * (1 - 2 / (9 * k) + 2.326 * np.sqrt(2 / (9 * k))) ** 3
+    rejections = 0
+    for seed in seeds:
+        counts, _ = _cell_counts(decomp, rho, a, b, n, np.random.SeedSequence(seed))
+        observed = np.append(counts[~small], counts[small].sum())
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = np.where(expected > 0, (observed - expected) ** 2 / expected, np.inf * observed)
+        rejections += bool(np.nansum(terms) > critical)
+    return rejections
+
+
+@pytest.mark.parametrize("d", [2, 4, 8])
+def test_cell_counts_fit_cell_probabilities(d):
+    """Counts of 10^5 shots over 20 seeds, for both decompositions on a mixed
+    and a pure state: a fit rejected at level 0.01 more than 3 times in 20
+    has odds below 1e-4."""
+    rng = np.random.default_rng(60 + d)
+    a, b = rand_herm(rng, d), _two_valued(rng, d)
+    for rho in (rand_state(rng, d), _pure(rng, d)):
+        for dec in (universal_real_decomposition(d), universal_imag_decomposition(d)):
+            assert _chi_square_rejections(dec, rho, a, b, 100_000, range(20)) <= 3
+
+
+def test_cell_counts_fit_many_branch_instrument():
+    rng = np.random.default_rng(70)
+    dec = _many_branch_instrument(rng, 2500)
+    rho, a, b = rand_state(rng, 2), rand_herm(rng, 2), rand_herm(rng, 2)
+    assert _chi_square_rejections(dec, rho, a, b, 1_000_000, range(5)) <= 1
 
 
 def test_cell_search_many_branches():
     rng = np.random.default_rng(70)
     dec = _many_branch_instrument(rng, 2500)
     rho, a, b = rand_state(rng, 2), rand_herm(rng, 2), rand_herm(rng, 2)
-    cell_cdf, values = _component_plan(dec, rho, a, b)
+    _, values = _component_plan(dec, rho, a, b)
     assert values.shape == (2500, 4)
-    u = _uniform_block(np.random.SeedSequence(71), 0, 1 << 16)
-    ref = _brute_force_cells(u, _uncapped_cell_cdf(dec, rho, a, b))
-    assert np.array_equal(_evaluate_block(u, cell_cdf), ref)
     ss = np.random.SeedSequence(72)
-    serial = estimate_component(dec, rho, a, b, 3 * CHUNK + 10, ss, threads=1)
-    pooled = estimate_component(dec, rho, a, b, 3 * CHUNK + 10, ss, threads=3)
+    serial = estimate_component(dec, rho, a, b, 49_162, ss, threads=1)
+    pooled = estimate_component(dec, rho, a, b, 49_162, ss, threads=3)
     assert serial == pooled
+
+
+def test_budget_of_1e12_shots():
+    """At d = 4, n SE^2 of each pipeline matches the plan's variance
+    sum p v^2 - mu^2 within 1 %, and the estimate lies within 5 SE."""
+    rng = np.random.default_rng(90)
+    rho, a, b = rand_state(rng, 4), rand_herm(rng, 4), rand_herm(rng, 4)
+    n = 10**12
+    report = estimate_two_point(rho, a, b, n_shots=n, seed=91)
+    decs = (universal_real_decomposition(4), universal_imag_decomposition(4))
+    for dec, n_part, se in zip(decs, (n - n // 2, n // 2), report.std_error):
+        probs, values = _component_plan(dec, rho, a, b)
+        mu = probs @ values.ravel()
+        variance = probs @ values.ravel() ** 2 - mu**2
+        assert n_part * se**2 == pytest.approx(variance, rel=0.01)
+    err = report.estimate - report.exact
+    assert abs(err.real) <= 5 * report.std_error[0]
+    assert abs(err.imag) <= 5 * report.std_error[1]
 
 
 # --- component estimators --------------------------------------------------------
@@ -446,7 +430,7 @@ def test_estimate_memory_does_not_grow_with_shots():
     dec = universal_real_decomposition(4)
     rho, a, b = rand_state(rng, 4), rand_herm(rng, 4), rand_herm(rng, 4)
     ss = np.random.SeedSequence(81)
-    small = _peak_bytes(lambda: estimate_component(dec, rho, a, b, 2 * CHUNK, ss))
+    small = _peak_bytes(lambda: estimate_component(dec, rho, a, b, 32_768, ss))
     large = _peak_bytes(lambda: estimate_component(dec, rho, a, b, 4_000_000, ss))
     assert large < 8 * 2**20
     assert large - small <= 2**20
@@ -477,14 +461,6 @@ def test_threads_do_not_change_stream():
     pooled = estimate_two_point(rho, a, b, n_shots=70_000, seed=5, threads=3)
     assert serial.estimate == pooled.estimate
     assert serial.std_error == pooled.std_error
-
-
-def test_multi_chunk_matches_single_chunk_semantics():
-    # n > CHUNK forces several blocks; the counter-based generator must make
-    # the chunk boundaries invisible.
-    report = estimate_two_point(KET0, SZ, SX, n_shots=140_000, seed=6, threads=2)
-    again = estimate_two_point(KET0, SZ, SX, n_shots=140_000, seed=6, threads=1)
-    assert report.estimate == again.estimate
 
 
 def test_default_seed_is_42():
@@ -555,6 +531,14 @@ def test_split_shifts_budget():
 def test_rejects_tiny_budget():
     with pytest.raises(ValueError, match="shots"):
         estimate_two_point(KET0, SX, SY, n_shots=1)
+
+
+def test_rejects_budget_above_int64():
+    with pytest.raises(ValueError, match="2\\*\\*63 - 1 shots"):
+        estimate_two_point(KET0, SX, SY, n_shots=2**63)
+    dec = universal_real_decomposition(2)
+    with pytest.raises(ValueError, match="2\\*\\*63 - 1 shots"):
+        estimate_component(dec, KET0, SX, SY, 2**63, np.random.SeedSequence(0))
 
 
 def test_rejects_starving_split():
