@@ -199,3 +199,11 @@ def kraus_from_choi(j: ChoiOperator, tol: float = 1e-10) -> list[np.ndarray]:
             break
         ops.append(np.sqrt(w[k]) * v[:, k].reshape(j.d_out, j.d_in))
     return ops
+
+
+def _kraus_stack(j: ChoiOperator, tol: float = 1e-10) -> np.ndarray:
+    """The (r, d_out, d_in) Kraus stack of a CP map: the one it carries, else
+    the one ``kraus_from_choi`` extracts (which raises for a non-CP map)."""
+    if j.kraus is not None:
+        return j.kraus
+    return np.reshape(kraus_from_choi(j, tol), (-1, j.d_out, j.d_in))

@@ -246,8 +246,7 @@ def cmd_estimate(args) -> int:
     a = _load_matrix(args.a)
     b = _load_matrix(args.b)
     report = estimate_two_point(
-        rho, a, b, n_shots=args.shots, seed=args.seed, threads=args.threads,
-        split=args.split,
+        rho, a, b, n_shots=args.shots, seed=args.seed, split=args.split
     )
     payload = {
         "estimate": [report.estimate.real, report.estimate.imag],
@@ -417,7 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_SEED,
         help=f"RNG seed (default {DEFAULT_SEED} = 0x2A); same seed, same output",
     )
-    p.add_argument("--threads", type=int, default=1, help="accepted (N >= 1), no effect")
     p.add_argument(
         "--split",
         type=float,

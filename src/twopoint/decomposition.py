@@ -20,10 +20,9 @@ import numpy as np
 
 from .choi import (
     ChoiOperator,
+    _kraus_stack,
     combine,
-    is_completely_positive,
     is_hermiticity_preserving,
-    kraus_from_choi,
     output_trace,
 )
 from .linalg import (
@@ -83,20 +82,17 @@ def statistical_decompose(j: ChoiOperator, tol: float = 1e-10) -> StatisticalDec
     directions, and returns weights lambda_i = d_out * mu_i with effects
     |v_i><v_i| / d_out. The effects are rank-1 CP maps summing to the map
     represented by 1/d_out, which is trace-preserving, so the instrument is
-    complete by construction.
+    complete by construction. Each effect carries its one Kraus operator,
+    v_i reshaped to d_out x d_in and divided by sqrt(d_out).
     """
     if not is_hermiticity_preserving(j, tol):
         raise ValueError("map is not hermiticity-preserving within tolerance")
     w, v = hermitian_eigendecomposition((j.matrix + j.matrix.conj().T) / 2)
-    weights = []
-    effects = []
-    for k in range(w.size):
-        col = v[:, k : k + 1]
-        weights.append(float(j.d_out * w[k]))
-        effects.append(
-            ChoiOperator(col @ col.conj().T / j.d_out, d_in=j.d_in, d_out=j.d_out)
-        )
-    return StatisticalDecomposition(tuple(weights), tuple(effects))
+    kraus = (v.T / np.sqrt(j.d_out)).reshape(w.size, 1, j.d_out, j.d_in)
+    return StatisticalDecomposition(
+        tuple(float(j.d_out * mu) for mu in w),
+        tuple(ChoiOperator(None, d_in=j.d_in, d_out=j.d_out, kraus=k) for k in kraus),
+    )
 
 
 def recombine(decomp: StatisticalDecomposition) -> ChoiOperator:
@@ -154,18 +150,13 @@ def stinespring_dilation(
     V psi = sum_{i,a} (K_{i,a} psi) (x) |i,a> and puts the weights on the
     ancilla as Z = sum_{i,a} lambda_i |i,a><i,a|. An effect that carries its
     Kraus stack contributes it as is; one given as a matrix must be completely
-    positive and is split by ``kraus_from_choi``. Completeness of the
-    instrument makes V^dag V = 1.
+    positive and is split by ``kraus_from_choi``, which raises ``ValueError``
+    otherwise. Completeness of the instrument makes V^dag V = 1.
     """
     kraus: list[np.ndarray] = []
     z_diag: list[float] = []
     for lam, eff in zip(decomp.weights, decomp.effects):
-        if eff.kraus is not None:
-            ops = eff.kraus
-        elif is_completely_positive(eff, tol):
-            ops = kraus_from_choi(eff, tol)
-        else:
-            raise ValueError("every effect must be completely positive")
+        ops = _kraus_stack(eff, tol)
         kraus.extend(ops)
         z_diag.extend([lam] * len(ops))
     d_anc = len(kraus)

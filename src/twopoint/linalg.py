@@ -19,8 +19,9 @@ import numpy as np
 HERM_TOL = 1e-10
 # Frobenius tolerance for eigendecomposition reconstruction residuals.
 EIG_TOL = 1e-10
-# Absolute gap below which eigenvalues are treated as one degenerate cluster
-# when canonicalizing eigenvector ordering.
+# Absolute gap below which eigenvalues are treated as one degenerate cluster,
+# when canonicalizing eigenvector ordering and when the sampler merges an
+# observable's eigenvalues into one outcome.
 DEGENERACY_TOL = 1e-9
 
 

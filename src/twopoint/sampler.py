@@ -12,7 +12,8 @@ real - i*imag gives Tr[A rho B].
 The mean and its standard error depend on the shots only through how many
 landed in each cell, and those counts are Multinomial(n, cell
 probabilities). ``_component_plan`` tabulates, once per (instrument, state,
-observables), the cells' probabilities and recorded values, and
+observables), the cells' probabilities and recorded values, reading every
+branch's cells off its Kraus stack in the eigenbases of A and B, and
 ``_cell_counts`` draws all n shots' counts at once. The work per estimate
 grows with the number of cells, not with the shot count, and so does the
 memory.
@@ -28,21 +29,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .choi import apply_choi
+from .choi import _kraus_stack
 from .correlator import (
     two_point_exact,
     universal_imag_decomposition,
     universal_real_decomposition,
 )
 from .decomposition import StatisticalDecomposition
-from .linalg import check_density_matrix, check_observable, eigenvalue_clusters, hermitian_eigendecomposition
+from .linalg import (
+    DEGENERACY_TOL,
+    check_density_matrix,
+    check_observable,
+    eigenvalue_clusters,
+    hermitian_eigendecomposition,
+)
 
 # Documented default seed for reproducible-by-default runs.
 DEFAULT_SEED = 0x2A
-
-# Eigenvalues of an observable closer than this are treated as one degenerate
-# outcome, sampled through the grouped spectral projector.
-SPECTRUM_TOL = 1e-9
 
 _REAL_TAG = 0
 _IMAG_TAG = 1
@@ -63,85 +66,53 @@ class EstimationReport:
     seed: int
 
 
-def spectral_projectors(obs: np.ndarray, tol: float = SPECTRUM_TOL):
-    """Grouped eigendecomposition of a Hermitian observable.
-
-    Returns ``(values, projectors)`` where eigenvalues with gaps <= tol are
-    merged into one outcome whose value is the group mean and whose projector
-    spans the group's eigenvectors.
-    """
-    obs = check_observable(obs)
-    w, v = hermitian_eigendecomposition(obs)
-    values: list[float] = []
-    projs: list[np.ndarray] = []
-    for start, stop in eigenvalue_clusters(w, tol):
-        block = v[:, start:stop]
-        values.append(float(np.mean(w[start:stop])))
-        projs.append(block @ block.conj().T)
-    return values, projs
-
-
-def _joint_distribution(state2: np.ndarray, aspec, bspec):
-    """Outcome values and Born probabilities of measuring A and B on the two
-    halves of a two-copy state; ``aspec`` and ``bspec`` are the
-    ``(values, projectors)`` pairs of ``spectral_projectors``."""
-    (avals, aprojs), (bvals, bprojs) = aspec, bspec
-    aprojs, bprojs = np.array(aprojs), np.array(bprojs)
-    da, db = aprojs.shape[1], bprojs.shape[1]
-    d2 = state2.shape[0]
-    if state2.shape != (d2, d2) or d2 != da * db:
-        raise ValueError(
-            f"two-copy state side {state2.shape[0]} does not match observable "
-            f"dimensions {da}x{db}"
-        )
-    pairs = [(av, bv) for av in avals for bv in bvals]
-    # Tr[state2 (P_alpha (x) P_beta)] for all pairs at once: with state2 as
-    # s[i, j, k, l] (row (i, j), column (k, l)), contract i, k with P_alpha[k, i]
-    # and then j, l with P_beta[l, j].
-    s = state2.reshape(da, db, da, db)
-    t = np.tensordot(s, aprojs, axes=([0, 2], [2, 1]))
-    born = np.tensordot(t, bprojs, axes=([0, 1], [2, 1]))
-    q = np.maximum(born.real.ravel(), 0.0)
-    total = q.sum()
-    if total <= 0:
-        raise ValueError("conditional state has no outcome support")
-    return pairs, q / total
-
-
 def _component_plan(decomp, rho, a, b):
     """Cells of the (branch, outcome) table: ``(cell_probs, values)``.
 
     ``values[i, j]`` is the recorded value lambda_i * alpha * beta of branch
-    i and outcome pair j. ``cell_probs`` holds the cells' joint
-    probabilities p(i) q_i(j) in the order of ``values.ravel()``, with the
-    branch probabilities normalised so that they sum to 1.
+    i and outcome pair j = (alpha, beta), alpha slowest. ``cell_probs`` holds
+    the cells' joint probabilities p(i) q_i(j) in the order of
+    ``values.ravel()``, with the branch probabilities normalised so that they
+    sum to 1.
 
+    A branch's Kraus operators K_r (the effect's own, or extracted from its
+    process matrix) become M_r = (U_A^dag (x) U_B^dag) K_r in the eigenbases
+    of A and B. The diagonal of sum_r M_r rho M_r^dag weighs each pair of
+    eigenvectors, and its sums over the eigenvalue clusters are the branch's
+    cells; no conditional two-copy state or spectral projector is formed.
     Branches of zero probability are dropped: they are never drawn.
     """
     rho = check_density_matrix(rho)
-    probs, states, weights = [], [], []
+    (wa, ua), (wb, ub) = (hermitian_eigendecomposition(check_observable(x)) for x in (a, b))
+    ca, cb = (eigenvalue_clusters(w, DEGENERACY_TOL) for w in (wa, wb))
+    da, db, d_in = len(wa), len(wb), len(rho)
+    cells, lams = [], []
     for lam, eff in zip(decomp.weights, decomp.effects):
-        out = apply_choi(eff, rho)
-        p = float(np.trace(out).real)
-        if p > 1e-15:
-            probs.append(p)
-            states.append(out / p)
-            weights.append(lam)
-    if not probs:
+        k = _kraus_stack(eff)
+        if k.shape[1:] != (da * db, d_in):
+            raise ValueError(
+                f"Kraus operators of shape {k.shape[1:]} do not take a {d_in}-dimensional "
+                f"state to the {da}x{db} observables' space"
+            )
+        m = (ua.conj().T @ k.reshape(-1, da, db * d_in)).reshape(-1, db, d_in)
+        m = (ub.conj().T @ m).reshape(-1, da, db, d_in)
+        born = ((m @ rho) * m.conj()).real.sum(axis=(0, 3))
+        for axis, clusters in enumerate((ca, cb)):
+            born = np.add.reduceat(born, [start for start, _ in clusters], axis=axis)
+        q = np.maximum(born, 0.0).ravel()
+        if q.sum() > 1e-15:
+            cells.append(q)
+            lams.append(lam)
+    if not cells:
         raise ValueError("all branch probabilities vanish for this state")
-    total = sum(probs)
+    total = sum(q.sum() for q in cells)
     if abs(total - 1.0) > 1e-8:
         raise ValueError(
             f"branch probabilities sum to {total}, not 1: not an instrument"
         )
-    aspec, bspec = spectral_projectors(a), spectral_projectors(b)
-    cell_probs = []
-    values = []
-    for p, st, lam in zip(probs, states, weights):
-        pairs, q = _joint_distribution(st, aspec, bspec)
-        cell_probs.append(p / total * q)
-        values.append([lam * av * bv for av, bv in pairs])
-    return np.concatenate(cell_probs), np.array(values)
+    avals, bvals = (np.array([np.mean(w[i:j]) for i, j in c]) for w, c in ((wa, ca), (wb, cb)))
+    values = ((np.array(lams)[:, None] * avals)[:, :, None] * bvals).reshape(len(lams), -1)
+    return np.concatenate(cells) / total, values
 
 
 def _cell_counts(decomp, rho, a, b, n_shots, rng):
@@ -164,13 +135,12 @@ def estimate_component(
     """Monte Carlo mean and standard error of lambda_i * alpha * beta.
 
     ``rng`` is a ``numpy.random.SeedSequence``; the result depends only on
-    the key and ``n_shots``. ``threads`` must be at least 1 and has no
-    effect.
+    the key and ``n_shots``. ``threads`` is ignored: it stays in the
+    signature only because the benchmark's layer probes
+    (``perfbench/tracing.py``) pass it.
     """
     if not 1 <= n_shots <= 2**63 - 1:  # cell counts are int64
         raise ValueError(f"need between 1 and 2**63 - 1 shots, got {n_shots}")
-    if threads < 1:
-        raise ValueError(f"need at least one thread, got {threads}")
     counts, values = _cell_counts(decomp, rho, a, b, n_shots, rng)
     mean = float(counts @ values / n_shots)
     if n_shots > 1:
@@ -186,14 +156,12 @@ def estimate_two_point(
     b: np.ndarray,
     n_shots: int,
     seed: int = DEFAULT_SEED,
-    threads: int = 1,
     split: float = 0.5,
 ) -> EstimationReport:
     """Estimate Tr[A rho B] as real-pipeline mean minus i times imag-pipeline
     mean. ``split`` is the fraction of the budget spent on the real part
     (default even split; the real part gets the odd shot). ``n_shots`` may be
-    up to 2**63 - 1 at no extra cost; ``threads`` must be at least 1 and has
-    no effect."""
+    up to 2**63 - 1 at no extra cost."""
     rho = check_density_matrix(rho)
     a = check_observable(a)
     b = check_observable(b)
@@ -219,11 +187,11 @@ def estimate_two_point(
         )
     re_mean, re_se = estimate_component(
         universal_real_decomposition(d), rho, a, b, n_real,
-        np.random.SeedSequence(seed, spawn_key=(_REAL_TAG,)), threads,
+        np.random.SeedSequence(seed, spawn_key=(_REAL_TAG,)),
     )
     im_mean, im_se = estimate_component(
         universal_imag_decomposition(d), rho, a, b, n_imag,
-        np.random.SeedSequence(seed, spawn_key=(_IMAG_TAG,)), threads,
+        np.random.SeedSequence(seed, spawn_key=(_IMAG_TAG,)),
     )
     return EstimationReport(
         estimate=complex(re_mean, -im_mean),

@@ -4,7 +4,9 @@ Each map is built from its defining formula with dense two-copy operators,
 never from the package's operator stacks or cached process matrices, so a test
 that compares the two checks one construction against another. The check
 suite of ``twopoint verify`` has a dense counterpart here too, which works on
-d^3-sided process matrices where the package works on their factors.
+d^3-sided process matrices where the package works on their factors, and
+the sampler's plan has one that measures the dense conditional two-copy state
+of each branch with dense spectral projectors.
 """
 
 from collections import Counter
@@ -12,7 +14,7 @@ from math import factorial
 
 import numpy as np
 
-from twopoint.choi import ChoiOperator
+from twopoint.choi import ChoiOperator, apply_choi
 from twopoint.cli import _random_observable, _random_state
 from twopoint.correlator import (
     CorrelatorFamily,
@@ -20,7 +22,16 @@ from twopoint.correlator import (
     universal_real_decomposition,
 )
 from twopoint.decomposition import decomposition_cost
-from twopoint.linalg import partial_trace, q_operator, sector_projector, swap_operator
+from twopoint.linalg import (
+    DEGENERACY_TOL,
+    check_observable,
+    eigenvalue_clusters,
+    hermitian_eigendecomposition,
+    partial_trace,
+    q_operator,
+    sector_projector,
+    swap_operator,
+)
 from twopoint.photonics import _bench_outputs
 
 
@@ -156,3 +167,67 @@ def dense_verify_values(d, seed):
         two_point_dev = max(two_point_dev, abs(got - np.trace(a @ rho @ b)))
     values["two_point_identity"] = two_point_dev
     return values
+
+
+def spectral_projectors(obs: np.ndarray, tol: float = DEGENERACY_TOL):
+    """Grouped eigendecomposition of a Hermitian observable.
+
+    Returns ``(values, projectors)`` where eigenvalues with gaps <= tol are
+    merged into one outcome whose value is the group mean and whose projector
+    spans the group's eigenvectors.
+    """
+    obs = check_observable(obs)
+    w, v = hermitian_eigendecomposition(obs)
+    values: list[float] = []
+    projs: list[np.ndarray] = []
+    for start, stop in eigenvalue_clusters(w, tol):
+        block = v[:, start:stop]
+        values.append(float(np.mean(w[start:stop])))
+        projs.append(block @ block.conj().T)
+    return values, projs
+
+
+def _joint_distribution(state2: np.ndarray, aspec, bspec):
+    """Outcome values and Born probabilities of measuring A and B on the two
+    halves of a two-copy state; ``aspec`` and ``bspec`` are the
+    ``(values, projectors)`` pairs of ``spectral_projectors``."""
+    (avals, aprojs), (bvals, bprojs) = aspec, bspec
+    aprojs, bprojs = np.array(aprojs), np.array(bprojs)
+    da, db = aprojs.shape[1], bprojs.shape[1]
+    d2 = state2.shape[0]
+    if state2.shape != (d2, d2) or d2 != da * db:
+        raise ValueError(
+            f"two-copy state side {state2.shape[0]} does not match observable "
+            f"dimensions {da}x{db}"
+        )
+    pairs = [(av, bv) for av in avals for bv in bvals]
+    # Tr[state2 (P_alpha (x) P_beta)] for all pairs at once: with state2 as
+    # s[i, j, k, l] (row (i, j), column (k, l)), contract i, k with P_alpha[k, i]
+    # and then j, l with P_beta[l, j].
+    s = state2.reshape(da, db, da, db)
+    t = np.tensordot(s, aprojs, axes=([0, 2], [2, 1]))
+    born = np.tensordot(t, bprojs, axes=([0, 1], [2, 1]))
+    q = np.maximum(born.real.ravel(), 0.0)
+    total = q.sum()
+    if total <= 0:
+        raise ValueError("conditional state has no outcome support")
+    return pairs, q / total
+
+
+def reference_plan(decomp, rho, a, b):
+    """``(cell_probs, values)`` of the sampler's plan, built from each
+    branch's conditional two-copy state ``apply_choi(effect, rho) / p`` and
+    the dense projector stacks of ``spectral_projectors``. Branches with
+    p <= 1e-15 are dropped and the rest's probabilities normalised."""
+    aspec, bspec = spectral_projectors(a), spectral_projectors(b)
+    probs, born, values = [], [], []
+    for lam, eff in zip(decomp.weights, decomp.effects):
+        out = apply_choi(eff, rho)
+        p = float(np.trace(out).real)
+        if p > 1e-15:
+            pairs, q = _joint_distribution(out / p, aspec, bspec)
+            probs.append(p)
+            born.append(q)
+            values.append([lam * av * bv for av, bv in pairs])
+    total = sum(probs)
+    return np.concatenate([p / total * q for p, q in zip(probs, born)]), np.array(values)

@@ -272,14 +272,12 @@ def test_estimate_repeat_is_byte_identical(tmp_path, capsys):
     assert first == second
 
 
-def test_estimate_threads_flag_keeps_output(tmp_path, capsys):
+def test_estimate_has_no_threads_flag(tmp_path, capsys):
     rho = _write(tmp_path, "rho.json", KET0)
     a = _write(tmp_path, "a.json", SX)
-    b = _write(tmp_path, "b.json", SY)
-    base = ["estimate", rho, a, b, "--shots", "70000", "--seed", "5"]
-    _, serial = _run(capsys, base + ["--threads", "1"])
-    _, pooled = _run(capsys, base + ["--threads", "3"])
-    assert serial == pooled
+    code = main(["estimate", rho, a, a, "--threads", "1"])
+    assert "--threads" in capsys.readouterr().err
+    assert code == EXIT_PARSE
 
 
 def test_estimate_split_flag(tmp_path, capsys):
@@ -317,14 +315,6 @@ def test_estimate_shot_budget_range(tmp_path, capsys):
     assert code == EXIT_SEMANTIC
     assert captured.out == ""
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
-
-
-def test_estimate_negative_threads_exits_3(tmp_path, capsys):
-    rho = _write(tmp_path, "rho.json", KET0)
-    a = _write(tmp_path, "a.json", SX)
-    code = main(["estimate", rho, a, a, "--threads", "-3"])
-    assert "thread" in capsys.readouterr().err
-    assert code == EXIT_SEMANTIC
 
 
 def test_estimate_help_mentions_default_seed(capsys):

@@ -26,7 +26,7 @@ from twopoint.decomposition import (
     statistical_decompose,
     stinespring_dilation,
 )
-from twopoint.linalg import partial_trace
+from twopoint.linalg import hermitian_eigendecomposition, partial_trace
 
 from reference_maps import choi_of_action, maximally_entangled_projector
 
@@ -70,6 +70,19 @@ def test_decompose_real_part_family():
         sum(e.matrix for e in dec.effects), d_in=dec.d_in, d_out=dec.d_out
     )
     assert is_trace_preserving(unweighted)
+
+
+def test_decompose_effects_carry_one_kraus_operator():
+    """Effect k carries the single operator v_k reshaped to d_out x d_in and
+    divided by sqrt(d_out); its matrix is v_k v_k^dag / d_out."""
+    rng = np.random.default_rng(16)
+    for j in (_rand_hp_choi(rng, 2, 3), CorrelatorFamily(3).j_real):
+        _, v = hermitian_eigendecomposition(j.matrix)
+        dec = statistical_decompose(j)
+        for k, eff in enumerate(dec.effects):
+            assert eff.kraus.shape == (1, j.d_out, j.d_in)
+            want = np.outer(v[:, k], v[:, k].conj()) / j.d_out
+            assert np.abs(eff.matrix - want).max() <= 1e-14
 
 
 def test_decompose_channel_has_nonnegative_weights():
@@ -311,6 +324,12 @@ def test_partial_expectation_with_identity_ancilla():
     total = sum(apply_choi(e, rho) for e in dec.effects)
     assert np.linalg.norm(marginal - total) <= 1e-10
     assert abs(np.trace(marginal) - 1) <= 1e-10
+
+
+def test_dilation_rejects_non_cp_effect():
+    dec = StatisticalDecomposition(weights=(1.0,), effects=(CorrelatorFamily(2).j_real,))
+    with pytest.raises(ValueError, match="completely positive"):
+        stinespring_dilation(dec)
 
 
 def test_dilation_rejects_non_instrument():

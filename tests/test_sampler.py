@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twopoint.cli import _random_observable as rand_herm, _random_state as rand_state
 from twopoint.correlator import (
@@ -16,11 +18,11 @@ from twopoint.sampler import (
     DEFAULT_SEED,
     _cell_counts,
     _component_plan,
-    _joint_distribution,
     estimate_component,
     estimate_two_point,
-    spectral_projectors,
 )
+
+from reference_maps import _joint_distribution, reference_plan, spectral_projectors
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]])
@@ -238,21 +240,6 @@ def test_records_live_in_weighted_spectra():
 # --- cell counts: distribution ------------------------------------------------
 
 
-def _uncapped_cell_cdf(decomp, rho, a, b):
-    """Running sum of p(i) q_i(j) over the (branch, outcome) cells, built
-    here from apply_choi and _joint_distribution, not capped at 1."""
-    aspec, bspec = spectral_projectors(a), spectral_projectors(b)
-    probs, born = [], []
-    for eff in decomp.effects:
-        out = apply_choi(eff, rho)
-        p = float(np.trace(out).real)
-        if p > 1e-15:
-            probs.append(p)
-            born.append(_joint_distribution(out / p, aspec, bspec)[1])
-    total = sum(probs)
-    return np.cumsum(np.concatenate([p / total * q for p, q in zip(probs, born)]))
-
-
 def _pure(rng, d):
     psi = rng.normal(size=d) + 1j * rng.normal(size=d)
     psi /= np.linalg.norm(psi)
@@ -274,12 +261,12 @@ def _many_branch_instrument(rng, n):
 def _chi_square_rejections(decomp, rho, a, b, n, seeds):
     """How many of the seeds' draws of n shots a chi-square goodness-of-fit
     test at level 0.01 rejects against the cell probabilities of
-    _uncapped_cell_cdf. Cells expecting fewer than 5 shots are pooled into
+    reference_plan. Cells expecting fewer than 5 shots are pooled into
     one bin; a shot in a bin expecting none rejects outright."""
     # multinomial hands the last cell whatever the others leave, so a plan
     # that does not sum to 1 would not show in the counts
     assert abs(_component_plan(decomp, rho, a, b)[0].sum() - 1.0) <= 1e-12
-    probs = np.diff(_uncapped_cell_cdf(decomp, rho, a, b), prepend=0.0)
+    probs = reference_plan(decomp, rho, a, b)[0]
     small = n * probs < 5
     expected = np.append(n * probs[~small], n * probs[small].sum())
     k = expected.size - 1
@@ -342,6 +329,116 @@ def test_budget_of_1e12_shots():
     err = report.estimate - report.exact
     assert abs(err.real) <= 5 * report.std_error[0]
     assert abs(err.imag) <= 5 * report.std_error[1]
+
+
+# --- plan against the reference plan ----------------------------------------------
+
+
+def _assert_plan_matches_reference(decomp, rho, a, b):
+    """The plan's cell probabilities agree with the reference plan's within
+    1e-12, and its recorded values equal them bit for bit."""
+    probs, values = _component_plan(decomp, rho, a, b)
+    ref_probs, ref_values = reference_plan(decomp, rho, a, b)
+    assert values.shape == ref_values.shape and np.array_equal(values, ref_values)
+    assert probs.shape == ref_probs.shape
+    assert np.abs(probs - ref_probs).max() <= 1e-12
+
+
+def _rank_deficient(rng, d):
+    """A mixed state of rank 2 (pure at d = 2)."""
+    v, _ = np.linalg.qr(rng.normal(size=(d, 2)) + 1j * rng.normal(size=(d, 2)))
+    return (v * rng.dirichlet([1.0, 1.0])) @ v.conj().T
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    d=st.integers(min_value=2, max_value=8),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    state=st.sampled_from([rand_state, _pure, _rank_deficient]),
+    degenerate_a=st.booleans(),
+    same=st.booleans(),
+    part=st.sampled_from([universal_real_decomposition, universal_imag_decomposition]),
+)
+def test_plan_matches_reference_plan(d, seed, state, degenerate_a, same, part):
+    """Mixed, pure and rank-deficient states; A generic or with two
+    degenerate clusters; B = A or generic; the real or imaginary part."""
+    rng = np.random.default_rng(seed)
+    rho = state(rng, d)
+    a = _two_valued(rng, d) if degenerate_a else rand_herm(rng, d)
+    b = a if same else rand_herm(rng, d)
+    _assert_plan_matches_reference(part(d), rho, a, b)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_plan_matches_reference_on_dense_effects(d):
+    """Effects given as process matrices reach the plan through
+    kraus_from_choi."""
+    rng = np.random.default_rng(40 + d)
+    rho, a, b = rand_state(rng, d), _two_valued(rng, d), rand_herm(rng, d)
+    for part in (universal_real_decomposition(d), universal_imag_decomposition(d)):
+        dense = StatisticalDecomposition(
+            weights=part.weights,
+            effects=tuple(ChoiOperator(e.matrix, d_in=d, d_out=d * d) for e in part.effects),
+        )
+        _assert_plan_matches_reference(dense, rho, a, b)
+    dec = statistical_decompose(CorrelatorFamily(d).j_real)
+    assert all(eff.kraus is not None for eff in dec.effects)
+    _assert_plan_matches_reference(dec, rho, a, b)
+
+
+def test_plan_matches_reference_on_many_branch_instrument():
+    rng = np.random.default_rng(70)
+    dec = _many_branch_instrument(rng, 2500)
+    rho, a, b = rand_state(rng, 2), rand_herm(rng, 2), rand_herm(rng, 2)
+    _assert_plan_matches_reference(dec, rho, a, b)
+    _assert_plan_matches_reference(dec, _pure(rng, 2), a, a)
+
+
+def test_plan_drops_branches_of_zero_probability():
+    # measure in the computational basis and prepare |00> or |11>: on |0><0|
+    # the second branch never fires and has no cells
+    kraus = np.zeros((2, 1, 4, 2), dtype=complex)
+    kraus[0, 0, 0, 0] = kraus[1, 0, 3, 1] = 1.0
+    dec = StatisticalDecomposition(
+        weights=(2.0, -5.0),
+        effects=tuple(ChoiOperator(None, d_in=2, d_out=4, kraus=k) for k in kraus),
+    )
+    probs, values = _component_plan(dec, KET0, SZ, SX)
+    assert values.shape == (1, 4)
+    # (alpha, beta) in ascending order: (-1, -1), (-1, 1), (1, -1), (1, 1)
+    assert values[0].tolist() == [2.0, -2.0, -2.0, 2.0]
+    assert np.abs(probs - [0.0, 0.0, 0.5, 0.5]).max() <= 1e-15
+    _assert_plan_matches_reference(dec, KET0, SZ, SX)
+
+
+def test_plan_merges_eigenvalues_within_degeneracy_tolerance():
+    """Eigenvalues 1 and 1 + 5e-10 lie within 1e-9 of each other: A has two
+    outcome values, the first the mean of the pair."""
+    rng = np.random.default_rng(45)
+    a = np.diag([1.0, 1.0 + 5e-10, 2.0]).astype(complex)
+    dec = universal_real_decomposition(3)
+    rho = rand_state(rng, 3)
+    probs, values = _component_plan(dec, rho, a, np.eye(3))
+    assert probs.shape == (4,) and values.shape == (2, 2)
+    assert values[0] / dec.weights[0] == pytest.approx([1.0 + 2.5e-10, 2.0], abs=1e-15)
+    _assert_plan_matches_reference(dec, rho, a, np.eye(3))
+
+
+def test_plan_rejects_non_cp_effect():
+    """The real part is not completely positive; its Kraus extraction raises
+    instead of the plan clipping negative weights."""
+    dec = StatisticalDecomposition(weights=(1.0,), effects=(CorrelatorFamily(2).j_real,))
+    with pytest.raises(ValueError, match="completely positive"):
+        _component_plan(dec, MIXED2, SZ, SX)
+
+
+def test_plan_rejects_mismatched_observable_space():
+    dec = universal_real_decomposition(2)
+    three = np.eye(3, dtype=complex)
+    with pytest.raises(ValueError, match="Kraus operators"):
+        _component_plan(dec, MIXED2, three, three)
+    with pytest.raises(ValueError, match="Kraus operators"):
+        _component_plan(dec, np.eye(3) / 3, SZ, SX)
 
 
 # --- component estimators --------------------------------------------------------
@@ -452,17 +549,6 @@ def test_different_seed_differs():
     assert a.estimate != b.estimate
 
 
-def test_threads_do_not_change_stream():
-    rng = np.random.default_rng(23)
-    rho = rand_state(rng, 2)
-    a = rand_herm(rng, 2)
-    b = rand_herm(rng, 2)
-    serial = estimate_two_point(rho, a, b, n_shots=70_000, seed=5, threads=1)
-    pooled = estimate_two_point(rho, a, b, n_shots=70_000, seed=5, threads=3)
-    assert serial.estimate == pooled.estimate
-    assert serial.std_error == pooled.std_error
-
-
 def test_default_seed_is_42():
     assert DEFAULT_SEED == 0x2A == 42
 
@@ -546,12 +632,6 @@ def test_rejects_starving_split():
         estimate_two_point(KET0, SX, SY, n_shots=10, split=0.999)
     with pytest.raises(ValueError, match="split"):
         estimate_two_point(KET0, SX, SY, n_shots=100, split=1.5)
-
-
-@pytest.mark.parametrize("threads", [0, -3])
-def test_rejects_nonpositive_threads(threads):
-    with pytest.raises(ValueError, match="thread"):
-        estimate_two_point(KET0, SX, SY, n_shots=100, threads=threads)
 
 
 def test_rejects_scalar_system():
