@@ -74,8 +74,32 @@ def matrix_to_json(m: np.ndarray) -> dict:
     return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "data": data}
 
 
+def _decode_pairs(data: list) -> np.ndarray:
+    """Decode ``data`` pair by pair, naming the first entry that is not a
+    finite [re, im] number pair."""
+    out = np.empty(len(data), dtype=complex)
+    for i, pair in enumerate(data):
+        if (
+            not isinstance(pair, list)
+            or len(pair) != 2
+            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
+        ):
+            raise MatrixFileError(f"data[{i}] must be a [re, im] number pair, got {pair!r}")
+        try:
+            out[i] = complex(pair[0], pair[1])
+        except OverflowError as exc:  # an integer too large for a float
+            raise MatrixFileError(f"data[{i}] is not a finite number pair: {exc}") from exc
+        if not np.isfinite(out[i]):
+            raise MatrixFileError(f"data[{i}] is not a finite number pair, got {pair!r}")
+    return out
+
+
 def json_to_matrix(obj) -> np.ndarray:
-    """Decode a MatrixFile dict, validating shape and finiteness."""
+    """Decode a MatrixFile dict, validating shape and finiteness.
+
+    ``data`` is decoded in bulk when every entry is a list of two plain
+    ints or floats and the numbers are finite; anything else goes through
+    ``_decode_pairs``, which names the first bad entry."""
     if not isinstance(obj, dict):
         raise MatrixFileError(f"matrix object must be a JSON object, got {type(obj).__name__}")
     for key in ("rows", "cols", "data"):
@@ -89,21 +113,17 @@ def json_to_matrix(obj) -> np.ndarray:
             f"data length {len(data) if isinstance(data, list) else '?'} "
             f"!= rows*cols = {rows * cols}"
         )
-    out = np.empty(rows * cols, dtype=complex)
-    for i, pair in enumerate(data):
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
-        ):
-            raise MatrixFileError(f"data[{i}] must be a [re, im] number pair, got {pair!r}")
-        try:
-            out[i] = complex(pair[0], pair[1])
-        except OverflowError as exc:  # an integer too large for a float
-            raise MatrixFileError(f"data[{i}] is not a finite number pair: {exc}") from exc
-    if not np.all(np.isfinite(out.real)) or not np.all(np.isfinite(out.imag)):
-        raise MatrixFileError("matrix entries must be finite")
-    return out.reshape(rows, cols)
+    if set(map(type, data)) == {list} and set(map(len, data)) == {2}:
+        flat = list(itertools.chain.from_iterable(data))
+        if set(map(type, flat)) <= {float, int}:
+            try:
+                values = np.array(flat, dtype=float)
+            except OverflowError:  # an integer too large for a float
+                pass
+            else:
+                if np.isfinite(values).all():
+                    return values.view(complex).reshape(rows, cols)
+    return _decode_pairs(data).reshape(rows, cols)
 
 
 def _load_matrix(path: str) -> np.ndarray:

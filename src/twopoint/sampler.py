@@ -1,22 +1,32 @@
 """Monte Carlo estimation of Tr[A rho B] from one multinomial draw of cell counts.
 
-Each shot lands in the cell of instrument branch i and joint eigenvalue pair
-(alpha, beta) with probability p(i) q_i(alpha, beta): p(i) = Tr[E_i(rho)] is
-the branch probability and q_i the Born distribution of the two commuting
-local observables A (x) 1 and 1 (x) B on the conditional two-copy output
-state. The shot records lambda_i * alpha * beta. The mean of those records
-is an unbiased estimator of Tr[L(rho) (A (x) B)] for the recombined map L;
-running the real- and imaginary-part instruments and combining as
-real - i*imag gives Tr[A rho B].
+Each shot lands in the cell of instrument branch i and outcome pair
+(alpha, beta) of the two commuting local observables A (x) 1 and 1 (x) B,
+with probability p(i) q_i(alpha, beta), and records lambda_i * alpha * beta.
+The mean of those records is an unbiased estimator of Tr[L(rho) (A (x) B)]
+for the recombined map L; running the real- and imaginary-part instruments
+and combining as real - i*imag gives Tr[A rho B].
 
-The mean and its standard error depend on the shots only through how many
-landed in each cell, and those counts are Multinomial(n, cell
-probabilities). ``_component_plan`` tabulates, once per (instrument, state,
-observables), the cells' probabilities and recorded values, reading every
-branch's cells off its Kraus stack in the eigenbases of A and B, and
-``_cell_counts`` draws all n shots' counts at once. The work per estimate
-grows with the number of cells, not with the shot count, and so does the
-memory.
+Every branch of the universal instruments is E(rho) = c G (1 (x) rho) G^dag
+with G = (1 + zS)/2: z = +1 and -1 with c = 1/(d+1) and 1/(d-1) for the
+real part, z and conj(z) with z = (-1 + i sqrt(d^2-1))/d and
+c = d/(d^2-1) for the imaginary part. Since S (1 (x) rho) S = rho (x) 1 and
+Tr[S (X (x) Y)] = Tr[XY], a branch's cell is
+
+    p(i) q_i(alpha, beta) = (c/4) [r_alpha t_beta + t_alpha r_beta
+                                   + 2 Re(z K_alpha,beta)],
+
+with Pi the spectral projectors of A and B, r = Tr Pi, t = Tr[rho Pi] and
+K_alpha,beta = Tr[Pi_alpha rho Pi_beta] the Kirkwood-Dirac quasiprobability
+of rho. ``_kirkwood_dirac_plans`` reads both pipelines' cells off this one
+d x d matrix, which costs O(d^3); the two-copy space never appears, and the
+cells of each branch sum to (c/4)(2d + 2 Re z) = 1/2.
+
+``estimate_component`` takes any instrument decomposition instead, and
+``_component_plan`` reads its cells off each branch's Kraus stack rotated
+into the eigenbases of A and B. Both plans feed ``_sample``, which draws all
+n shots' cell counts at once, so the work per estimate grows with the number
+of cells, not with the shot count, and so does the memory.
 
 The draw comes from a generator keyed with
 ``numpy.random.SeedSequence(seed, spawn_key=(tag,))``, one tag per pipeline,
@@ -30,18 +40,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .choi import _kraus_stack
-from .correlator import (
-    two_point_exact,
-    universal_imag_decomposition,
-    universal_real_decomposition,
-)
+from .correlator import two_point_exact
 from .decomposition import StatisticalDecomposition
 from .linalg import (
     DEGENERACY_TOL,
+    _checked_eigh,
     check_density_matrix,
     check_observable,
     eigenvalue_clusters,
-    hermitian_eigendecomposition,
 )
 
 # Documented default seed for reproducible-by-default runs.
@@ -66,28 +72,53 @@ class EstimationReport:
     seed: int
 
 
-def _component_plan(decomp, rho, a, b):
-    """Cells of the (branch, outcome) table: ``(cell_probs, values)``.
+def _outcomes(x):
+    """``(eigenvectors, starts, values)`` of a Hermitian observable: the
+    start index of each cluster of eigenvalues within ``DEGENERACY_TOL``
+    and its outcome value, the cluster's mean. Cluster sums do not depend
+    on the basis chosen inside a cluster, so the basis is not canonicalised."""
+    w, u = _checked_eigh(x)
+    starts = np.array([start for start, _ in eigenvalue_clusters(w, DEGENERACY_TOL)])
+    return u, starts, np.add.reduceat(w, starts) / np.diff(starts, append=len(w))
+
+
+def _plan(cells, lams, avals, bvals):
+    """``(cell_probs, values)`` from each branch's clipped cells
+    p(i) q_i(alpha, beta), alpha slowest.
 
     ``values[i, j]`` is the recorded value lambda_i * alpha * beta of branch
-    i and outcome pair j = (alpha, beta), alpha slowest. ``cell_probs`` holds
-    the cells' joint probabilities p(i) q_i(j) in the order of
-    ``values.ravel()``, with the branch probabilities normalised so that they
-    sum to 1.
+    i and outcome pair j. ``cell_probs`` holds the cells in the order of
+    ``values.ravel()``, with the branch probabilities normalised so that
+    they sum to 1. Branches of zero probability are dropped: they are never
+    drawn.
+    """
+    kept = [(q, lam) for q, lam in zip(cells, lams) if q.sum() > 1e-15]
+    if not kept:
+        raise ValueError("all branch probabilities vanish for this state")
+    total = sum(q.sum() for q, _ in kept)
+    if abs(total - 1.0) > 1e-8:
+        raise ValueError(
+            f"branch probabilities sum to {total}, not 1: not an instrument"
+        )
+    lams = np.array([lam for _, lam in kept])
+    values = ((lams[:, None] * avals)[:, :, None] * bvals).reshape(len(lams), -1)
+    return np.concatenate([q for q, _ in kept]) / total, values
+
+
+def _component_plan(decomp, rho, a, b):
+    """``_plan`` of any instrument decomposition.
 
     A branch's Kraus operators K_r (the effect's own, or extracted from its
     process matrix) become M_r = (U_A^dag (x) U_B^dag) K_r in the eigenbases
     of A and B. The diagonal of sum_r M_r rho M_r^dag weighs each pair of
     eigenvectors, and its sums over the eigenvalue clusters are the branch's
     cells; no conditional two-copy state or spectral projector is formed.
-    Branches of zero probability are dropped: they are never drawn.
     """
     rho = check_density_matrix(rho)
-    (wa, ua), (wb, ub) = (hermitian_eigendecomposition(check_observable(x)) for x in (a, b))
-    ca, cb = (eigenvalue_clusters(w, DEGENERACY_TOL) for w in (wa, wb))
-    da, db, d_in = len(wa), len(wb), len(rho)
-    cells, lams = [], []
-    for lam, eff in zip(decomp.weights, decomp.effects):
+    (ua, sa, avals), (ub, sb, bvals) = (_outcomes(check_observable(x)) for x in (a, b))
+    da, db, d_in = len(ua), len(ub), len(rho)
+    cells = []
+    for eff in decomp.effects:
         k = _kraus_stack(eff)
         if k.shape[1:] != (da * db, d_in):
             raise ValueError(
@@ -97,30 +128,59 @@ def _component_plan(decomp, rho, a, b):
         m = (ua.conj().T @ k.reshape(-1, da, db * d_in)).reshape(-1, db, d_in)
         m = (ub.conj().T @ m).reshape(-1, da, db, d_in)
         born = ((m @ rho) * m.conj()).real.sum(axis=(0, 3))
-        for axis, clusters in enumerate((ca, cb)):
-            born = np.add.reduceat(born, [start for start, _ in clusters], axis=axis)
-        q = np.maximum(born, 0.0).ravel()
-        if q.sum() > 1e-15:
-            cells.append(q)
-            lams.append(lam)
-    if not cells:
-        raise ValueError("all branch probabilities vanish for this state")
-    total = sum(q.sum() for q in cells)
-    if abs(total - 1.0) > 1e-8:
-        raise ValueError(
-            f"branch probabilities sum to {total}, not 1: not an instrument"
-        )
-    avals, bvals = (np.array([np.mean(w[i:j]) for i, j in c]) for w, c in ((wa, ca), (wb, cb)))
-    values = ((np.array(lams)[:, None] * avals)[:, :, None] * bvals).reshape(len(lams), -1)
-    return np.concatenate(cells) / total, values
+        born = np.add.reduceat(np.add.reduceat(born, sa, axis=0), sb, axis=1)
+        cells.append(np.maximum(born, 0.0).ravel())
+    return _plan(cells, decomp.weights, avals, bvals)
 
 
-def _cell_counts(decomp, rho, a, b, n_shots, rng):
-    """Shots per cell and the cells' recorded values, both in the order of
-    ``values.ravel()``: one multinomial draw of ``n_shots`` from the
+def _kirkwood_dirac_plans(rho, a, b):
+    """``_plan`` of the universal real- and imaginary-part instruments at
+    once, from the Kirkwood-Dirac matrix K of rho (see the module
+    docstring). ``rho``, ``a`` and ``b`` are validated d x d arrays, d >= 2.
+
+    K is the cluster sum of (U_A^dag rho U_B) o conj(U_A^dag U_B), and its
+    row and column sums are t_alpha and t_beta.
+    """
+    d = len(rho)
+    (ua, sa, avals), (ub, sb, bvals) = _outcomes(a), _outcomes(b)
+    ua_dag = ua.conj().T
+    kd = (ua_dag @ rho @ ub) * (ua_dag @ ub).conj()
+    kd = np.add.reduceat(np.add.reduceat(kd, sa, axis=0), sb, axis=1)
+    ra, rb = np.diff(sa, append=d), np.diff(sb, append=d)
+    local = np.outer(ra, kd.sum(axis=0).real) + np.outer(kd.sum(axis=1).real, rb)
+
+    def cells(z, c):
+        """The cells of the branch c G (1 (x) rho) G^dag, G = (1 + zS)/2."""
+        return np.maximum(c / 4 * (local + 2 * (z * kd).real), 0.0).ravel()
+
+    # weights and branches in the order of universal_real_decomposition and
+    # universal_imag_decomposition
+    z = (-1 + 1j * np.sqrt(d * d - 1)) / d
+    lam, c = float(np.sqrt(d * d - 1)), d / (d * d - 1)
+    return (
+        _plan([cells(1.0, 1 / (d + 1)), cells(-1.0, 1 / (d - 1))], (d + 1.0, 1.0 - d), avals, bvals),
+        _plan([cells(z, c), cells(np.conj(z), c)], (lam, -lam), avals, bvals),
+    )
+
+
+def _cell_counts(cell_probs, n_shots, rng):
+    """Shots per cell: one multinomial draw of ``n_shots`` from the
     generator keyed by the ``SeedSequence`` ``rng``."""
-    cell_probs, values = _component_plan(decomp, rho, a, b)
-    return np.random.default_rng(rng).multinomial(n_shots, cell_probs), values.ravel()
+    return np.random.default_rng(rng).multinomial(n_shots, cell_probs)
+
+
+def _sample(plan, n_shots, rng):
+    """Mean and standard error of the records of ``n_shots`` shots drawn
+    over the cells of ``plan`` by ``_cell_counts``."""
+    cell_probs, values = plan
+    counts = _cell_counts(cell_probs, n_shots, rng)
+    values = values.ravel()
+    mean = float(counts @ values / n_shots)
+    if n_shots > 1:
+        se = float(np.sqrt(counts @ (values - mean) ** 2 / (n_shots - 1) / n_shots))
+    else:
+        se = 0.0
+    return mean, se
 
 
 def estimate_component(
@@ -141,13 +201,7 @@ def estimate_component(
     """
     if not 1 <= n_shots <= 2**63 - 1:  # cell counts are int64
         raise ValueError(f"need between 1 and 2**63 - 1 shots, got {n_shots}")
-    counts, values = _cell_counts(decomp, rho, a, b, n_shots, rng)
-    mean = float(counts @ values / n_shots)
-    if n_shots > 1:
-        se = float(np.sqrt(counts @ (values - mean) ** 2 / (n_shots - 1) / n_shots))
-    else:
-        se = 0.0
-    return mean, se
+    return _sample(_component_plan(decomp, rho, a, b), n_shots, rng)
 
 
 def estimate_two_point(
@@ -161,7 +215,7 @@ def estimate_two_point(
     """Estimate Tr[A rho B] as real-pipeline mean minus i times imag-pipeline
     mean. ``split`` is the fraction of the budget spent on the real part
     (default even split; the real part gets the odd shot). ``n_shots`` may be
-    up to 2**63 - 1 at no extra cost."""
+    up to 2**63 - 1 at no extra cost, and the plan costs O(d^3)."""
     rho = check_density_matrix(rho)
     a = check_observable(a)
     b = check_observable(b)
@@ -185,13 +239,12 @@ def estimate_two_point(
         raise ValueError(
             f"split {split} starves one pipeline ({n_real} real / {n_imag} imag shots)"
         )
-    re_mean, re_se = estimate_component(
-        universal_real_decomposition(d), rho, a, b, n_real,
-        np.random.SeedSequence(seed, spawn_key=(_REAL_TAG,)),
+    real_plan, imag_plan = _kirkwood_dirac_plans(rho, a, b)
+    re_mean, re_se = _sample(
+        real_plan, n_real, np.random.SeedSequence(seed, spawn_key=(_REAL_TAG,))
     )
-    im_mean, im_se = estimate_component(
-        universal_imag_decomposition(d), rho, a, b, n_imag,
-        np.random.SeedSequence(seed, spawn_key=(_IMAG_TAG,)),
+    im_mean, im_se = _sample(
+        imag_plan, n_imag, np.random.SeedSequence(seed, spawn_key=(_IMAG_TAG,))
     )
     return EstimationReport(
         estimate=complex(re_mean, -im_mean),

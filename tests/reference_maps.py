@@ -6,7 +6,9 @@ that compares the two checks one construction against another. The check
 suite of ``twopoint verify`` has a dense counterpart here too, which works on
 d^3-sided process matrices where the package works on their factors, and
 the sampler's plan has one that measures the dense conditional two-copy state
-of each branch with dense spectral projectors.
+of each branch with dense spectral projectors. The random inputs that only
+the tests use (pure and rank-two states, two-valued observables) live here
+too.
 """
 
 from collections import Counter
@@ -169,6 +171,24 @@ def dense_verify_values(d, seed):
     return values
 
 
+def pure_state(rng, d):
+    psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+    psi /= np.linalg.norm(psi)
+    return np.outer(psi, psi.conj())
+
+
+def rank_two_state(rng, d):
+    """A mixed state of rank 2 (pure at d = 2)."""
+    v, _ = np.linalg.qr(rng.normal(size=(d, 2)) + 1j * rng.normal(size=(d, 2)))
+    return (v * rng.dirichlet([1.0, 1.0])) @ v.conj().T
+
+
+def two_valued_observable(rng, d):
+    """A random observable with the two degenerate eigenvalues -1 and +1."""
+    u, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return u @ np.diag([1.0] * (d // 2) + [-1.0] * (d - d // 2)) @ u.conj().T
+
+
 def spectral_projectors(obs: np.ndarray, tol: float = DEGENERACY_TOL):
     """Grouped eigendecomposition of a Hermitian observable.
 
@@ -212,6 +232,17 @@ def _joint_distribution(state2: np.ndarray, aspec, bspec):
     if total <= 0:
         raise ValueError("conditional state has no outcome support")
     return pairs, q / total
+
+
+def assert_plans_agree(plan, ref, tol=1e-12):
+    """Two ``(cell_probs, values)`` plans have the same cells: the cell
+    probabilities agree within ``tol`` and the recorded values within
+    ``tol`` relative to the largest of them (the outcome values are cluster
+    means, whose last bits depend on the order of summation)."""
+    (probs, values), (ref_probs, ref_values) = plan, ref
+    assert probs.shape == ref_probs.shape and values.shape == ref_values.shape
+    assert np.abs(probs - ref_probs).max() <= tol
+    assert np.abs(values - ref_values).max() <= tol * max(1.0, np.abs(ref_values).max())
 
 
 def reference_plan(decomp, rho, a, b):

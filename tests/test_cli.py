@@ -14,6 +14,7 @@ from twopoint.cli import (
     EXIT_SEMANTIC,
     EXIT_VERIFY_FAILED,
     MatrixFileError,
+    _decode_pairs,
     _dumps,
     _random_observable,
     _verify_checks,
@@ -71,6 +72,45 @@ def test_json_to_matrix_rejects_malformed_objects():
         json_to_matrix({"rows": 1, "cols": 1, "data": [[True, 0]]})
     with pytest.raises(MatrixFileError, match="finite"):
         json_to_matrix({"rows": 1, "cols": 1, "data": [[1e999, 0]]})
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(
+    shape=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+    seed=st.integers(0, 2**32 - 1),
+    ints=st.lists(st.integers(-(2**80), 2**80) | st.sampled_from([0, 2**53 + 1, -(10**300)]),
+                  max_size=4),
+)
+def test_bulk_decode_matches_pair_by_pair(shape, seed, ints):
+    """Random MatrixFiles, some entries plain or large integers, read back
+    through JSON: the bulk decoder gives the pair-by-pair decoder's bits."""
+    rng = np.random.default_rng(seed)
+    obj = matrix_to_json(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    for value in ints:
+        obj["data"][rng.integers(len(obj["data"]))][rng.integers(2)] = value
+    obj = json.loads(json.dumps(obj))
+    got, want = json_to_matrix(obj), _decode_pairs(obj["data"]).reshape(shape)
+    assert np.array_equal(got.view(float), want.view(float))
+    assert np.array_equal(np.signbit(got.view(float)), np.signbit(want.view(float)))
+
+
+@pytest.mark.parametrize(
+    "entry",
+    ["1.5", "[1.0]", "[1.0, 2.0, 3.0]", "[true, 0]", "[0, null]", '["1", 0]', "[[1], 0]",
+     "{}", "[1" + "0" * 400 + ", 0]", "[NaN, 0]", "[0, Infinity]", "[-1e999, 0]"],
+)
+def test_bad_data_entry_exits_2_naming_it(tmp_path, capsys, entry):
+    """A bad pair after two good ones: exit 2, and the message names
+    data[2]."""
+    path = tmp_path / "rho.json"
+    path.write_text(
+        '{"rows": 2, "cols": 2, "data": [[0.5, 0], [0, 0], ' + entry + ', [0.5, 0]]}',
+        encoding="utf-8",
+    )
+    a = _write(tmp_path, "a.json", SX)
+    assert main(["estimate", str(path), a, a]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("error: data[2] ") and err.count("\n") == 1
 
 
 # --- JSON writer ----------------------------------------------------------------

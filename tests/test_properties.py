@@ -21,6 +21,9 @@ from twopoint.correlator import (
     universal_real_decomposition,
 )
 from twopoint.decomposition import decomposition_cost
+from twopoint.sampler import _kirkwood_dirac_plans
+
+from reference_maps import assert_plans_agree, reference_plan, two_valued_observable
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=25)
 DIMS = st.integers(min_value=2, max_value=16)
@@ -62,3 +65,17 @@ def test_cost_saturates_the_bounds(d, seed):
     for report, value in ((real, d), (imag, np.sqrt(d * d - 1.0))):
         assert abs(report.cost - value) <= 1e-9
         assert abs(report.bound - value) <= 1e-9
+
+
+@PROPERTY
+@given(d=DIMS, seed=SEEDS, degenerate_b=st.booleans())
+@example(d=16, seed=16, degenerate_b=True)
+def test_closed_form_plan_is_the_reference_plan(d, seed, degenerate_b):
+    """The Kirkwood-Dirac cells of both parts are the cells of the dense
+    conditional two-copy states measured with dense projectors."""
+    rng = np.random.default_rng(seed)
+    rho, a = rand_state(rng, d), rand_herm(rng, d)
+    b = two_valued_observable(rng, d) if degenerate_b else rand_herm(rng, d)
+    parts = (universal_real_decomposition(d), universal_imag_decomposition(d))
+    for dec, plan in zip(parts, _kirkwood_dirac_plans(rho, a, b)):
+        assert_plans_agree(plan, reference_plan(dec, rho, a, b))

@@ -18,11 +18,20 @@ from twopoint.sampler import (
     DEFAULT_SEED,
     _cell_counts,
     _component_plan,
+    _kirkwood_dirac_plans,
     estimate_component,
     estimate_two_point,
 )
 
-from reference_maps import _joint_distribution, reference_plan, spectral_projectors
+from reference_maps import (
+    _joint_distribution,
+    assert_plans_agree,
+    pure_state,
+    rank_two_state,
+    reference_plan,
+    spectral_projectors,
+    two_valued_observable,
+)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]])
@@ -66,8 +75,8 @@ def test_spectral_projectors_reconstruct():
 def _records(decomp, rho, a, b, n, seed):
     """The n recorded values lambda_i * alpha * beta of one draw of cell
     counts, grouped by cell."""
-    counts, values = _cell_counts(decomp, rho, a, b, n, np.random.SeedSequence(seed))
-    return np.repeat(values, counts)
+    probs, values = _component_plan(decomp, rho, a, b)
+    return np.repeat(values.ravel(), _cell_counts(probs, n, np.random.SeedSequence(seed)))
 
 
 def _preparation(kraus):
@@ -149,18 +158,13 @@ def test_branch_weight_magnitude_mean():
 # --- cell counts: joint projective measurement -----------------------------------
 
 
-def _two_valued(rng, d):
-    u, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
-    return u @ np.diag([1.0] * (d // 2) + [-1.0] * (d - d // 2)) @ u.conj().T
-
-
 @pytest.mark.parametrize("d", range(2, 9))
 def test_joint_distribution_matches_kron_loop(d):
     """Born probabilities against the pair-by-pair reference
     Tr[state2 (P_alpha (x) P_beta)], degenerate observables included."""
     rng = np.random.default_rng(50 + d)
     state2 = rand_state(rng, d * d)
-    generic, two_valued = rand_herm(rng, d), _two_valued(rng, d)
+    generic, two_valued = rand_herm(rng, d), two_valued_observable(rng, d)
     for a, b in ((generic, two_valued), (two_valued, two_valued), (generic, generic)):
         avals, aprojs = spectral_projectors(a)
         bvals, bprojs = spectral_projectors(b)
@@ -240,12 +244,6 @@ def test_records_live_in_weighted_spectra():
 # --- cell counts: distribution ------------------------------------------------
 
 
-def _pure(rng, d):
-    psi = rng.normal(size=d) + 1j * rng.normal(size=d)
-    psi /= np.linalg.norm(psi)
-    return np.outer(psi, psi.conj())
-
-
 def _many_branch_instrument(rng, n):
     """n branches K_i = sqrt(p_i) V_i, V_i a random 4 x 2 isometry. The
     branch probabilities p_i sum to 1 + 5e-9, inside the plan's 1e-8
@@ -258,15 +256,15 @@ def _many_branch_instrument(rng, n):
     return StatisticalDecomposition(weights=tuple(rng.normal(size=n)), effects=tuple(effects))
 
 
-def _chi_square_rejections(decomp, rho, a, b, n, seeds):
-    """How many of the seeds' draws of n shots a chi-square goodness-of-fit
-    test at level 0.01 rejects against the cell probabilities of
-    reference_plan. Cells expecting fewer than 5 shots are pooled into
-    one bin; a shot in a bin expecting none rejects outright."""
+def _chi_square_rejections(plan_probs, probs, n, seeds):
+    """How many of the seeds' draws of n shots over the cells of a plan a
+    chi-square goodness-of-fit test at level 0.01 rejects against the
+    reference plan's cell probabilities ``probs``. Cells expecting fewer
+    than 5 shots are pooled into one bin; a shot in a bin expecting none
+    rejects outright."""
     # multinomial hands the last cell whatever the others leave, so a plan
     # that does not sum to 1 would not show in the counts
-    assert abs(_component_plan(decomp, rho, a, b)[0].sum() - 1.0) <= 1e-12
-    probs = reference_plan(decomp, rho, a, b)[0]
+    assert abs(plan_probs.sum() - 1.0) <= 1e-12
     small = n * probs < 5
     expected = np.append(n * probs[~small], n * probs[small].sum())
     k = expected.size - 1
@@ -274,7 +272,7 @@ def _chi_square_rejections(decomp, rho, a, b, n, seeds):
     critical = k * (1 - 2 / (9 * k) + 2.326 * np.sqrt(2 / (9 * k))) ** 3
     rejections = 0
     for seed in seeds:
-        counts, _ = _cell_counts(decomp, rho, a, b, n, np.random.SeedSequence(seed))
+        counts = _cell_counts(plan_probs, n, np.random.SeedSequence(seed))
         observed = np.append(counts[~small], counts[small].sum())
         with np.errstate(divide="ignore", invalid="ignore"):
             terms = np.where(expected > 0, (observed - expected) ** 2 / expected, np.inf * observed)
@@ -284,21 +282,24 @@ def _chi_square_rejections(decomp, rho, a, b, n, seeds):
 
 @pytest.mark.parametrize("d", [2, 4, 8])
 def test_cell_counts_fit_cell_probabilities(d):
-    """Counts of 10^5 shots over 20 seeds, for both decompositions on a mixed
-    and a pure state: a fit rejected at level 0.01 more than 3 times in 20
-    has odds below 1e-4."""
+    """Counts of 10^5 shots over 20 seeds, drawn over the cells of the
+    closed-form plans of both parts on a mixed and a pure state: a fit
+    rejected at level 0.01 more than 3 times in 20 has odds below 1e-4."""
     rng = np.random.default_rng(60 + d)
-    a, b = rand_herm(rng, d), _two_valued(rng, d)
-    for rho in (rand_state(rng, d), _pure(rng, d)):
-        for dec in (universal_real_decomposition(d), universal_imag_decomposition(d)):
-            assert _chi_square_rejections(dec, rho, a, b, 100_000, range(20)) <= 3
+    a, b = rand_herm(rng, d), two_valued_observable(rng, d)
+    for rho in (rand_state(rng, d), pure_state(rng, d)):
+        parts = (universal_real_decomposition(d), universal_imag_decomposition(d))
+        for dec, (plan_probs, _) in zip(parts, _kirkwood_dirac_plans(rho, a, b)):
+            probs = reference_plan(dec, rho, a, b)[0]
+            assert _chi_square_rejections(plan_probs, probs, 100_000, range(20)) <= 3
 
 
 def test_cell_counts_fit_many_branch_instrument():
     rng = np.random.default_rng(70)
     dec = _many_branch_instrument(rng, 2500)
     rho, a, b = rand_state(rng, 2), rand_herm(rng, 2), rand_herm(rng, 2)
-    assert _chi_square_rejections(dec, rho, a, b, 1_000_000, range(5)) <= 1
+    plan_probs, probs = _component_plan(dec, rho, a, b)[0], reference_plan(dec, rho, a, b)[0]
+    assert _chi_square_rejections(plan_probs, probs, 1_000_000, range(5)) <= 1
 
 
 def test_cell_search_many_branches():
@@ -320,9 +321,8 @@ def test_budget_of_1e12_shots():
     rho, a, b = rand_state(rng, 4), rand_herm(rng, 4), rand_herm(rng, 4)
     n = 10**12
     report = estimate_two_point(rho, a, b, n_shots=n, seed=91)
-    decs = (universal_real_decomposition(4), universal_imag_decomposition(4))
-    for dec, n_part, se in zip(decs, (n - n // 2, n // 2), report.std_error):
-        probs, values = _component_plan(dec, rho, a, b)
+    plans = _kirkwood_dirac_plans(rho, a, b)
+    for (probs, values), n_part, se in zip(plans, (n - n // 2, n // 2), report.std_error):
         mu = probs @ values.ravel()
         variance = probs @ values.ravel() ** 2 - mu**2
         assert n_part * se**2 == pytest.approx(variance, rel=0.01)
@@ -335,26 +335,14 @@ def test_budget_of_1e12_shots():
 
 
 def _assert_plan_matches_reference(decomp, rho, a, b):
-    """The plan's cell probabilities agree with the reference plan's within
-    1e-12, and its recorded values equal them bit for bit."""
-    probs, values = _component_plan(decomp, rho, a, b)
-    ref_probs, ref_values = reference_plan(decomp, rho, a, b)
-    assert values.shape == ref_values.shape and np.array_equal(values, ref_values)
-    assert probs.shape == ref_probs.shape
-    assert np.abs(probs - ref_probs).max() <= 1e-12
-
-
-def _rank_deficient(rng, d):
-    """A mixed state of rank 2 (pure at d = 2)."""
-    v, _ = np.linalg.qr(rng.normal(size=(d, 2)) + 1j * rng.normal(size=(d, 2)))
-    return (v * rng.dirichlet([1.0, 1.0])) @ v.conj().T
+    assert_plans_agree(_component_plan(decomp, rho, a, b), reference_plan(decomp, rho, a, b))
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(
     d=st.integers(min_value=2, max_value=8),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
-    state=st.sampled_from([rand_state, _pure, _rank_deficient]),
+    state=st.sampled_from([rand_state, pure_state, rank_two_state]),
     degenerate_a=st.booleans(),
     same=st.booleans(),
     part=st.sampled_from([universal_real_decomposition, universal_imag_decomposition]),
@@ -364,7 +352,7 @@ def test_plan_matches_reference_plan(d, seed, state, degenerate_a, same, part):
     degenerate clusters; B = A or generic; the real or imaginary part."""
     rng = np.random.default_rng(seed)
     rho = state(rng, d)
-    a = _two_valued(rng, d) if degenerate_a else rand_herm(rng, d)
+    a = two_valued_observable(rng, d) if degenerate_a else rand_herm(rng, d)
     b = a if same else rand_herm(rng, d)
     _assert_plan_matches_reference(part(d), rho, a, b)
 
@@ -374,7 +362,7 @@ def test_plan_matches_reference_on_dense_effects(d):
     """Effects given as process matrices reach the plan through
     kraus_from_choi."""
     rng = np.random.default_rng(40 + d)
-    rho, a, b = rand_state(rng, d), _two_valued(rng, d), rand_herm(rng, d)
+    rho, a, b = rand_state(rng, d), two_valued_observable(rng, d), rand_herm(rng, d)
     for part in (universal_real_decomposition(d), universal_imag_decomposition(d)):
         dense = StatisticalDecomposition(
             weights=part.weights,
@@ -391,7 +379,7 @@ def test_plan_matches_reference_on_many_branch_instrument():
     dec = _many_branch_instrument(rng, 2500)
     rho, a, b = rand_state(rng, 2), rand_herm(rng, 2), rand_herm(rng, 2)
     _assert_plan_matches_reference(dec, rho, a, b)
-    _assert_plan_matches_reference(dec, _pure(rng, 2), a, a)
+    _assert_plan_matches_reference(dec, pure_state(rng, 2), a, a)
 
 
 def test_plan_drops_branches_of_zero_probability():
@@ -439,6 +427,48 @@ def test_plan_rejects_mismatched_observable_space():
         _component_plan(dec, MIXED2, three, three)
     with pytest.raises(ValueError, match="Kraus operators"):
         _component_plan(dec, np.eye(3) / 3, SZ, SX)
+
+
+# --- closed-form plan -------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "state", [rand_state, pure_state, rank_two_state], ids=["mixed", "pure", "rank2"]
+)
+@pytest.mark.parametrize("d", range(2, 13))
+def test_kirkwood_dirac_plans_match_kraus_and_reference_plans(d, state):
+    """Both parts' closed-form plans equal the Kraus-stack plan and the
+    reference plan, with A generic or two-valued (degenerate) and B = A or
+    not."""
+    rng = np.random.default_rng(110 + d)
+    rho = state(rng, d)
+    generic, degenerate = rand_herm(rng, d), two_valued_observable(rng, d)
+    parts = (universal_real_decomposition(d), universal_imag_decomposition(d))
+    pairs = ((generic, rand_herm(rng, d)), (degenerate, generic), (generic, generic),
+             (degenerate, degenerate))
+    for a, b in pairs:
+        for dec, plan in zip(parts, _kirkwood_dirac_plans(rho, a, b)):
+            assert_plans_agree(plan, _component_plan(dec, rho, a, b))
+            assert_plans_agree(plan, reference_plan(dec, rho, a, b))
+
+
+@pytest.mark.parametrize("d", [2, 16, 64, 256])
+def test_kirkwood_dirac_branches_sum_to_one_half(d):
+    """p(i) = 1/2 for all four branches, read off the closed form."""
+    rng = np.random.default_rng(120 + d)
+    rho, a, b = rand_state(rng, d), rand_herm(rng, d), two_valued_observable(rng, d)
+    for probs, values in _kirkwood_dirac_plans(rho, a, b):
+        branches = probs.reshape(2, -1)
+        assert values.shape == branches.shape == (2, 2 * d)
+        assert np.abs(branches.sum(axis=1) - 0.5).max() <= 1e-12
+
+
+def test_estimate_memory_stays_quadratic_at_d64():
+    """A Kraus-stack plan at d = 64 holds d-operator stacks of d^4
+    complex numbers (268 MB); the closed form needs a few d x d arrays."""
+    rng = np.random.default_rng(130)
+    rho, a, b = rand_state(rng, 64), rand_herm(rng, 64), rand_herm(rng, 64)
+    assert _peak_bytes(lambda: estimate_two_point(rho, a, b, n_shots=10**6, seed=131)) < 16 * 2**20
 
 
 # --- component estimators --------------------------------------------------------
