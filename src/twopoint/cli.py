@@ -8,6 +8,9 @@ three-photon optics simulation).
 All structured output is JSON: UTF-8, two-space indentation, sorted keys,
 complex numbers as [re, im] pairs. Matrices travel as MatrixFile objects —
 ``{"rows": r, "cols": c, "data": [[re, im], ...]}`` with row-major data.
+A report is written as it is formatted, once every value in it is computed;
+its matrices are built and written one at a time, a block of entries at a
+time, so memory does not grow with the report.
 Exit codes: 0 success, 1 verification failure, 2 parse error, 3 semantic or
 validation error or an unwritable output path. Diagnostics go to standard
 error; results go to --out or standard output.
@@ -16,10 +19,12 @@ error; results go to --out or standard output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import os
 import sys
+from collections.abc import Iterator
 from json.encoder import encode_basestring
 
 import numpy as np
@@ -137,69 +142,81 @@ def _load_matrix(path: str) -> np.ndarray:
     return json_to_matrix(obj)
 
 
-def _dumps(obj) -> str:
-    """The text of json.dumps(obj, indent=2, sort_keys=True,
-    ensure_ascii=False) and a newline, for objects with string keys.
+BLOCK = 4096  # [re, im] pairs formatted and written at a time
 
-    ``indent`` sends json.dumps to its pure-Python encoder, which spends
-    seconds on the side^3 numbers of a ``decompose`` report; this writer
-    formats a list of [float, float] pairs (MatrixFile data) in bulk and
-    hands every other scalar to json.dumps.
+
+def _write_json(obj, fh) -> None:
+    """Write the text of json.dumps(obj, indent=2, sort_keys=True,
+    ensure_ascii=False) and a newline to ``fh``, for objects with string keys,
+    as it is formatted: in runs of up to 64 KiB, and each block of BLOCK
+    [re, im] pairs on its own. An ndarray is written as MatrixFile data (the
+    [re, im] pairs of its entries, row-major) and an iterator as a list.
+    json.dumps with ``indent`` would take seconds on the side^3 numbers of a
+    ``decompose`` report, and hold all its text.
     """
-    chunks: list[str] = []
-    _encode(obj, "\n", chunks)
-    chunks.append("\n")
-    return "".join(chunks)
+    pending, size = [], 0
+    for text in _chunks(obj, "\n"):
+        if pending and size + len(text) > 1 << 16:
+            fh.write("".join(pending))
+            pending, size = [], 0
+        pending.append(text)
+        size += len(text)
+    pending.append("\n")
+    fh.write("".join(pending))
 
 
-def _encode(obj, nl: str, out: list[str]) -> None:
-    """Append one JSON value, whose lines continue with ``nl`` (a newline and
-    the value's indentation), to ``out``."""
+def _chunks(obj, nl: str) -> Iterator[str]:
+    """The text of one JSON value, whose lines continue with ``nl`` (a
+    newline and the value's indentation), in pieces."""
     inner = nl + "  "
-    if isinstance(obj, dict) and obj:
+    if isinstance(obj, np.ndarray):
+        yield from _float_pairs(obj, nl)
+    elif isinstance(obj, dict):
         sep = "{"
         for key, value in sorted(obj.items()):
-            out += (sep, inner, encode_basestring(key), ": ")
-            _encode(value, inner, out)
+            yield sep + inner + encode_basestring(key) + ": "
+            yield from _chunks(value, inner)
             sep = ","
-        out += (nl, "}")
-    elif isinstance(obj, (list, tuple)) and obj:
-        pairs = _float_pairs(obj, inner)
-        if pairs is not None:
-            out += ("[", inner, pairs)
-        else:
-            sep = "["
-            for value in obj:
-                out += (sep, inner)
-                _encode(value, inner, out)
-                sep = ","
-        out += (nl, "]")
+        yield "{}" if sep == "{" else nl + "}"
+    elif isinstance(obj, (list, tuple, Iterator)):
+        sep = "["
+        for value in obj:
+            yield sep + inner
+            yield from _chunks(value, inner)
+            sep = ","
+        yield "[]" if sep == "[" else nl + "]"
     else:
-        out.append(json.dumps(obj, ensure_ascii=False))
+        yield json.dumps(obj, ensure_ascii=False)
 
 
-def _float_pairs(seq, nl: str) -> str | None:
-    """The entries of a list of [float, float] pairs joined by "," + ``nl``,
-    formatted in bulk; None for any other list."""
-    if not all(type(p) is list and len(p) == 2 for p in seq):
-        return None
-    try:
-        numbers = iter(list(map(float.__repr__, itertools.chain.from_iterable(seq))))
-    except TypeError:  # an entry that is not a float
-        return None
+def _float_pairs(m: np.ndarray, nl: str) -> Iterator[str]:
+    """The text of the list of [re, im] pairs of ``m``'s entries (row-major),
+    each block of BLOCK pairs formatted by one %-format (%r is float.__repr__)."""
+    flat = np.asarray(m, dtype=complex).reshape(-1).view(float)
     inner = nl + "  "
-    between = nl + "]," + nl + "[" + inner
-    text = "[" + inner + between.join(map(("," + inner).join, zip(numbers, numbers))) + nl + "]"
-    # float.__repr__ spells nan and inf where JSON has NaN and Infinity
-    return None if "n" in text else text
+    pair, between = "%r," + inner + "  %r", inner + "]," + inner + "[" + inner + "  "
+    template = between.join([pair] * min(BLOCK, flat.size // 2))
+    for start in range(0, flat.size, 2 * BLOCK):
+        numbers = tuple(flat[start : start + 2 * BLOCK].tolist())
+        yield between if start else "[" + inner + "[" + inner + "  "
+        text = template[: (len(pair) + len(between)) * len(numbers) // 2 - len(between)] % numbers
+        # float.__repr__ spells nan and inf where JSON has NaN and Infinity
+        yield text.replace("nan", "NaN").replace("inf", "Infinity") if "n" in text else text
+    yield inner + "]" + nl + "]" if flat.size else "[]"
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+def _matrix_file(j: ChoiOperator) -> dict:
+    """The MatrixFile of the process matrix of ``j``, a stacked map, as the
+    writer takes it. The matrix is built on a copy, so that ``j`` does not keep it."""
+    m = ChoiOperator(None, j.d_in, j.d_out, *j.stacks).matrix
+    return {"rows": m.shape[0], "cols": m.shape[1], "data": m}
+
+
+def _write_report(obj, path: str | None) -> None:
+    """Write ``obj`` as JSON to the file ``path``, or to standard output."""
+    out = contextlib.nullcontext(sys.stdout) if path is None else open(path, "w", encoding="utf-8")
+    with out as fh:
+        _write_json(obj, fh)
 
 
 def _check_out(path: str | None) -> None:
@@ -247,17 +264,16 @@ def cmd_decompose(args) -> int:
         )
     j = ChoiOperator(m, d_in=args.din, d_out=args.dout)
     decomp = statistical_decompose(j, tol=args.tol)
-    terms = [
-        {"lambda": float(lam), "effect": matrix_to_json(eff.matrix)}
-        for lam, eff in zip(decomp.weights, decomp.effects)
-    ]
-    flags = [bool(is_completely_positive(eff)) for eff in decomp.effects]
     report = {
-        "terms": terms,
+        # one term's matrix at a time, formatted and written as it is built
+        "terms": (
+            {"lambda": lam, "effect": _matrix_file(eff)}
+            for lam, eff in zip(decomp.weights, decomp.effects)
+        ),
         "bound": float(error_lower_bound(j)),
-        "is_cp_flags": flags,
+        "is_cp_flags": [bool(is_completely_positive(eff)) for eff in decomp.effects],
     }
-    _emit(_dumps(report), args.out)
+    _write_report(report, args.out)
     return EXIT_OK
 
 
@@ -275,7 +291,7 @@ def cmd_estimate(args) -> int:
         "n_shots": report.n_shots,
         "seed": report.seed,
     }
-    _emit(_dumps(payload), args.out)
+    _write_report(payload, args.out)
     return EXIT_OK
 
 
@@ -371,11 +387,10 @@ def cmd_verify(args) -> int:
     if args.dump is not None:
         for name, j in chois.items():
             path = os.path.join(args.dump, f"choi_{name}_d{args.d}.json")
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(_dumps(matrix_to_json(j.matrix)))
+            _write_report(_matrix_file(j), path)
     passed = all(c["passed"] for c in checks)
     report = {"d": args.d, "seed": args.seed, "checks": checks, "passed": passed}
-    _emit(_dumps(report), args.out)
+    _write_report(report, args.out)
     return EXIT_OK if passed else EXIT_VERIFY_FAILED
 
 
@@ -398,7 +413,7 @@ def cmd_experiment(args) -> int:
         "p_anti": stats.p_anti,
         "recombination_residual": residual,
     }
-    _emit(_dumps(payload), args.out)
+    _write_report(payload, args.out)
     return EXIT_OK
 
 

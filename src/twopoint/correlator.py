@@ -135,7 +135,7 @@ def choi_builders(fam: CorrelatorFamily) -> dict[str, ChoiOperator]:
 
 
 def two_point_exact(rho: np.ndarray, a: np.ndarray, b: np.ndarray) -> complex:
-    """Ground truth: the product trace Tr[A rho B]."""
+    """Ground truth: the product trace Tr[A rho B] = sum_ij A_ij (rho B)_ji."""
     rho = np.asarray(rho, dtype=complex)
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
@@ -143,7 +143,7 @@ def two_point_exact(rho: np.ndarray, a: np.ndarray, b: np.ndarray) -> complex:
         raise ValueError(
             f"dimension mismatch: rho {rho.shape}, a {a.shape}, b {b.shape}"
         )
-    return complex(np.trace(a @ rho @ b))
+    return complex(np.sum(a * (rho @ b).T))
 
 
 def _check_dim(fam: CorrelatorFamily, rho: np.ndarray) -> np.ndarray:

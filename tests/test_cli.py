@@ -1,5 +1,7 @@
+import io
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,15 +11,16 @@ from hypothesis import strategies as st
 from twopoint import correlator
 from twopoint.choi import ChoiOperator
 from twopoint.cli import (
+    BLOCK,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_SEMANTIC,
     EXIT_VERIFY_FAILED,
     MatrixFileError,
     _decode_pairs,
-    _dumps,
     _random_observable,
     _verify_checks,
+    _write_json,
     json_to_matrix,
     main,
     matrix_to_json,
@@ -43,6 +46,15 @@ def _run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     return code, out
+
+
+def _traced(argv):
+    """main(argv)'s exit code and tracemalloc peak in bytes."""
+    tracemalloc.start()
+    try:
+        return main(argv), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 # --- matrix format -------------------------------------------------------------
@@ -120,6 +132,23 @@ def _reference_dumps(obj):
     return json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
 
 
+def _written(obj) -> str:
+    fh = io.StringIO()
+    _write_json(obj, fh)
+    return fh.getvalue()
+
+
+def _listed(obj):
+    """``obj`` with each matrix as its MatrixFile data list, as json.dumps takes it."""
+    if isinstance(obj, np.ndarray):
+        return matrix_to_json(obj)["data"]
+    if isinstance(obj, dict):
+        return {key: _listed(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_listed(value) for value in obj]
+    return obj
+
+
 SPECIAL_FLOATS = [-0.0, 5e-324, 1e-5, 1e16, float("nan"), float("inf"), -float("inf")]
 FLOATS = st.floats() | st.sampled_from(SPECIAL_FLOATS)
 SCALARS = (
@@ -130,14 +159,15 @@ SCALARS = (
 
 @st.composite
 def matrix_files(draw):
-    """MatrixFile dicts of random complex arrays, some entries special floats."""
+    """MatrixFile dicts of random complex arrays, some entries special floats,
+    with ``data`` as a list of [re, im] pairs or as the array itself."""
     rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     m = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
     flat = m.reshape(-1).view(float)
     for value in draw(st.lists(st.sampled_from(SPECIAL_FLOATS), max_size=3)):
         flat[rng.integers(flat.size)] = value
-    return matrix_to_json(m)
+    return {"rows": rows, "cols": cols, "data": m} if draw(st.booleans()) else matrix_to_json(m)
 
 
 JSON_VALUES = st.recursive(
@@ -155,7 +185,22 @@ JSON_VALUES = st.recursive(
 @example({"\u00e9t\u00e9": [[-0.0, 5e-324]], "\u043a\u043b\u044e\u0447": None, "a": {}, "b": []})
 @example([[1e-5, 1e16], [2.5, -0.0]])
 def test_writer_matches_json_dumps(obj):
-    assert _dumps(obj) == _reference_dumps(obj)
+    assert _written(obj) == _reference_dumps(_listed(obj))
+
+
+@pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+def test_writer_formats_array_blocks_as_json_dumps_formats_lists(n):
+    """An n-entry matrix, cut into blocks of BLOCK pairs, with every special
+    float in it (non-finite ones as NaN and Infinity, as json.dumps writes
+    them), inside a list given as an iterator."""
+    rng = np.random.default_rng(n)
+    m = rng.normal(size=(1, n)) + 1j * rng.normal(size=(1, n))
+    flat = m.reshape(-1).view(float)
+    flat[rng.permutation(flat.size)[: len(SPECIAL_FLOATS)]] = SPECIAL_FLOATS[: flat.size]
+    file = {"rows": 1, "cols": n, "data": m}
+    got = _written({"terms": iter([file, {"data": m.T}]), "none": iter([]), "zero": m[:0]})
+    listed = {"terms": [_listed(file), {"data": _listed(m.T)}], "none": [], "zero": []}
+    assert got == _reference_dumps(listed)
 
 
 def test_decompose_output_matches_json_dumps(tmp_path, capsys):
@@ -168,6 +213,33 @@ def test_decompose_output_matches_json_dumps(tmp_path, capsys):
     if out != want:  # report the place, not a diff of two 25 MB strings
         at = len(os.path.commonprefix([out, want]))
         pytest.fail(f"differs from json.dumps at {at}: {out[at - 40:at + 40]!r}")
+
+
+def test_decompose_streams_its_report(tmp_path):
+    """The same map written with --out: the report (25 MB of text) is never
+    held whole, so the peak is about one term (about 84 MB when the report
+    was built before writing), and the file is json.dumps' text."""
+    rng = np.random.default_rng(416)
+    path = _write(tmp_path, "map.json", _random_observable(rng, 64))
+    out = tmp_path / "report.json"
+    code, peak = _traced(["decompose", path, "--din", "4", "--dout", "16", "--out", str(out)])
+    assert code == EXIT_OK
+    assert peak < 12e6
+    text = out.read_text(encoding="utf-8")
+    assert text == _reference_dumps(json.loads(text))
+
+
+@pytest.mark.parametrize("case", ["not-hermiticity-preserving", "side-does-not-factor"])
+def test_decompose_failure_writes_no_report(tmp_path, capsys, case):
+    rng = np.random.default_rng(7)
+    m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    d_in = "2" if case == "side-does-not-factor" else "3"
+    path = _write(tmp_path, "map.json", m)
+    out = tmp_path / "report.json"
+    code = main(["decompose", path, "--din", d_in, "--dout", "2", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == EXIT_SEMANTIC and err.startswith("error: ")
+    assert not out.exists()
 
 
 # --- decompose ------------------------------------------------------------------
@@ -456,16 +528,19 @@ def test_verify_bad_tolerance_exits_3(capsys, tol):
 
 
 def test_verify_dump_round_trips_family(tmp_path, capsys):
+    """verify 6 --dump: each file holds its process matrix bit for bit, and
+    the dump adds less to the peak than the text of one file (1.6 MB)."""
     dump = tmp_path / "mats"
-    code, _ = _run(capsys, ["verify", "3", "--dump", str(dump)])
+    code, peak = _traced(["verify", "6", "--dump", str(dump)])
     assert code == EXIT_OK
-    fam = CorrelatorFamily(3)
+    _, checks_only = _traced(["verify", "6"])
+    capsys.readouterr()
+    fam = CorrelatorFamily(6)
     chois = choi_builders(fam)
     for name, j in chois.items():
-        path = dump / f"choi_{name}_d3.json"
-        assert path.exists()
-        loaded = json_to_matrix(json.loads(path.read_text(encoding="utf-8")))
-        assert np.array_equal(loaded, j.matrix)
+        text = (dump / f"choi_{name}_d6.json").read_text(encoding="utf-8")
+        assert np.array_equal(json_to_matrix(json.loads(text)), j.matrix)
+        assert peak - checks_only < len(text)
 
 
 # --- experiment --------------------------------------------------------------------

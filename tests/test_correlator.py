@@ -285,6 +285,15 @@ def test_two_point_exact_pauli_example():
     assert abs(two_point_exact(KET0, SX, SY) - (-1j)) <= 1e-14
 
 
+@pytest.mark.parametrize("d", [2, 3, 5, 8, 16, 33, 64])
+def test_two_point_exact_matches_the_trace_of_the_product(d):
+    """One d^3 product and an elementwise sum give Tr[A rho B]."""
+    rng = np.random.default_rng(d)
+    rho, a, b = rand_state(rng, d), rand_herm(rng, d), rand_herm(rng, d)
+    want = np.trace(a @ rho @ b)
+    assert abs(two_point_exact(rho, a, b) - want) <= 1e-12 * abs(want)
+
+
 def test_correlator_family_rejects_d1():
     with pytest.raises(ValueError):
         CorrelatorFamily(1)
