@@ -13,6 +13,8 @@ produce identical output.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # Relative Frobenius tolerance for Hermiticity preconditions.
@@ -61,11 +63,14 @@ def partial_trace(m: np.ndarray, keep, dims) -> np.ndarray:
     return t.reshape(kept, kept)
 
 
-def eigenvalue_clusters(w: np.ndarray, tol: float) -> list[tuple[int, int]]:
-    """Index ranges [start, stop) of the runs of ascending eigenvalues ``w``
-    in which each neighbouring gap is <= tol, in order."""
-    edges = [0, *(np.flatnonzero(np.diff(w) > tol) + 1), len(w)]
-    return list(zip(edges[:-1], edges[1:]))
+def eigenvalue_clusters(w: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Start indices and sizes of the runs of ascending eigenvalues ``w`` in
+    which each neighbouring gap is <= tol, in order."""
+    # a run starts at 0 and after each gap above tol; the last ends at len(w)
+    edges = np.ones(len(w) + 1, dtype=bool)
+    edges[1:-1] = w[1:] - w[:-1] > tol
+    edges = edges.nonzero()[0]
+    return edges[:-1], edges[1:] - edges[:-1]
 
 
 def _canonical_eigenbasis(w: np.ndarray, v: np.ndarray):
@@ -77,8 +82,9 @@ def _canonical_eigenbasis(w: np.ndarray, v: np.ndarray):
         phase = col[pivot] / abs(col[pivot]) if abs(col[pivot]) > 0 else 1.0
         v[:, k] = col / phase
     # Lexicographic sort inside clusters of (numerically) equal eigenvalues.
-    for start, stop in eigenvalue_clusters(w, DEGENERACY_TOL):
-        if stop - start > 1:
+    for start, size in zip(*eigenvalue_clusters(w, DEGENERACY_TOL)):
+        if size > 1:
+            stop = start + size
             cols = sorted(
                 range(start, stop),
                 key=lambda k: tuple(
@@ -89,15 +95,28 @@ def _canonical_eigenbasis(w: np.ndarray, v: np.ndarray):
     return w, v
 
 
-def _checked_eigh(m: np.ndarray):
-    """eigh after validating squareness and hermiticity (relative Frobenius)."""
+_SQUARE = {"state": "state must be a square matrix", "observable": "observable must be square",
+           "matrix": "expected a square matrix"}
+
+
+def _hermitian(m: np.ndarray, name: str):
+    """``(m, (m + m^dag)/2)`` for a square matrix m with finite entries that is
+    Hermitian within ``HERM_TOL`` (relative Frobenius); ``name`` ("state",
+    "observable" or "matrix") is what a ``ValueError`` calls m."""
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    scale = max(np.linalg.norm(m), 1.0)
-    if np.linalg.norm(m - m.conj().T) > HERM_TOL * scale:
-        raise ValueError("matrix is not Hermitian within tolerance")
-    return np.linalg.eigh((m + m.conj().T) / 2)
+        raise ValueError(f"{_SQUARE[name]}, got shape {m.shape}")
+    scale = math.sqrt(np.vdot(m, m).real)  # Frobenius norms, as one BLAS call each
+    if not scale < math.inf:  # a non-finite entry, or a norm beyond float range
+        bad = np.argwhere(~np.isfinite(m))
+        if len(bad):
+            i, j = bad[0]
+            raise ValueError(f"{name} entry [{i}, {j}] is not finite: {m[i, j]}")
+    m_dag = m.conj().T
+    r = m - m_dag
+    if not math.sqrt(np.vdot(r, r).real) <= HERM_TOL * max(scale, 1.0):
+        raise ValueError(f"{name} is not Hermitian within tolerance")
+    return m, (m + m_dag) / 2
 
 
 def hermitian_eigendecomposition(m: np.ndarray):
@@ -109,7 +128,7 @@ def hermitian_eigendecomposition(m: np.ndarray):
     ``EIG_TOL``. Raises ``ValueError`` if ``m`` is not Hermitian within
     ``HERM_TOL`` (relative Frobenius).
     """
-    w, v = _checked_eigh(m)
+    w, v = np.linalg.eigh(_hermitian(m, "matrix")[1])
     return _canonical_eigenbasis(w, v)
 
 
@@ -120,7 +139,7 @@ def operator_absolute_value(m: np.ndarray) -> np.ndarray:
     deterministic basis canonicalization (which is slow on the large
     degenerate clusters these operators tend to have).
     """
-    w, v = _checked_eigh(m)
+    w, v = np.linalg.eigh(_hermitian(m, "matrix")[1])
     return (v * np.abs(w)) @ v.conj().T
 
 
@@ -159,30 +178,19 @@ def q_operator(d: int, sign: int) -> np.ndarray:
 
 def check_density_matrix(rho: np.ndarray, *, eig_floor: float = -1e-9,
                          trace_tol: float = 1e-9) -> np.ndarray:
-    """Validate rho as a state: Hermitian, min eigenvalue >= eig_floor,
+    """Validate rho as a state: finite, Hermitian, min eigenvalue >= eig_floor,
     |trace - 1| <= trace_tol. Returns rho as a complex array or raises
     ``ValueError``."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError(f"state must be a square matrix, got shape {rho.shape}")
-    scale = max(np.linalg.norm(rho), 1.0)
-    if np.linalg.norm(rho - rho.conj().T) > HERM_TOL * scale:
-        raise ValueError("state is not Hermitian within tolerance")
-    tr = np.trace(rho).real
-    if abs(np.trace(rho) - 1.0) > trace_tol:
-        raise ValueError(f"state trace {tr} is not 1 within {trace_tol}")
-    wmin = np.linalg.eigvalsh((rho + rho.conj().T) / 2).min()
-    if wmin < eig_floor:
+    rho, h = _hermitian(rho, "state")
+    tr = rho.trace()
+    if not abs(tr - 1.0) <= trace_tol:
+        raise ValueError(f"state trace {tr.real} is not 1 within {trace_tol}")
+    wmin = np.linalg.eigvalsh(h).min()
+    if not wmin >= eig_floor:
         raise ValueError(f"state has negative eigenvalue {wmin}")
     return rho
 
 
 def check_observable(a: np.ndarray) -> np.ndarray:
-    """Validate a Hermitian observable; returns it as a complex array."""
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"observable must be square, got shape {a.shape}")
-    scale = max(np.linalg.norm(a), 1.0)
-    if np.linalg.norm(a - a.conj().T) > HERM_TOL * scale:
-        raise ValueError("observable is not Hermitian within tolerance")
-    return a
+    """Validate a finite Hermitian observable; returns it as a complex array."""
+    return _hermitian(a, "observable")[0]

@@ -20,7 +20,9 @@ with Pi the spectral projectors of A and B, r = Tr Pi, t = Tr[rho Pi] and
 K_alpha,beta = Tr[Pi_alpha rho Pi_beta] the Kirkwood-Dirac quasiprobability
 of rho. ``_kirkwood_dirac_plans`` reads both pipelines' cells off this one
 d x d matrix, which costs O(d^3); the two-copy space never appears, and the
-cells of each branch sum to (c/4)(2d + 2 Re z) = 1/2.
+cells of each branch sum to (c/4)(2d + 2 Re z) = 1/2. ``estimate_two_point``
+validates rho, A and B once each, eigendecomposes A and B in one batched
+``eigh``, and builds all four branches' cells in one broadcast.
 
 ``estimate_component`` takes any instrument decomposition instead, and
 ``_component_plan`` reads its cells off each branch's Kraus stack rotated
@@ -35,6 +37,8 @@ so the same (seed, pipeline tag, n) gives the same counts.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,13 +46,7 @@ import numpy as np
 from .choi import _kraus_stack
 from .correlator import two_point_exact
 from .decomposition import StatisticalDecomposition
-from .linalg import (
-    DEGENERACY_TOL,
-    _checked_eigh,
-    check_density_matrix,
-    check_observable,
-    eigenvalue_clusters,
-)
+from .linalg import DEGENERACY_TOL, _hermitian, check_density_matrix, eigenvalue_clusters
 
 # Documented default seed for reproducible-by-default runs.
 DEFAULT_SEED = 0x2A
@@ -72,19 +70,21 @@ class EstimationReport:
     seed: int
 
 
-def _outcomes(x):
-    """``(eigenvectors, starts, values)`` of a Hermitian observable: the
-    start index of each cluster of eigenvalues within ``DEGENERACY_TOL``
-    and its outcome value, the cluster's mean. Cluster sums do not depend
-    on the basis chosen inside a cluster, so the basis is not canonicalised."""
-    w, u = _checked_eigh(x)
-    starts = np.array([start for start, _ in eigenvalue_clusters(w, DEGENERACY_TOL)])
-    return u, starts, np.add.reduceat(w, starts) / np.diff(starts, append=len(w))
+def _outcomes(*hs):
+    """Yields ``(eigenvectors, starts, sizes, values)`` of each Hermitian
+    matrix in ``hs`` (all of one shape) from one batched ``eigh``: the start
+    index and size of each cluster of eigenvalues within ``DEGENERACY_TOL``,
+    and its outcome value, the cluster's mean. Cluster sums do not depend on
+    the basis chosen inside a cluster, so the basis is not canonicalised."""
+    ws, us = np.linalg.eigh(np.array(hs))
+    for w, u in zip(ws, us):
+        starts, sizes = eigenvalue_clusters(w, DEGENERACY_TOL)
+        yield u, starts, sizes, np.add.reduceat(w, starts) / sizes
 
 
 def _plan(cells, lams, avals, bvals):
-    """``(cell_probs, values)`` from each branch's clipped cells
-    p(i) q_i(alpha, beta), alpha slowest.
+    """``(cell_probs, values)`` from the (branches, cells) array of clipped
+    cells p(i) q_i(alpha, beta), alpha slowest, and the branch weights.
 
     ``values[i, j]`` is the recorded value lambda_i * alpha * beta of branch
     i and outcome pair j. ``cell_probs`` holds the cells in the order of
@@ -92,17 +92,19 @@ def _plan(cells, lams, avals, bvals):
     they sum to 1. Branches of zero probability are dropped: they are never
     drawn.
     """
-    kept = [(q, lam) for q, lam in zip(cells, lams) if q.sum() > 1e-15]
-    if not kept:
-        raise ValueError("all branch probabilities vanish for this state")
-    total = sum(q.sum() for q, _ in kept)
-    if abs(total - 1.0) > 1e-8:
+    sums = cells.sum(axis=1)
+    kept = sums > 1e-15
+    if not kept.all():
+        if not kept.any():
+            raise ValueError("all branch probabilities vanish for this state")
+        cells, sums, lams = cells[kept], sums[kept], lams[kept]
+    total = sum(sums.tolist())
+    if not abs(total - 1.0) <= 1e-8:
         raise ValueError(
             f"branch probabilities sum to {total}, not 1: not an instrument"
         )
-    lams = np.array([lam for _, lam in kept])
     values = ((lams[:, None] * avals)[:, :, None] * bvals).reshape(len(lams), -1)
-    return np.concatenate([q for q, _ in kept]) / total, values
+    return cells.ravel() / total, values
 
 
 def _component_plan(decomp, rho, a, b):
@@ -115,10 +117,12 @@ def _component_plan(decomp, rho, a, b):
     cells; no conditional two-copy state or spectral projector is formed.
     """
     rho = check_density_matrix(rho)
-    (ua, sa, avals), (ub, sb, bvals) = (_outcomes(check_observable(x)) for x in (a, b))
+    [(ua, sa, _, avals)], [(ub, sb, _, bvals)] = (
+        _outcomes(_hermitian(x, "observable")[1]) for x in (a, b)
+    )
     da, db, d_in = len(ua), len(ub), len(rho)
-    cells = []
-    for eff in decomp.effects:
+    cells = np.empty((len(decomp.effects), len(avals) * len(bvals)))
+    for cell, eff in zip(cells, decomp.effects):
         k = _kraus_stack(eff)
         if k.shape[1:] != (da * db, d_in):
             raise ValueError(
@@ -129,37 +133,36 @@ def _component_plan(decomp, rho, a, b):
         m = (ub.conj().T @ m).reshape(-1, da, db, d_in)
         born = ((m @ rho) * m.conj()).real.sum(axis=(0, 3))
         born = np.add.reduceat(np.add.reduceat(born, sa, axis=0), sb, axis=1)
-        cells.append(np.maximum(born, 0.0).ravel())
-    return _plan(cells, decomp.weights, avals, bvals)
+        cell[:] = np.maximum(born, 0.0).ravel()
+    return _plan(cells, np.array(decomp.weights, dtype=float), avals, bvals)
 
 
-def _kirkwood_dirac_plans(rho, a, b):
+def _kirkwood_dirac_plans(rho, ha, hb):
     """``_plan`` of the universal real- and imaginary-part instruments at
     once, from the Kirkwood-Dirac matrix K of rho (see the module
-    docstring). ``rho``, ``a`` and ``b`` are validated d x d arrays, d >= 2.
+    docstring). ``rho`` is a validated d x d state, d >= 2, and ``ha`` and
+    ``hb`` are the Hermitian parts of the validated d x d observables.
 
     K is the cluster sum of (U_A^dag rho U_B) o conj(U_A^dag U_B), and its
-    row and column sums are t_alpha and t_beta.
+    row and column sums are t_alpha and t_beta. The four branches' cells
+    come from one broadcast over their (c, z), in the order of
+    universal_real_decomposition and universal_imag_decomposition.
     """
     d = len(rho)
-    (ua, sa, avals), (ub, sb, bvals) = _outcomes(a), _outcomes(b)
+    (ua, sa, ra, avals), (ub, sb, rb, bvals) = _outcomes(ha, hb)
     ua_dag = ua.conj().T
     kd = (ua_dag @ rho @ ub) * (ua_dag @ ub).conj()
     kd = np.add.reduceat(np.add.reduceat(kd, sa, axis=0), sb, axis=1)
-    ra, rb = np.diff(sa, append=d), np.diff(sb, append=d)
-    local = np.outer(ra, kd.sum(axis=0).real) + np.outer(kd.sum(axis=1).real, rb)
-
-    def cells(z, c):
-        """The cells of the branch c G (1 (x) rho) G^dag, G = (1 + zS)/2."""
-        return np.maximum(c / 4 * (local + 2 * (z * kd).real), 0.0).ravel()
-
-    # weights and branches in the order of universal_real_decomposition and
-    # universal_imag_decomposition
-    z = (-1 + 1j * np.sqrt(d * d - 1)) / d
-    lam, c = float(np.sqrt(d * d - 1)), d / (d * d - 1)
+    local = ra[:, None] * kd.sum(axis=0).real + kd.sum(axis=1).real[:, None] * rb
+    lam = math.sqrt(d * d - 1)
+    z = complex(-1, lam) / d
+    zs = np.array([1.0, -1.0, z, z.conjugate()])[:, None, None]
+    c = np.array([1 / (d + 1), 1 / (d - 1), d / (d * d - 1), d / (d * d - 1)])
+    cells = np.maximum((c / 4)[:, None, None] * (local + 2 * (zs * kd).real), 0.0)
+    cells = cells.reshape(2, 2, -1)
     return (
-        _plan([cells(1.0, 1 / (d + 1)), cells(-1.0, 1 / (d - 1))], (d + 1.0, 1.0 - d), avals, bvals),
-        _plan([cells(z, c), cells(np.conj(z), c)], (lam, -lam), avals, bvals),
+        _plan(cells[0], np.array([d + 1.0, 1.0 - d]), avals, bvals),
+        _plan(cells[1], np.array([lam, -lam]), avals, bvals),
     )
 
 
@@ -183,6 +186,17 @@ def _sample(plan, n_shots, rng):
     return mean, se
 
 
+def _integer(x, name):
+    """``x`` as an ``int``; a ``ValueError`` unless it is an integer other
+    than a bool (NumPy integers count)."""
+    try:
+        if not isinstance(x, bool):
+            return operator.index(x)
+    except TypeError:
+        pass
+    raise ValueError(f"{name} must be an integer, got {x!r}")
+
+
 def estimate_component(
     decomp: StatisticalDecomposition,
     rho: np.ndarray,
@@ -199,6 +213,7 @@ def estimate_component(
     signature only because the benchmark's layer probes
     (``perfbench/tracing.py``) pass it.
     """
+    n_shots = _integer(n_shots, "n_shots")
     if not 1 <= n_shots <= 2**63 - 1:  # cell counts are int64
         raise ValueError(f"need between 1 and 2**63 - 1 shots, got {n_shots}")
     return _sample(_component_plan(decomp, rho, a, b), n_shots, rng)
@@ -216,9 +231,13 @@ def estimate_two_point(
     mean. ``split`` is the fraction of the budget spent on the real part
     (default even split; the real part gets the odd shot). ``n_shots`` may be
     up to 2**63 - 1 at no extra cost, and the plan costs O(d^3)."""
+    n_shots = _integer(n_shots, "n_shots")
+    seed = _integer(seed, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     rho = check_density_matrix(rho)
-    a = check_observable(a)
-    b = check_observable(b)
+    a, ha = _hermitian(a, "observable")
+    b, hb = _hermitian(b, "observable")
     d = rho.shape[0]
     if d < 2:
         raise ValueError("estimation requires dimension >= 2")
@@ -239,7 +258,7 @@ def estimate_two_point(
         raise ValueError(
             f"split {split} starves one pipeline ({n_real} real / {n_imag} imag shots)"
         )
-    real_plan, imag_plan = _kirkwood_dirac_plans(rho, a, b)
+    real_plan, imag_plan = _kirkwood_dirac_plans(rho, ha, hb)
     re_mean, re_se = _sample(
         real_plan, n_real, np.random.SeedSequence(seed, spawn_key=(_REAL_TAG,))
     )
@@ -251,5 +270,5 @@ def estimate_two_point(
         std_error=(re_se, im_se),
         n_shots=n_shots,
         exact=two_point_exact(rho, a, b),
-        seed=int(seed),
+        seed=seed,
     )

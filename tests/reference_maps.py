@@ -200,9 +200,9 @@ def spectral_projectors(obs: np.ndarray, tol: float = DEGENERACY_TOL):
     w, v = hermitian_eigendecomposition(obs)
     values: list[float] = []
     projs: list[np.ndarray] = []
-    for start, stop in eigenvalue_clusters(w, tol):
-        block = v[:, start:stop]
-        values.append(float(np.mean(w[start:stop])))
+    for start, size in zip(*eigenvalue_clusters(w, tol)):
+        block = v[:, start:start + size]
+        values.append(float(np.mean(w[start:start + size])))
         projs.append(block @ block.conj().T)
     return values, projs
 

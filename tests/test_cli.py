@@ -414,6 +414,16 @@ def test_estimate_zero_shots_exits_3(tmp_path, capsys):
     assert code == EXIT_SEMANTIC
 
 
+
+def test_estimate_negative_seed_exits_3(tmp_path, capsys):
+    rho = _write(tmp_path, "rho.json", KET0)
+    a = _write(tmp_path, "a.json", SX)
+    code = main(["estimate", rho, a, a, "--seed", "-1"])
+    captured = capsys.readouterr()
+    assert code == EXIT_SEMANTIC
+    assert captured.out == ""
+    assert captured.err == "error: seed must be non-negative, got -1\n"
+
 def test_estimate_shot_budget_range(tmp_path, capsys):
     """Budgets up to 2**63 - 1 run (the counts are int64); above, one error
     line and exit 3."""

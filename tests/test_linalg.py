@@ -141,9 +141,13 @@ def test_eigendecomposition_rejects_non_hermitian():
 
 def test_eigenvalue_clusters_split_at_gaps_above_tol():
     w = np.array([-1.0, -1.0 + 1e-10, 0.5, 2.0, 2.0, 2.0 + 2e-10])
-    assert eigenvalue_clusters(w, 1e-9) == [(0, 2), (2, 3), (3, 6)]
-    assert eigenvalue_clusters(w, 0.0) == [(0, 1), (1, 2), (2, 3), (3, 5), (5, 6)]
-    assert eigenvalue_clusters(np.array([3.0]), 1e-9) == [(0, 1)]
+    for tol, starts, sizes in [
+        (1e-9, [0, 2, 3], [2, 1, 3]),
+        (0.0, [0, 1, 2, 3, 5], [1, 1, 1, 2, 1]),
+    ]:
+        got = eigenvalue_clusters(w, tol)
+        assert [a.tolist() for a in got] == [starts, sizes]
+    assert [a.tolist() for a in eigenvalue_clusters(np.array([3.0]), 1e-9)] == [[0], [1]]
 
 
 # --- operator_absolute_value ----------------------------------------------

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -221,3 +223,15 @@ def test_recombination_rejects_wrong_size_observable():
     stats = simulate_optics(np.eye(2, dtype=complex) / 2)
     with pytest.raises(ValueError, match="polarization"):
         recombine_coincidences(stats, np.eye(4), np.eye(4))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("arg", [0, 1])
+def test_recombination_rejects_non_finite_observable(arg, value):
+    stats = simulate_optics(np.eye(2, dtype=complex) / 2)
+    obs = [SX.copy(), SZ.copy()]
+    obs[arg][0, 1] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^observable entry \[0, 1\] is not finite"):
+            recombine_coincidences(stats, *obs)

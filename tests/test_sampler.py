@@ -1,4 +1,6 @@
+import hashlib
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +16,8 @@ from twopoint.correlator import (
 )
 from twopoint.choi import ChoiOperator, apply_choi
 from twopoint.decomposition import StatisticalDecomposition, statistical_decompose
+from twopoint.linalg import _hermitian, check_density_matrix
+import twopoint.sampler as sampler
 from twopoint.sampler import (
     DEFAULT_SEED,
     _cell_counts,
@@ -657,6 +661,13 @@ def test_rejects_budget_above_int64():
         estimate_component(dec, KET0, SX, SY, 2**63, np.random.SeedSequence(0))
 
 
+def test_estimate_component_rejects_fractional_shots():
+    """100.5 shots would draw 100 and divide their sum by 100.5."""
+    dec = universal_real_decomposition(2)
+    with pytest.raises(ValueError, match="n_shots must be an integer, got 100.5"):
+        estimate_component(dec, KET0, SX, SY, 100.5, np.random.SeedSequence(0))
+
+
 def test_rejects_starving_split():
     with pytest.raises(ValueError, match="split"):
         estimate_two_point(KET0, SX, SY, n_shots=10, split=0.999)
@@ -673,3 +684,218 @@ def test_rejects_scalar_system():
 def test_rejects_mismatched_observable():
     with pytest.raises(ValueError):
         estimate_two_point(KET0, np.eye(3), SX, n_shots=100)
+
+
+_NON_HERMITIAN = np.array([[0, 1], [0, 0]], dtype=complex)
+
+# One fault per input, with the message estimate_two_point gave before its
+# checks were fused (commit 3348c67): which error a user sees must not move.
+SINGLE_FAULTS = {
+    "non-square-state": (
+        (np.ones((2, 3)) / 2, SX, SY), {}, "state must be a square matrix, got shape (2, 3)"
+    ),
+    "non-square-a": ((KET0, np.ones((2, 3)), SY), {}, "observable must be square, got shape (2, 3)"),
+    "non-square-b": ((KET0, SX, np.ones((3, 2))), {}, "observable must be square, got shape (3, 2)"),
+    "non-hermitian-state": (
+        (np.array([[0.5, 1], [0, 0.5]]), SX, SY), {}, "state is not Hermitian within tolerance"
+    ),
+    "trace-not-1": ((np.eye(2), SX, SY), {}, "state trace 2.0 is not 1 within 1e-09"),
+    "negative-eigenvalue": (
+        (np.diag([1.5, -0.5]), SX, SY), {}, "state has negative eigenvalue -0.5"
+    ),
+    "non-hermitian-a": ((KET0, _NON_HERMITIAN, SY), {}, "observable is not Hermitian within tolerance"),
+    "non-hermitian-b": ((KET0, SX, _NON_HERMITIAN), {}, "observable is not Hermitian within tolerance"),
+    "shape-mismatch": (
+        (KET0, np.eye(3), SY), {}, "observable shapes (3, 3), (2, 2) do not match state dimension 2"
+    ),
+    "d-1": ((ONE, ONE, ONE), {}, "estimation requires dimension >= 2"),
+    "one-shot": (
+        (KET0, SX, SY), {"n_shots": 1},
+        "need between 2 and 2**63 - 1 shots to run both pipelines, got 1",
+    ),
+    "shots-above-int64": (
+        (KET0, SX, SY), {"n_shots": 2**63},
+        "need between 2 and 2**63 - 1 shots to run both pipelines, got 9223372036854775808",
+    ),
+    "split-above-1": ((KET0, SX, SY), {"split": 1.5}, "split must lie strictly between 0 and 1, got 1.5"),
+    "split-0": ((KET0, SX, SY), {"split": 0.0}, "split must lie strictly between 0 and 1, got 0.0"),
+    "starved-pipeline": (
+        (KET0, SX, SY), {"n_shots": 10, "split": 0.999},
+        "split 0.999 starves one pipeline (10 real / 0 imag shots)",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", SINGLE_FAULTS)
+def test_single_fault_keeps_its_message(fault):
+    args, kwargs, message = SINGLE_FAULTS[fault]
+    with pytest.raises(ValueError) as exc:
+        estimate_two_point(*args, **{"n_shots": 100, **kwargs})
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("entry", [(0, 0), (1, 0)])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("arg", [0, 1, 2])
+def test_rejects_non_finite_entry(arg, value, entry):
+    """NaN and infinities are named, not carried into the arithmetic (NaN
+    compares false with every tolerance)."""
+    args = [MIXED2.copy(), SX.copy(), SZ.copy()]
+    args[arg][entry] = value
+    name = ("state", "observable", "observable")[arg]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        message = rf"^{name} entry \[{entry[0]}, {entry[1]}\] is not finite"
+        with pytest.raises(ValueError, match=message):
+            estimate_two_point(*args, 100)
+
+
+def _no_work(*args):
+    raise AssertionError("the estimate began before its arguments were checked")
+
+
+BAD_COUNTS = {
+    "fractional-shots": ({"n_shots": 100000.5}, "n_shots must be an integer, got 100000.5"),
+    "float-shots": ({"n_shots": 1e5}, "n_shots must be an integer, got 100000.0"),
+    "bool-shots": ({"n_shots": True}, "n_shots must be an integer, got True"),
+    "str-shots": ({"n_shots": "100"}, "n_shots must be an integer, got '100'"),
+    "no-seed": ({"seed": None}, "seed must be an integer, got None"),
+    "float-seed": ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+    "bool-seed": ({"seed": False}, "seed must be an integer, got False"),
+    "negative-seed": ({"seed": -1}, "seed must be non-negative, got -1"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_COUNTS)
+def test_rejects_bad_shot_count_or_seed_before_any_work(monkeypatch, case):
+    kwargs, message = BAD_COUNTS[case]
+    monkeypatch.setattr(sampler, "check_density_matrix", _no_work)
+    monkeypatch.setattr(sampler, "_kirkwood_dirac_plans", _no_work)
+    with pytest.raises(ValueError) as exc:
+        estimate_two_point(KET0, SX, SY, **{"n_shots": 1000, **kwargs})
+    assert str(exc.value) == message
+
+
+def test_numpy_integer_shots_and_seed_give_the_int_report():
+    ref = estimate_two_point(KET0, SX, SY, 1000, seed=7)
+    for n, seed in [(np.int64(1000), 7), (1000, np.uint32(7)), (np.int32(1000), np.int64(7))]:
+        report = estimate_two_point(KET0, SX, SY, n, seed=seed)
+        assert report == ref
+        assert type(report.n_shots) is int and type(report.seed) is int
+
+
+# --- pinned bits -----------------------------------------------------------------------
+
+
+def _pinned_input(rng, d, kind):
+    """A mixed or pure state, or a generic or two-valued (Householder)
+    observable, built from one d x d complex Gaussian draw."""
+    x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    if kind == "mixed":
+        m = x @ x.conj().T
+        return m / np.trace(m).real
+    if kind == "pure":
+        return np.outer(x[0], x[0].conj()) / np.vdot(x[0], x[0]).real
+    if kind == "two_valued":
+        return np.eye(d) - 2 * np.outer(x[0], x[0].conj()) / np.vdot(x[0], x[0]).real
+    return x + x.conj().T
+
+
+# float.hex of estimate (real, imag), std_error (real part, imag part) and
+# exact (real, imag) at seed 7, keyed "d-state-A-B-n_shots", as computed by
+# commit 3348c67, before validation and eigendecomposition were fused.
+PINNED_BITS = {
+    "2-mixed-generic-generic-2":
+        "0x1.3f3e98353eb99p+2 -0x1.25237b35e97dfp+2 0x0.0p+0 0x0.0p+0 0x1.3a15bdab2e8cfp-1 0x1.25322e7e3d148p-3",
+    "2-mixed-generic-generic-10000000":
+        "0x1.37b66d13a5e6dp-1 0x1.264344a4571e8p-3 0x1.2b500cc7e21e3p-9 0x1.ce0233196f330p-10 0x1.3a15bdab2e8cfp-1 0x1.25322e7e3d148p-3",
+    "2-pure-two_valued-generic-2":
+        "0x1.c35a30c634c64p+1 -0x1.9e7183322f7d5p+1 0x0.0p+0 0x0.0p+0 0x1.00ae50ad4f897p+0 -0x1.b255ca8e8478fp-1",
+    "2-pure-two_valued-generic-10000000":
+        "0x1.ffd9de0a08d80p-1 -0x1.b24aba5661fa2p-1 0x1.8186906b2236bp-10 0x1.2a30fbb25eb0fp-10 0x1.00ae50ad4f897p+0 -0x1.b255ca8e8478fp-1",
+    "2-mixed-generic-two_valued-2":
+        "0x1.0f9b13e479877p+2 0x1.399f92a6f4cd4p+1 0x0.0p+0 0x0.0p+0 -0x1.39862a2a0ebbdp+0 -0x1.1fce47671bb0fp-2",
+    "2-mixed-generic-two_valued-10000000":
+        "-0x1.3a55b285513f0p+0 -0x1.200cc13b4f113p-2 0x1.5bdcd887a8f9bp-10 0x1.227d2c07cb20dp-10 -0x1.39862a2a0ebbdp+0 -0x1.1fce47671bb0fp-2",
+    "3-mixed-generic-generic-2":
+        "-0x1.10922fb57f130p+6 -0x1.817941ec58446p+5 0x0.0p+0 0x0.0p+0 -0x1.b45ff502e7c44p+2 0x1.a6eef9da0fc50p-4",
+    "3-mixed-generic-generic-10000000":
+        "-0x1.b2f79cf9bfc7bp+2 0x1.a902cd04e8143p-4 0x1.358dd20c02d86p-6 0x1.24a45aa863086p-6 -0x1.b45ff502e7c44p+2 0x1.a6eef9da0fc50p-4",
+    "3-pure-two_valued-generic-2":
+        "-0x1.ad0f44becc815p+4 0x1.0afc14ec24031p+2 0x0.0p+0 0x0.0p+0 -0x1.bca5e6506a934p-2 0x1.dd308d323495fp-3",
+    "3-pure-two_valued-generic-10000000":
+        "-0x1.b6d72cfffac06p-2 0x1.ce9cbdd72c5cbp-3 0x1.c4f47b0abf294p-8 0x1.8705720c67299p-8 -0x1.bca5e6506a934p-2 0x1.dd308d323495fp-3",
+    "3-mixed-generic-two_valued-2":
+        "0x1.4542d18c8f1ccp+3 -0x1.ca8b337f3e91fp-3 0x0.0p+0 0x0.0p+0 0x1.0c1f8d0063e70p+0 -0x1.23c506b2a0edfp-1",
+    "3-mixed-generic-two_valued-10000000":
+        "0x1.0b0cb70046a1dp+0 -0x1.20ac134275198p-1 0x1.0057df4dcf3eap-8 0x1.d1fa92907d2edp-9 0x1.0c1f8d0063e70p+0 -0x1.23c506b2a0edfp-1",
+    "4-mixed-generic-generic-2":
+        "-0x1.0e52379e9d9fep+1 0x1.5cfbada6e8a9dp+1 0x0.0p+0 0x0.0p+0 -0x1.dfc766084d390p-2 -0x1.86024790c6680p+1",
+    "4-mixed-generic-generic-10000000":
+        "-0x1.d7a2f0097e88ap-2 -0x1.892fe33f6fa27p+1 0x1.cd1507421bd86p-6 0x1.b0d3647980ca4p-6 -0x1.dfc766084d390p-2 -0x1.86024790c6680p+1",
+    "4-pure-two_valued-generic-2":
+        "0x1.9fc83c490392fp+3 -0x1.4e0a2378d8060p+4 0x0.0p+0 0x0.0p+0 -0x1.f3ec90531e4fep+1 -0x1.def799941e620p+0",
+    "4-pure-two_valued-generic-10000000":
+        "-0x1.f48be7ddab4d5p+1 -0x1.dfd0918b64dd0p+0 0x1.409b43d43de8cp-7 0x1.2e71367f395f8p-7 -0x1.f3ec90531e4fep+1 -0x1.def799941e620p+0",
+    "4-mixed-generic-two_valued-2":
+        "0x1.6af6b5fa13415p+2 -0x1.69f3b48569887p+2 0x0.0p+0 0x0.0p+0 -0x1.4d63e140064e6p-2 -0x1.0d7f8834ac92cp-2",
+    "4-mixed-generic-two_valued-10000000":
+        "-0x1.497ba4fcc9b5fp-2 -0x1.155f4e19fc108p-2 0x1.687171ab6708fp-8 0x1.524b43828e3cdp-8 -0x1.4d63e140064e6p-2 -0x1.0d7f8834ac92cp-2",
+    "8-mixed-generic-generic-2":
+        "0x1.859105f831d0ap+8 -0x1.c6300c86583c8p+6 0x0.0p+0 0x0.0p+0 0x1.5a12f0041b730p-2 0x1.44ea0463b06efp-1",
+    "8-mixed-generic-generic-10000000":
+        "0x1.91b529bc5fe40p-2 0x1.3b417d8a04393p-1 0x1.9f4d6b1a1ff39p-4 0x1.98edebc6825cdp-4 0x1.5a12f0041b730p-2 0x1.44ea0463b06efp-1",
+    "8-pure-two_valued-generic-2":
+        "0x1.9f15f3e6af96ep+4 -0x1.d6a9ba996b35ap+4 0x0.0p+0 0x0.0p+0 -0x1.23fc9d8f537d0p+0 0x1.d6383ae2556b3p-2",
+    "8-pure-two_valued-generic-10000000":
+        "-0x1.2b9110211e710p+0 0x1.de841aed01609p-2 0x1.1f28a2322568fp-6 0x1.1aed0b7a960bcp-6 -0x1.23fc9d8f537d0p+0 0x1.d6383ae2556b3p-2",
+    "8-mixed-generic-two_valued-2":
+        "0x1.0d405a953f06ep+6 0x1.daea30386a072p+5 0x0.0p+0 0x0.0p+0 0x1.3c622f6f7edbfp+0 -0x1.00d6ad391abf8p-3",
+    "8-mixed-generic-two_valued-10000000":
+        "0x1.42a7b0c7c1e8bp+0 -0x1.1689ab0f0c7a9p-3 0x1.5898be2d696e8p-6 0x1.535b1a5ed03f3p-6 0x1.3c622f6f7edbfp+0 -0x1.00d6ad391abf8p-3",
+    "16-mixed-generic-generic-2":
+        "-0x1.cad1345904434p+7 -0x1.f2668f163273dp+9 0x0.0p+0 0x0.0p+0 0x1.6f93159140db1p+1 0x1.34ec5b7f8b0f9p+1",
+    "16-mixed-generic-generic-10000000":
+        "0x1.7a7a77db8365cp+1 0x1.56c59973dda5bp+1 0x1.02ce9ed32cd8fp-1 0x1.01f6a2f9b4bc6p-1 0x1.6f93159140db1p+1 0x1.34ec5b7f8b0f9p+1",
+    "16-pure-two_valued-generic-2":
+        "0x1.03483a7ba41f6p+8 0x1.e2a1144a6148cp+4 0x0.0p+0 0x0.0p+0 -0x1.ad587bb45f59cp-5 0x1.bac7ad5925414p-4",
+    "16-pure-two_valued-generic-10000000":
+        "-0x1.dedaf75c60ba5p-5 0x1.e4a459f401418p-5 0x1.0c6af91b8590fp-4 0x1.0b3c89ddea722p-4 -0x1.ad587bb45f59cp-5 0x1.bac7ad5925414p-4",
+    "16-mixed-generic-two_valued-2":
+        "0x1.343ca88c35cfcp+3 0x1.892fff7993e18p+6 0x0.0p+0 0x0.0p+0 0x1.a4cd3460cfefap-2 0x1.d6a84d7c1d380p-9",
+    "16-mixed-generic-two_valued-10000000":
+        "0x1.f116fe6e21ef7p-2 -0x1.31ea869dab8c1p-5 0x1.cbb17dad90c74p-5 0x1.c9e6dd4cb3165p-5 0x1.a4cd3460cfefap-2 0x1.d6a84d7c1d380p-9",
+}
+
+
+@pytest.mark.parametrize("case", PINNED_BITS)
+def test_estimate_bits_match_parent(case):
+    """The determinism contract: the same inputs and seed give the same bits
+    in every field of the report."""
+    d, *kinds, n = case.split("-")
+    rng = np.random.default_rng(int(d))
+    rho, a, b = (_pinned_input(rng, int(d), kind) for kind in kinds)
+    r = estimate_two_point(rho, a, b, int(n), seed=7)
+    fields = (r.estimate.real, r.estimate.imag, *r.std_error, r.exact.real, r.exact.imag)
+    assert " ".join(float(x).hex() for x in fields) == PINNED_BITS[case]
+
+
+def test_plan_bits_match_parent():
+    """Both pipelines' cell probabilities and recorded values over the pinned
+    inputs, byte for byte, as commit 3348c67 computed them. The report's bits
+    cannot show a last-bit change in a cell probability unless it flips a
+    draw, so the order of the plan's arithmetic is pinned here."""
+    digest = hashlib.sha256()
+    for case in PINNED_BITS:
+        d, *kinds, n = case.split("-")
+        if n != "2":  # the plan does not depend on the shot count
+            continue
+        rng = np.random.default_rng(int(d))
+        rho, a, b = (_pinned_input(rng, int(d), kind) for kind in kinds)
+        ha, hb = (_hermitian(x, "observable")[1] for x in (a, b))
+        for probs, values in _kirkwood_dirac_plans(check_density_matrix(rho), ha, hb):
+            digest.update(probs.tobytes())
+            digest.update(values.tobytes())
+    assert digest.hexdigest() == (
+        "425c000d0a3ef5a2c27bcd9292c987b4cf5c9ae400507feeb2e3775d3f405ffe"
+    )
