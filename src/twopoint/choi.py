@@ -21,15 +21,12 @@ r costs QR and eigendecompositions of 2r-sided matrices, not of J.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 
 import numpy as np
 
-from .linalg import hermitian_eigendecomposition
-
-# Eigenvalues below KRAUS_RTOL * (max eigenvalue) are treated as zero rank
-# when extracting Kraus operators.
-KRAUS_RTOL = 1e-12
+from .linalg import KRAUS_RTOL, PSD_TOL, TP_TOL, hermitian_eigendecomposition, is_hermitian
 
 
 class ChoiOperator:
@@ -64,10 +61,7 @@ class ChoiOperator:
         side = d_out * d_in
         m = np.asarray(matrix, dtype=complex)
         if m.shape != (side, side):
-            raise ValueError(
-                f"matrix shape {m.shape} does not match dims "
-                f"(d_out*d_in = {side})"
-            )
+            raise ValueError(f"matrix shape {m.shape} does not match dims (d_out*d_in = {side})")
         self._matrix = m
 
     @property
@@ -145,9 +139,7 @@ def apply_choi(j: ChoiOperator, m: np.ndarray) -> np.ndarray:
     """
     m = np.asarray(m, dtype=complex)
     if m.shape != (j.d_in, j.d_in):
-        raise ValueError(
-            f"input shape {m.shape} does not match map input dimension {j.d_in}"
-        )
+        raise ValueError(f"input shape {m.shape} does not match map input dimension {j.d_in}")
     if j.stacks is not None:
         left, right = j.stacks
         return np.tensordot(left @ m, right.conj(), axes=([0, 2], [0, 2]))
@@ -157,53 +149,49 @@ def apply_choi(j: ChoiOperator, m: np.ndarray) -> np.ndarray:
     return np.einsum("kilj,ij->kl", t, m)
 
 
-def is_hermiticity_preserving(j: ChoiOperator, tol: float = 1e-10) -> bool:
-    """True iff ||J - J^dag||_F <= tol * ||J||_F."""
-    c = j._compressed[1]
-    return np.linalg.norm(c - c.conj().T) <= tol * np.linalg.norm(c)
+def is_hermiticity_preserving(j: ChoiOperator) -> bool:
+    """True iff ||J - J^dag||_F <= HERM_TOL ||J||_F."""
+    return is_hermitian(j._compressed[1])
 
 
-def is_completely_positive(j: ChoiOperator, tol: float = 1e-10) -> bool:
-    """True iff J is Hermitian within tol (absolute, Frobenius) and its
-    Hermitian part is PSD within -tol.
+def is_completely_positive(j: ChoiOperator) -> bool:
+    """True iff J is Hermitian within ``HERM_TOL`` and the least eigenvalue
+    of its Hermitian part is >= -PSD_TOL ||J||_F (||J||_F = ||C||_F).
 
     J is zero outside the span of Q. Those zero eigenvalues are in C's
     spectrum too: C = A B^dag for a stack of r pairs has rank <= r, and Q
     has 2r columns unless it spans the whole space."""
     c = j._compressed[1]
-    if np.linalg.norm(c - c.conj().T) > tol:
-        return False
-    return np.linalg.eigvalsh((c + c.conj().T) / 2).min() >= -tol
+    h = (c + c.conj().T) / 2
+    return is_hermitian(c) and np.linalg.eigvalsh(h).min() >= -PSD_TOL * np.linalg.norm(c)
 
 
-def is_trace_preserving(j: ChoiOperator, tol: float = 1e-10) -> bool:
-    """True iff tracing out the output factor of J leaves the identity."""
-    return np.linalg.norm(j._input_marginal - np.eye(j.d_in)) <= tol
+def is_trace_preserving(j: ChoiOperator) -> bool:
+    """True iff tracing out the output factor of J leaves the identity 1:
+    ||Tr_out J - 1||_F <= TP_TOL ||1||_F."""
+    return np.linalg.norm(j._input_marginal - np.eye(j.d_in)) <= TP_TOL * math.sqrt(j.d_in)
 
 
-def kraus_from_choi(j: ChoiOperator, tol: float = 1e-10) -> list[np.ndarray]:
+def kraus_from_choi(j: ChoiOperator) -> list[np.ndarray]:
     """Extract Kraus operators K_a with sum_a K_a m K_a^dag = apply_choi(j, m).
 
-    Requires ``j`` completely positive within ``tol``. Eigenvectors are scaled
+    Requires ``j`` completely positive. Eigenvectors are scaled
     by sqrt(eigenvalue); eigenvalues below ``KRAUS_RTOL`` times the largest are
     dropped. Each eigenvector reshapes to a (d_out, d_in) operator because the
     output index is the slowest.
     """
-    if not is_completely_positive(j, tol):
+    if not is_completely_positive(j):
         raise ValueError("map is not completely positive within tolerance")
     w, v = hermitian_eigendecomposition((j.matrix + j.matrix.conj().T) / 2)
     cutoff = KRAUS_RTOL * max(w.max(), 0.0)
-    ops = []
-    for k in range(w.size - 1, -1, -1):  # largest eigenvalue first
-        if w[k] <= cutoff:
-            break
-        ops.append(np.sqrt(w[k]) * v[:, k].reshape(j.d_out, j.d_in))
-    return ops
+    # largest eigenvalue first
+    return [np.sqrt(w[k]) * v[:, k].reshape(j.d_out, j.d_in) for k in range(w.size - 1, -1, -1)
+            if w[k] > cutoff]
 
 
-def _kraus_stack(j: ChoiOperator, tol: float = 1e-10) -> np.ndarray:
+def _kraus_stack(j: ChoiOperator) -> np.ndarray:
     """The (r, d_out, d_in) Kraus stack of a CP map: the one it carries, else
     the one ``kraus_from_choi`` extracts (which raises for a non-CP map)."""
     if j.kraus is not None:
         return j.kraus
-    return np.reshape(kraus_from_choi(j, tol), (-1, j.d_out, j.d_in))
+    return np.reshape(kraus_from_choi(j), (-1, j.d_out, j.d_in))

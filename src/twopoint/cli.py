@@ -53,7 +53,7 @@ from .decomposition import (
     recombine,
     statistical_decompose,
 )
-from .linalg import check_density_matrix
+from .linalg import HERM_TOL, check_density_matrix
 from .photonics import recombine_coincidences, simulate_optics
 from .sampler import DEFAULT_SEED, estimate_two_point
 
@@ -270,7 +270,7 @@ def cmd_decompose(args) -> int:
             {"lambda": lam, "effect": _matrix_file(eff)}
             for lam, eff in zip(decomp.weights, decomp.effects)
         ),
-        "bound": float(error_lower_bound(j)),
+        "bound": float(error_lower_bound(j, tol=args.tol)),
         "is_cp_flags": [bool(is_completely_positive(eff)) for eff in decomp.effects],
     }
     _write_report(report, args.out)
@@ -436,7 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="MatrixFile path of the process matrix")
     p.add_argument("--din", type=int, required=True, help="input dimension")
     p.add_argument("--dout", type=int, required=True, help="output dimension")
-    p.add_argument("--tol", type=float, default=1e-10, help="hermiticity tolerance (default 1e-10)")
+    p.add_argument("--tol", type=float, default=HERM_TOL,
+                   help=f"relative hermiticity tolerance of the input (default {HERM_TOL:g})")
     p.add_argument("--out", default=None, help="output file (default: stdout)")
     p.set_defaults(func=cmd_decompose)
 

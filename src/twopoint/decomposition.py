@@ -22,12 +22,14 @@ from .choi import (
     ChoiOperator,
     _kraus_stack,
     combine,
-    is_hermiticity_preserving,
     output_trace,
 )
 from .linalg import (
+    HERM_TOL,
+    INSTRUMENT_TOL,
     check_density_matrix,
     hermitian_eigendecomposition,
+    is_hermitian,
     operator_absolute_value,
     partial_trace,
 )
@@ -75,7 +77,7 @@ class CostReport:
     probabilities: tuple[float, ...]
 
 
-def statistical_decompose(j: ChoiOperator, tol: float = 1e-10) -> StatisticalDecomposition:
+def statistical_decompose(j: ChoiOperator, tol: float = HERM_TOL) -> StatisticalDecomposition:
     """Split a hermiticity-preserving map into weighted instrument branches.
 
     Eigendecomposes J = sum_i mu_i |v_i><v_i| keeping zero-eigenvalue
@@ -83,9 +85,10 @@ def statistical_decompose(j: ChoiOperator, tol: float = 1e-10) -> StatisticalDec
     |v_i><v_i| / d_out. The effects are rank-1 CP maps summing to the map
     represented by 1/d_out, which is trace-preserving, so the instrument is
     complete by construction. Each effect carries its one Kraus operator,
-    v_i reshaped to d_out x d_in and divided by sqrt(d_out).
+    v_i reshaped to d_out x d_in and divided by sqrt(d_out). Raises
+    ``ValueError`` unless ||J - J^dag||_F <= tol ||J||_F.
     """
-    if not is_hermiticity_preserving(j, tol):
+    if not is_hermitian(j._compressed[1], tol):
         raise ValueError("map is not hermiticity-preserving within tolerance")
     w, v = hermitian_eigendecomposition((j.matrix + j.matrix.conj().T) / 2)
     kraus = (v.T / np.sqrt(j.d_out)).reshape(w.size, 1, j.d_out, j.d_in)
@@ -101,17 +104,18 @@ def recombine(decomp: StatisticalDecomposition) -> ChoiOperator:
     return combine(decomp.weights, decomp.effects)
 
 
-def error_lower_bound(j: ChoiOperator, tol: float = 1e-10) -> float:
+def error_lower_bound(j: ChoiOperator, tol: float = HERM_TOL) -> float:
     """Smallest achievable error-amplification factor over all decompositions.
 
     Equals min over states sigma of Tr[|J| (1 (x) sigma)], which reduces to
     the minimum eigenvalue of the input-side partial trace of |J| (the trace
     against sigma of a fixed PSD operator is minimized by its ground-state
     projector). With J = Q C Q^dag, |J| = Q |C| Q^dag for a Hermitian C.
+    Raises ``ValueError`` unless ||J - J^dag||_F <= tol ||J||_F.
     """
-    if not is_hermiticity_preserving(j, tol):
-        raise ValueError("map is not hermiticity-preserving within tolerance")
     c = j._compressed[1]
+    if not is_hermitian(c, tol):
+        raise ValueError("map is not hermiticity-preserving within tolerance")
     reduced = output_trace(j, operator_absolute_value((c + c.conj().T) / 2))
     return float(np.linalg.eigvalsh(reduced).min())
 
@@ -141,9 +145,7 @@ def decomposition_cost(
     return CostReport(cost=cost, bound=float(bound), probabilities=probs)
 
 
-def stinespring_dilation(
-    decomp: StatisticalDecomposition, tol: float = 1e-10
-) -> Dilation:
+def stinespring_dilation(decomp: StatisticalDecomposition) -> Dilation:
     """Realize the decomposed map as a partial expectation value.
 
     Stacks the Kraus operators K_{i,a} of every effect into an isometry
@@ -151,28 +153,23 @@ def stinespring_dilation(
     ancilla as Z = sum_{i,a} lambda_i |i,a><i,a|. An effect that carries its
     Kraus stack contributes it as is; one given as a matrix must be completely
     positive and is split by ``kraus_from_choi``, which raises ``ValueError``
-    otherwise. Completeness of the instrument makes V^dag V = 1.
+    otherwise. Completeness of the instrument makes V^dag V = 1, and a
+    ``ValueError`` says so if it fails by more than ``INSTRUMENT_TOL``.
     """
     kraus: list[np.ndarray] = []
     z_diag: list[float] = []
     for lam, eff in zip(decomp.weights, decomp.effects):
-        ops = _kraus_stack(eff, tol)
+        ops = _kraus_stack(eff)
         kraus.extend(ops)
         z_diag.extend([lam] * len(ops))
     d_anc = len(kraus)
     d_in, d_out = decomp.d_in, decomp.d_out
     # V[(k, m), c] = K_m[k, c]: output index slowest, ancilla index fastest.
     v = np.stack(kraus).transpose(1, 0, 2).reshape(d_out * d_anc, d_in)
-    if np.linalg.norm(v.conj().T @ v - np.eye(d_in)) > 1e-8:
+    if np.linalg.norm(v.conj().T @ v - np.eye(d_in)) > INSTRUMENT_TOL:
         raise ValueError("effects do not sum to a trace-preserving map")
     z = np.diag(np.asarray(z_diag, dtype=complex))
-    return Dilation(
-        isometry=v,
-        ancilla_observable=z,
-        d_in=d_in,
-        d_out=d_out,
-        d_ancilla=d_anc,
-    )
+    return Dilation(isometry=v, ancilla_observable=z, d_in=d_in, d_out=d_out, d_ancilla=d_anc)
 
 
 def partial_expectation(dil: Dilation, rho: np.ndarray) -> np.ndarray:

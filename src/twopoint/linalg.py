@@ -9,6 +9,23 @@ Eigendecompositions order eigenvalues ascending; within a degenerate cluster
 the eigenvector columns are phase-canonicalized (largest-magnitude entry made
 real positive) and sorted lexicographically by their entries, so repeated runs
 produce identical output.
+
+Every tolerance of the package is defined here. A bound on an operator is
+relative to a stated norm of it, so inputs of any scale are judged alike; one
+on a scale-free quantity (a state, a probability, an isometry) is absolute.
+
+==============  =====  ====================================================================
+HERM_TOL        1e-10  ||m - m^dag||_F <= HERM_TOL ||m||_F: states, observables, maps' J
+DEGENERACY_TOL  1e-9   ascending eigenvalues w cluster across gaps <= DEGENERACY_TOL max|w|
+PSD_TOL         1e-10  a CP map's J has least eigenvalue >= -PSD_TOL ||J||_F
+TP_TOL          1e-10  ||Tr_out J - 1||_F <= TP_TOL ||1||_F = TP_TOL sqrt(d_in)
+KRAUS_RTOL      1e-12  eigenvalues of J <= KRAUS_RTOL max(w) give no Kraus operator
+STATE_TOL       1e-9   |Tr rho - 1| <= STATE_TOL, least eigenvalue of rho >= -STATE_TOL
+BRANCH_FLOOR    1e-15  a sampler branch of probability <= BRANCH_FLOOR is not drawn
+INSTRUMENT_TOL  1e-8   |sum_i p(i) - 1| of a plan, ||V^dag V - 1||_F of a dilation
+AMP_CUTOFF      1e-15  photon amplitudes of modulus <= AMP_CUTOFF are dropped
+MIXTURE_FLOOR   1e-12  eigenvalues <= MIXTURE_FLOOR of a qubit state skip the optics
+==============  =====  ====================================================================
 """
 
 from __future__ import annotations
@@ -17,14 +34,16 @@ import math
 
 import numpy as np
 
-# Relative Frobenius tolerance for Hermiticity preconditions.
 HERM_TOL = 1e-10
-# Frobenius tolerance for eigendecomposition reconstruction residuals.
-EIG_TOL = 1e-10
-# Absolute gap below which eigenvalues are treated as one degenerate cluster,
-# when canonicalizing eigenvector ordering and when the sampler merges an
-# observable's eigenvalues into one outcome.
 DEGENERACY_TOL = 1e-9
+PSD_TOL = 1e-10
+TP_TOL = 1e-10
+KRAUS_RTOL = 1e-12
+STATE_TOL = 1e-9
+BRANCH_FLOOR = 1e-15
+INSTRUMENT_TOL = 1e-8
+AMP_CUTOFF = 1e-15
+MIXTURE_FLOOR = 1e-12
 
 
 def partial_trace(m: np.ndarray, keep, dims) -> np.ndarray:
@@ -46,9 +65,7 @@ def partial_trace(m: np.ndarray, keep, dims) -> np.ndarray:
     n = len(dims)
     total = int(np.prod(dims))
     if m.shape != (total, total):
-        raise ValueError(
-            f"matrix shape {m.shape} does not match subsystem dims {dims}"
-        )
+        raise ValueError(f"matrix shape {m.shape} does not match subsystem dims {dims}")
     if isinstance(keep, (int, np.integer)):
         keep = [int(keep)]
     keep = list(keep)
@@ -63,40 +80,48 @@ def partial_trace(m: np.ndarray, keep, dims) -> np.ndarray:
     return t.reshape(kept, kept)
 
 
-def eigenvalue_clusters(w: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Start indices and sizes of the runs of ascending eigenvalues ``w`` in
-    which each neighbouring gap is <= tol, in order."""
-    # a run starts at 0 and after each gap above tol; the last ends at len(w)
+def eigenvalue_clusters(w: np.ndarray, tol: float = DEGENERACY_TOL):
+    """Start indices and sizes (two arrays) of the runs of ascending
+    eigenvalues ``w`` in which each neighbouring gap is <= tol * max|w|."""
+    # a run starts at 0 and after each gap above the bound; the last ends at
+    # len(w). max|w| of an ascending w is -w[0] or w[-1].
     edges = np.ones(len(w) + 1, dtype=bool)
-    edges[1:-1] = w[1:] - w[:-1] > tol
+    if len(w) > 1:
+        edges[1:-1] = w[1:] - w[:-1] > tol * max(-w[0], w[-1])
     edges = edges.nonzero()[0]
     return edges[:-1], edges[1:] - edges[:-1]
 
 
 def _canonical_eigenbasis(w: np.ndarray, v: np.ndarray):
-    """Phase-fix eigenvectors and order degenerate clusters deterministically."""
-    v = v.copy()
-    for k in range(v.shape[1]):
-        col = v[:, k]
-        pivot = int(np.argmax(np.abs(col)))
-        phase = col[pivot] / abs(col[pivot]) if abs(col[pivot]) > 0 else 1.0
-        v[:, k] = col / phase
-    # Lexicographic sort inside clusters of (numerically) equal eigenvalues.
-    for start, size in zip(*eigenvalue_clusters(w, DEGENERACY_TOL)):
+    """Phase-fix eigenvectors and order degenerate clusters deterministically.
+
+    Each column is a unit vector, so its largest-magnitude entry is nonzero;
+    ``np.hypot`` gives its modulus rounded as ``abs`` of one complex does."""
+    top = v[np.abs(v).argmax(axis=0), np.arange(v.shape[1])]
+    v = v / (top / np.hypot(top.real, top.imag))
+    # Lexicographic sort inside clusters of (numerically) equal eigenvalues,
+    # by the (real, imaginary) parts of each entry in turn, rounded to 9 places.
+    for start, size in zip(*eigenvalue_clusters(w)):
         if size > 1:
-            stop = start + size
-            cols = sorted(
-                range(start, stop),
-                key=lambda k: tuple(
-                    (round(x.real, 9), round(x.imag, 9)) for x in v[:, k]
-                ),
-            )
-            v[:, start:stop] = v[:, cols]
+            block = v[:, start:start + size]
+            keys = np.stack([np.round(block.real, 9), np.round(block.imag, 9)], axis=1)
+            keys = keys.reshape(-1, size).T.tolist()
+            v[:, start:start + size] = block[:, sorted(range(size), key=keys.__getitem__)]
     return w, v
 
 
 _SQUARE = {"state": "state must be a square matrix", "observable": "observable must be square",
            "matrix": "expected a square matrix"}
+
+
+def _frobenius(m: np.ndarray) -> float:
+    """||m||_F, as one BLAS call."""
+    return math.sqrt(np.vdot(m, m).real)
+
+
+def is_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> bool:
+    """True iff ||m - m^dag||_F <= tol ||m||_F."""
+    return _frobenius(m - m.conj().T) <= tol * _frobenius(m)
 
 
 def _hermitian(m: np.ndarray, name: str):
@@ -106,15 +131,14 @@ def _hermitian(m: np.ndarray, name: str):
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{_SQUARE[name]}, got shape {m.shape}")
-    scale = math.sqrt(np.vdot(m, m).real)  # Frobenius norms, as one BLAS call each
+    scale = _frobenius(m)
     if not scale < math.inf:  # a non-finite entry, or a norm beyond float range
         bad = np.argwhere(~np.isfinite(m))
         if len(bad):
             i, j = bad[0]
             raise ValueError(f"{name} entry [{i}, {j}] is not finite: {m[i, j]}")
     m_dag = m.conj().T
-    r = m - m_dag
-    if not math.sqrt(np.vdot(r, r).real) <= HERM_TOL * max(scale, 1.0):
+    if not _frobenius(m - m_dag) <= HERM_TOL * scale:
         raise ValueError(f"{name} is not Hermitian within tolerance")
     return m, (m + m_dag) / 2
 
@@ -124,8 +148,8 @@ def hermitian_eigendecomposition(m: np.ndarray):
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues ascending and
     eigenvectors as orthonormal columns, such that
-    ``m == eigenvectors @ diag(eigenvalues) @ eigenvectors.conj().T`` within
-    ``EIG_TOL``. Raises ``ValueError`` if ``m`` is not Hermitian within
+    ``m == eigenvectors @ diag(eigenvalues) @ eigenvectors.conj().T`` up to
+    rounding. Raises ``ValueError`` if ``m`` is not Hermitian within
     ``HERM_TOL`` (relative Frobenius).
     """
     w, v = np.linalg.eigh(_hermitian(m, "matrix")[1])
@@ -176,17 +200,16 @@ def q_operator(d: int, sign: int) -> np.ndarray:
     return (np.eye(d * d, dtype=complex) + z * swap_operator(d)) / 2
 
 
-def check_density_matrix(rho: np.ndarray, *, eig_floor: float = -1e-9,
-                         trace_tol: float = 1e-9) -> np.ndarray:
-    """Validate rho as a state: finite, Hermitian, min eigenvalue >= eig_floor,
-    |trace - 1| <= trace_tol. Returns rho as a complex array or raises
-    ``ValueError``."""
+def check_density_matrix(rho: np.ndarray) -> np.ndarray:
+    """Validate rho as a state: finite, Hermitian within ``HERM_TOL``, trace 1
+    and min eigenvalue >= 0, each within ``STATE_TOL``. Returns rho as a
+    complex array or raises ``ValueError``."""
     rho, h = _hermitian(rho, "state")
     tr = rho.trace()
-    if not abs(tr - 1.0) <= trace_tol:
-        raise ValueError(f"state trace {tr.real} is not 1 within {trace_tol}")
+    if not abs(tr - 1.0) <= STATE_TOL:
+        raise ValueError(f"state trace {tr.real} is not 1 within {STATE_TOL}")
     wmin = np.linalg.eigvalsh(h).min()
-    if not wmin >= eig_floor:
+    if not wmin >= -STATE_TOL:
         raise ValueError(f"state has negative eigenvalue {wmin}")
     return rho
 

@@ -43,14 +43,13 @@ from math import sqrt
 
 import numpy as np
 
-from .linalg import check_density_matrix, check_observable, hermitian_eigendecomposition, partial_trace
+from .linalg import (AMP_CUTOFF, MIXTURE_FLOOR, check_density_matrix, check_observable,
+                     hermitian_eigendecomposition, partial_trace)
 
 # One occupied mode: (spatial label, polarization bit).
 Mode = tuple[str, int]
 # Sparse 3-photon vector: sorted mode multiset -> amplitude.
 FockVector = dict[tuple[Mode, ...], complex]
-
-_AMP_CUTOFF = 1e-15
 
 # Complete spatial occupation profiles of the two accepted coincidence
 # patterns, and the order in which the detected polarizations enter the
@@ -95,7 +94,7 @@ def _substitute(state: FockVector, table) -> FockVector:
             k2 = tuple(sorted(modes))
             prev = out.get(k2, 0j)
             out[k2] = prev + coeff
-    return {k: v for k, v in out.items() if abs(v) > _AMP_CUTOFF}
+    return {k: v for k, v in out.items() if abs(v) > AMP_CUTOFF}
 
 
 def beamsplitter_action(
@@ -136,7 +135,7 @@ def _pure_pipeline(psi: np.ndarray) -> FockVector:
     """Propagate one pure polarization input through the whole bench."""
     state: FockVector = {}
     for p in (0, 1):
-        if abs(psi[p]) <= _AMP_CUTOFF:
+        if abs(psi[p]) <= AMP_CUTOFF:
             continue
         for q in (0, 1):
             key = tuple(sorted((("a", p), ("b", q), ("r", q))))
@@ -169,7 +168,7 @@ def _bench_outputs(rho: np.ndarray) -> list[tuple[float, FockVector]]:
     """Run the bench on each eigenvector of a polarization-qubit state.
 
     Returns (eigenvalue, output vector) pairs for the eigenvalues above
-    1e-12; the output state is their eigenvalue-weighted mixture.
+    ``MIXTURE_FLOOR``; the output state is their eigenvalue-weighted mixture.
     """
     rho = check_density_matrix(rho)
     if rho.shape != (2, 2):
@@ -177,7 +176,7 @@ def _bench_outputs(rho: np.ndarray) -> list[tuple[float, FockVector]]:
             f"input photon must be a polarization qubit, got side {rho.shape[0]}"
         )
     w, v = hermitian_eigendecomposition(rho)
-    return [(w[k], _pure_pipeline(v[:, k])) for k in range(w.size) if w[k] > 1e-12]
+    return [(w[k], _pure_pipeline(v[:, k])) for k in range(w.size) if w[k] > MIXTURE_FLOOR]
 
 
 def simulate_optics(rho: np.ndarray) -> CoincidenceStats:

@@ -46,7 +46,8 @@ import numpy as np
 from .choi import _kraus_stack
 from .correlator import two_point_exact
 from .decomposition import StatisticalDecomposition
-from .linalg import DEGENERACY_TOL, _hermitian, check_density_matrix, eigenvalue_clusters
+from .linalg import (BRANCH_FLOOR, INSTRUMENT_TOL, _hermitian, check_density_matrix,
+                     eigenvalue_clusters)
 
 # Documented default seed for reproducible-by-default runs.
 DEFAULT_SEED = 0x2A
@@ -72,13 +73,13 @@ class EstimationReport:
 
 def _outcomes(*hs):
     """Yields ``(eigenvectors, starts, sizes, values)`` of each Hermitian
-    matrix in ``hs`` (all of one shape) from one batched ``eigh``: the start
-    index and size of each cluster of eigenvalues within ``DEGENERACY_TOL``,
-    and its outcome value, the cluster's mean. Cluster sums do not depend on
-    the basis chosen inside a cluster, so the basis is not canonicalised."""
+    matrix in ``hs`` (all of one shape) from one batched ``eigh``: the
+    ``eigenvalue_clusters`` of its eigenvalues and each cluster's outcome
+    value, its mean. Cluster sums do not depend on the basis chosen inside a
+    cluster, so the basis is not canonicalised."""
     ws, us = np.linalg.eigh(np.array(hs))
     for w, u in zip(ws, us):
-        starts, sizes = eigenvalue_clusters(w, DEGENERACY_TOL)
+        starts, sizes = eigenvalue_clusters(w)
         yield u, starts, sizes, np.add.reduceat(w, starts) / sizes
 
 
@@ -89,20 +90,18 @@ def _plan(cells, lams, avals, bvals):
     ``values[i, j]`` is the recorded value lambda_i * alpha * beta of branch
     i and outcome pair j. ``cell_probs`` holds the cells in the order of
     ``values.ravel()``, with the branch probabilities normalised so that
-    they sum to 1. Branches of zero probability are dropped: they are never
-    drawn.
+    they sum to 1, within ``INSTRUMENT_TOL`` before. Branches of probability
+    at most ``BRANCH_FLOOR`` are dropped: they are never drawn.
     """
     sums = cells.sum(axis=1)
-    kept = sums > 1e-15
+    kept = sums > BRANCH_FLOOR
     if not kept.all():
         if not kept.any():
             raise ValueError("all branch probabilities vanish for this state")
         cells, sums, lams = cells[kept], sums[kept], lams[kept]
     total = sum(sums.tolist())
-    if not abs(total - 1.0) <= 1e-8:
-        raise ValueError(
-            f"branch probabilities sum to {total}, not 1: not an instrument"
-        )
+    if not abs(total - 1.0) <= INSTRUMENT_TOL:
+        raise ValueError(f"branch probabilities sum to {total}, not 1: not an instrument")
     values = ((lams[:, None] * avals)[:, :, None] * bvals).reshape(len(lams), -1)
     return cells.ravel() / total, values
 
@@ -179,11 +178,9 @@ def _sample(plan, n_shots, rng):
     counts = _cell_counts(cell_probs, n_shots, rng)
     values = values.ravel()
     mean = float(counts @ values / n_shots)
-    if n_shots > 1:
-        se = float(np.sqrt(counts @ (values - mean) ** 2 / (n_shots - 1) / n_shots))
-    else:
-        se = 0.0
-    return mean, se
+    if n_shots == 1:
+        return mean, 0.0
+    return mean, float(np.sqrt(counts @ (values - mean) ** 2 / (n_shots - 1) / n_shots))
 
 
 def _integer(x, name):
@@ -242,14 +239,9 @@ def estimate_two_point(
     if d < 2:
         raise ValueError("estimation requires dimension >= 2")
     if a.shape != (d, d) or b.shape != (d, d):
-        raise ValueError(
-            f"observable shapes {a.shape}, {b.shape} do not match state "
-            f"dimension {d}"
-        )
+        raise ValueError(f"observable shapes {a.shape}, {b.shape} do not match state dimension {d}")
     if not 2 <= n_shots <= 2**63 - 1:  # cell counts are int64
-        raise ValueError(
-            f"need between 2 and 2**63 - 1 shots to run both pipelines, got {n_shots}"
-        )
+        raise ValueError(f"need between 2 and 2**63 - 1 shots to run both pipelines, got {n_shots}")
     if not 0.0 < split < 1.0:
         raise ValueError(f"split must lie strictly between 0 and 1, got {split}")
     n_imag = int(n_shots * (1.0 - split))

@@ -25,7 +25,10 @@ from twopoint.correlator import (
 )
 from twopoint.decomposition import decomposition_cost
 from twopoint.linalg import (
-    DEGENERACY_TOL,
+    BRANCH_FLOOR,
+    HERM_TOL,
+    PSD_TOL,
+    TP_TOL,
     check_observable,
     eigenvalue_clusters,
     hermitian_eigendecomposition,
@@ -128,12 +131,13 @@ def dense_verify_values(d, seed):
 
     def tp(m):
         reduced = partial_trace(m, keep=1, dims=[d * d, d])
-        return np.linalg.norm(reduced - np.eye(d)) <= 1e-10
+        return np.linalg.norm(reduced - np.eye(d)) <= TP_TOL * np.sqrt(d)
 
     def cp(m):
+        norm = np.linalg.norm(m)
         return (
-            np.linalg.norm(m - m.conj().T) <= 1e-10
-            and np.linalg.eigvalsh((m + m.conj().T) / 2).min() >= -1e-10
+            np.linalg.norm(m - m.conj().T) <= HERM_TOL * norm
+            and np.linalg.eigvalsh((m + m.conj().T) / 2).min() >= -PSD_TOL * norm
         )
 
     b_real, b_imag = bound(real), bound(imag)
@@ -159,7 +163,7 @@ def dense_verify_values(d, seed):
     values["orthogonality_phase"] = abs(np.sum(branches[2] * branches[3].T))
     total = real - 1j * imag
     flags = all(cp(m) and tp(m) for m in branches)
-    flags = flags and np.linalg.norm(total - total.conj().T) > 1e-10 * np.linalg.norm(total)
+    flags = flags and np.linalg.norm(total - total.conj().T) > HERM_TOL * np.linalg.norm(total)
     flags = flags and not tp(imag)
     values["cp_tp_flags"] = 0.0 if flags else 1.0
     two_point_dev = 0.0
@@ -189,18 +193,19 @@ def two_valued_observable(rng, d):
     return u @ np.diag([1.0] * (d // 2) + [-1.0] * (d - d // 2)) @ u.conj().T
 
 
-def spectral_projectors(obs: np.ndarray, tol: float = DEGENERACY_TOL):
+def spectral_projectors(obs: np.ndarray):
     """Grouped eigendecomposition of a Hermitian observable.
 
-    Returns ``(values, projectors)`` where eigenvalues with gaps <= tol are
-    merged into one outcome whose value is the group mean and whose projector
-    spans the group's eigenvectors.
+    Returns ``(values, projectors)`` where eigenvalues with gaps <=
+    DEGENERACY_TOL times the largest modulus are merged into one outcome
+    whose value is the group mean and whose projector spans the group's
+    eigenvectors.
     """
     obs = check_observable(obs)
     w, v = hermitian_eigendecomposition(obs)
     values: list[float] = []
     projs: list[np.ndarray] = []
-    for start, size in zip(*eigenvalue_clusters(w, tol)):
+    for start, size in zip(*eigenvalue_clusters(w)):
         block = v[:, start:start + size]
         values.append(float(np.mean(w[start:start + size])))
         projs.append(block @ block.conj().T)
@@ -249,13 +254,13 @@ def reference_plan(decomp, rho, a, b):
     """``(cell_probs, values)`` of the sampler's plan, built from each
     branch's conditional two-copy state ``apply_choi(effect, rho) / p`` and
     the dense projector stacks of ``spectral_projectors``. Branches with
-    p <= 1e-15 are dropped and the rest's probabilities normalised."""
+    p <= BRANCH_FLOOR are dropped and the rest's probabilities normalised."""
     aspec, bspec = spectral_projectors(a), spectral_projectors(b)
     probs, born, values = [], [], []
     for lam, eff in zip(decomp.weights, decomp.effects):
         out = apply_choi(eff, rho)
         p = float(np.trace(out).real)
-        if p > 1e-15:
+        if p > BRANCH_FLOOR:
             pairs, q = _joint_distribution(out / p, aspec, bspec)
             probs.append(p)
             born.append(q)

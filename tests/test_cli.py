@@ -26,6 +26,7 @@ from twopoint.cli import (
     matrix_to_json,
 )
 from twopoint.correlator import CorrelatorFamily, choi_builders
+from twopoint.decomposition import error_lower_bound
 from twopoint.sampler import DEFAULT_SEED
 
 from reference_maps import dense_verify_values
@@ -276,6 +277,23 @@ def test_decompose_dumped_family_matrix(tmp_path, capsys):
     lams = [t["lambda"] for t in report["terms"]]
     assert np.allclose(lams, [-2, -2, 0, 0, 0, 0, 6, 6], atol=1e-8)
     assert report["bound"] == pytest.approx(2.0, abs=1e-9)
+
+
+def test_decompose_tol_reaches_the_bound(tmp_path, capsys):
+    """--tol is the hermiticity tolerance of the bound as well as of the
+    decomposition: a map whose anti-Hermitian part is 1e-8 of its norm
+    passes at --tol 1e-6 and fails at the default 1e-10."""
+    g = np.random.default_rng(15).normal(size=(8, 16)).view(complex)
+    h, k = (g + g.conj().T) / 2, (g - g.conj().T) / 2
+    m = h + 0.5e-8 * np.linalg.norm(h) / np.linalg.norm(k) * k
+    path = _write(tmp_path, "near.json", m)
+    code, out = _run(capsys, ["decompose", path, "--din", "2", "--dout", "4", "--tol", "1e-6"])
+    assert code == EXIT_OK
+    want = error_lower_bound(ChoiOperator(h, d_in=2, d_out=4))
+    assert json.loads(out)["bound"] == pytest.approx(want, abs=1e-6)
+    code = main(["decompose", path, "--din", "2", "--dout", "4"])
+    assert code == EXIT_SEMANTIC
+    assert "not hermiticity-preserving within tolerance" in capsys.readouterr().err
 
 
 def test_decompose_malformed_json_exits_2(tmp_path, capsys):

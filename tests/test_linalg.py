@@ -3,6 +3,7 @@ import pytest
 
 from twopoint.cli import _random_observable as rand_herm, _random_state as rand_state
 from twopoint.linalg import (
+    _canonical_eigenbasis,
     check_density_matrix,
     check_observable,
     eigenvalue_clusters,
@@ -148,6 +149,49 @@ def test_eigenvalue_clusters_split_at_gaps_above_tol():
         got = eigenvalue_clusters(w, tol)
         assert [a.tolist() for a in got] == [starts, sizes]
     assert [a.tolist() for a in eigenvalue_clusters(np.array([3.0]), 1e-9)] == [[0], [1]]
+
+
+def test_eigenvalue_clusters_are_relative_to_the_largest_modulus():
+    w = np.array([-1.0, -1.0 + 1e-10, 0.5, 2.0, 2.0, 2.0 + 2e-10])
+    for scale in (1e-12, 1.0, 1e9):
+        assert [a.tolist() for a in eigenvalue_clusters(scale * w)] == [[0, 2, 3], [2, 1, 3]]
+    assert [a.tolist() for a in eigenvalue_clusters(np.zeros(3))] == [[0], [3]]
+
+
+def _canonical_reference(w, v):
+    """The canonical eigenbasis one column at a time: divide each column by
+    the phase of its largest-magnitude entry, then sort the columns of each
+    cluster by their entries' (real, imaginary) parts rounded to 9 places."""
+    v = v.copy()
+    for k in range(v.shape[1]):
+        col = v[:, k]
+        pivot = int(np.argmax(np.abs(col)))
+        v[:, k] = col / (col[pivot] / abs(col[pivot]))
+    for start, size in zip(*eigenvalue_clusters(w)):
+        cols = sorted(
+            range(start, start + size),
+            key=lambda k: tuple((round(x.real, 9), round(x.imag, 9)) for x in v[:, k]),
+        )
+        v[:, start:start + size] = v[:, cols]
+    return v
+
+
+def test_canonical_eigenbasis_matches_the_per_column_reference():
+    """Bit for bit, on process matrices with large degenerate clusters and on
+    random observables with and without degenerate eigenvalues."""
+    from twopoint.correlator import CorrelatorFamily
+
+    mats = []
+    for d in (2, 3):
+        fam = CorrelatorFamily(d)
+        mats += [fam.j_real.matrix, fam.j_imag.matrix, fam.j_sym.matrix]
+    rng = np.random.default_rng(15)
+    for n in (2, 5, 8):
+        u, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        mats += [rand_herm(rng, n), (u * rng.integers(-1, 2, size=n)) @ u.conj().T]
+    for m in mats:
+        w, v = np.linalg.eigh((m + m.conj().T) / 2)
+        assert _canonical_eigenbasis(w, v)[1].tobytes() == _canonical_reference(w, v).tobytes()
 
 
 # --- operator_absolute_value ----------------------------------------------

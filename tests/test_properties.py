@@ -10,7 +10,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from twopoint.choi import apply_choi
+from twopoint.choi import apply_choi, combine, is_completely_positive, is_hermiticity_preserving
 from twopoint.cli import _random_observable as rand_herm, _random_state as rand_state
 from twopoint.correlator import (
     CorrelatorFamily,
@@ -79,3 +79,35 @@ def test_closed_form_plan_is_the_reference_plan(d, seed, degenerate_b):
     parts = (universal_real_decomposition(d), universal_imag_decomposition(d))
     for dec, plan in zip(parts, _kirkwood_dirac_plans(rho, a, b)):
         assert_plans_agree(plan, reference_plan(dec, rho, a, b))
+
+
+@PROPERTY
+@given(d=DIMS, seed=SEEDS, scale=st.sampled_from([1e-12, 1e-6, 1e3, 1e9]))
+@example(d=4, seed=4, scale=1e-12)
+@example(d=4, seed=4, scale=1e9)
+@example(d=16, seed=16, scale=1e9)
+def test_plan_outcomes_do_not_depend_on_the_observable_scale(d, seed, scale):
+    """The plan of (rho, s A, B) has the outcomes of (rho, A, B), with the
+    same cell probabilities and each recorded value times s. A two-valued A
+    keeps two outcomes at every scale: its degenerate eigenvalues differ by
+    rounding, about 1e-16 times the scale."""
+    rng = np.random.default_rng(seed)
+    rho, a, b = rand_state(rng, d), two_valued_observable(rng, d), rand_herm(rng, d)
+    for (probs, values), ref in zip(_kirkwood_dirac_plans(rho, scale * a, b),
+                                    _kirkwood_dirac_plans(rho, a, b)):
+        assert values.shape == ref[1].shape == (2, 2 * d)
+        assert_plans_agree((probs, values / scale), ref)
+
+
+@PROPERTY
+@given(d=DIMS, scale=st.sampled_from([1e-12, 1e-6, 1e3, 1e9]))
+@example(d=16, scale=1e-12)
+@example(d=16, scale=1e9)
+def test_map_predicates_do_not_depend_on_scale(d, scale):
+    """A map is hermiticity-preserving or completely positive exactly when
+    s times it is: both bounds are relative to ||J||_F."""
+    fam = CorrelatorFamily(d)
+    for j in (fam.j_sym, fam.j_phase_plus, fam.j_real, combine((1, -1j), (fam.j_real, fam.j_imag))):
+        scaled = combine((scale,), (j,))
+        assert is_hermiticity_preserving(scaled) == is_hermiticity_preserving(j)
+        assert is_completely_positive(scaled) == is_completely_positive(j)

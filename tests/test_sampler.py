@@ -899,3 +899,24 @@ def test_plan_bits_match_parent():
     assert digest.hexdigest() == (
         "425c000d0a3ef5a2c27bcd9292c987b4cf5c9ae400507feeb2e3775d3f405ffe"
     )
+
+
+# --- observables of any scale ---------------------------------------------------
+
+
+def test_estimate_of_a_tiny_observable_has_an_error_bar():
+    """At 1e-12 sigma_z the eigenvalues +-1e-12 stay two outcomes: the
+    degeneracy bound is relative to the largest eigenvalue modulus."""
+    rho = (I2 + 0.3 * SX - 0.2 * SY + 0.5 * SZ) / 2
+    report = estimate_two_point(rho, 1e-12 * SZ, SX, 10**6)
+    assert abs(report.exact - 2e-13j) <= 1e-25
+    err = report.estimate - report.exact
+    for part, se in zip((err.real, err.imag), report.std_error):
+        assert se > 0
+        assert abs(part) <= 5 * se
+
+
+def test_tiny_non_hermitian_observable_is_rejected():
+    """Hermiticity is judged relative to the observable's own norm."""
+    with pytest.raises(ValueError, match="^observable is not Hermitian within tolerance$"):
+        estimate_two_point(MIXED2, 1e-12 * _NON_HERMITIAN, SX, 10)
