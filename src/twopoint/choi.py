@@ -13,9 +13,11 @@ A map can also be carried by a two-sided stack of d_out x d_in operators
 (L_a, R_a): it acts as m -> sum_a L_a m R_a^dag, and its matrix is
 J = sum_a vec(L_a) vec(R_a)^dag (row-major vec). A Kraus stack is the case
 R_a = L_a. A stacked map keeps its operators, acts through them, and builds
-J only when something asks for it. Every predicate and value below works on
-the compression J = Q C Q^dag, with Q the orthonormal columns of a thin QR of
-[vec L | vec R] (the identity for a map given as a matrix), so a map of rank
+J only when something asks for it. With [vec L | vec R] = Q T (thin QR), J is
+Q C Q^dag for the small matrix C = T_L T_R^dag. Norms, hermiticity and
+complete positivity read C alone; the map caches C (J itself for a map given
+as a matrix) and never Q, which only ``error_lower_bound`` builds. The input
+marginal and ``trace_product`` contract the stacks directly, so a map of rank
 r costs QR and eigendecompositions of 2r-sided matrices, not of J.
 """
 
@@ -50,10 +52,11 @@ class ChoiOperator:
             self._left = np.asarray(kraus, dtype=complex)
             self._right = self._left if right is None else np.asarray(right, dtype=complex)
             if matrix is not None or not (
-                self._left.shape[1:] == (d_out, d_in) and self._right.shape == self._left.shape
+                self._left.size and self._left.shape[1:] == (d_out, d_in)
+                and self._right.shape == self._left.shape
             ):
                 raise ValueError(
-                    f"Kraus stack must have shape (r, {d_out}, {d_in}), with a right "
+                    f"Kraus stack must have shape (r, {d_out}, {d_in}), r >= 1, with a right "
                     f"stack of the same shape, and come without a matrix; got shape "
                     f"{self._left.shape}"
                 )
@@ -82,19 +85,31 @@ class ChoiOperator:
         return self._matrix
 
     @cached_property
-    def _compressed(self) -> tuple[np.ndarray, np.ndarray]:
-        """(Q, C) with orthonormal columns Q and J = Q C Q^dag."""
+    def _compressed(self) -> np.ndarray:
+        """C with J = Q C Q^dag for orthonormal columns Q (J itself for a map
+        given as a matrix). C = T_L T_R^dag from the triangular factor T of
+        the QR of the d_out*d_in x k matrix [vec L | vec R], k = 2r. T is
+        accumulated over blocks of whole output rows read straight from the
+        stacks, about max(2k, 2^11 / k) rows of that matrix each,
+        t = qr([t; block]) (tall-skinny QR), so neither that matrix nor Q is
+        ever formed."""
         if self._left is None:
-            return np.eye(len(self._matrix)), self._matrix
+            return self._matrix
         n = len(self._left)
-        vecs = np.concatenate([self._left.reshape(n, -1), self._right.reshape(n, -1)]).T
-        q, t = np.linalg.qr(vecs)
-        return q, t[:, :n] @ t[:, n:].conj().T
+        step = max(1, max(4 * n, 2**10 // n) // self.d_in)
+        t = np.empty((0, 2 * n), dtype=complex)
+        for o in range(0, self.d_out, step):
+            block = np.concatenate([self._left[:, o:o + step], self._right[:, o:o + step]])
+            t = np.linalg.qr(np.concatenate([t, block.reshape(2 * n, -1).T]), mode="r")
+        return t[:, :n] @ t[:, n:].conj().T
 
     @cached_property
     def _input_marginal(self) -> np.ndarray:
-        """Tr_out J: the d_in x d_in matrix M with Tr[L(m)] = sum_ij M[i, j] m[i, j]."""
-        return output_trace(self, self._compressed[1])
+        """Tr_out J: the d_in x d_in matrix M with Tr[L(m)] = sum_ij M[i, j] m[i, j];
+        sum_a L_a^T conj(R_a) for a stacked map."""
+        if self._left is None:
+            return output_trace(self, self._matrix)
+        return np.einsum("aoi,aoj->ij", self._left, self._right.conj())
 
 
 def combine(coeffs, maps) -> ChoiOperator:
@@ -112,23 +127,38 @@ def combine(coeffs, maps) -> ChoiOperator:
 
 
 def frobenius_norm(j: ChoiOperator) -> float:
-    """||J||_F."""
-    return float(np.linalg.norm(j._compressed[1]))
+    """||J||_F = ||C||_F."""
+    return float(np.linalg.norm(j._compressed))
 
 
 def trace_product(j1: ChoiOperator, j2: ChoiOperator) -> complex:
-    """Tr[J_1 J_2] = Tr[C_1 (Q_1^dag Q_2) C_2 (Q_2^dag Q_1)]."""
-    (q1, c1), (q2, c2) = j1._compressed, j2._compressed
-    g = q1.conj().T @ q2
-    return complex(np.trace(c1 @ g @ c2 @ g.conj().T))
+    """Tr[J_1 J_2]; for two stacked maps Tr[(R_1^dag L_2)(R_2^dag L_1)] over
+    the stacks' vecs, an r_1 x r_2 product instead of J_1 or J_2."""
+    if j1.stacks is None or j2.stacks is None:
+        return complex(np.sum(j1.matrix * j2.matrix.T))
+    (l1, r1), (l2, r2) = ([s.reshape(len(s), -1) for s in j.stacks] for j in (j1, j2))
+    return complex(np.sum((r1.conj() @ l2.T) * (r2.conj() @ l1.T).T))
 
 
-def output_trace(j: ChoiOperator, x: np.ndarray) -> np.ndarray:
-    """Tr_out[Q x Q^dag] for the map's Q, without building the product: the
-    input-side reduction of the operator that x represents in Q's basis."""
-    q = j._compressed[0]
+def output_trace(j: ChoiOperator, x: np.ndarray, q: np.ndarray | None = None) -> np.ndarray:
+    """Tr_out[q x q^dag] for orthonormal columns q of the map's space, without
+    building the product (Tr_out x if q is None): the input-side reduction of
+    the operator that x represents in q's basis."""
+    if q is None:
+        return np.einsum("oioj->ij", x.reshape(j.d_out, j.d_in, j.d_out, j.d_in))
     qx = (q @ x).reshape(j.d_out, j.d_in, -1)
     return np.einsum("oil,ojl->ij", qx, q.conj().reshape(j.d_out, j.d_in, -1))
+
+
+def orthonormal_compression(j: ChoiOperator) -> tuple[np.ndarray | None, np.ndarray]:
+    """(Q, C) with J = Q C Q^dag: Q the orthonormal columns of a thin QR of
+    [vec L | vec R] for a stacked map, None (the identity) for a map given as
+    a matrix, whose C is J. Q is d_out*d_in x 2r and is not cached."""
+    if j.stacks is None:
+        return None, j.matrix
+    n = len(j.stacks[0])
+    q, t = np.linalg.qr(np.concatenate([s.reshape(n, -1) for s in j.stacks]).T)
+    return q, t[:, :n] @ t[:, n:].conj().T
 
 
 def apply_choi(j: ChoiOperator, m: np.ndarray) -> np.ndarray:
@@ -151,17 +181,17 @@ def apply_choi(j: ChoiOperator, m: np.ndarray) -> np.ndarray:
 
 def is_hermiticity_preserving(j: ChoiOperator) -> bool:
     """True iff ||J - J^dag||_F <= HERM_TOL ||J||_F."""
-    return is_hermitian(j._compressed[1])
+    return is_hermitian(j._compressed)
 
 
 def is_completely_positive(j: ChoiOperator) -> bool:
     """True iff J is Hermitian within ``HERM_TOL`` and the least eigenvalue
     of its Hermitian part is >= -PSD_TOL ||J||_F (||J||_F = ||C||_F).
 
-    J is zero outside the span of Q. Those zero eigenvalues are in C's
-    spectrum too: C = A B^dag for a stack of r pairs has rank <= r, and Q
-    has 2r columns unless it spans the whole space."""
-    c = j._compressed[1]
+    J is zero outside the span of [vec L | vec R]. Those zero eigenvalues are
+    in C's spectrum too: C = T_L T_R^dag for a stack of r pairs has rank <= r,
+    and T has 2r rows unless 2r > d_out d_in, where C is as large as J."""
+    c = j._compressed
     h = (c + c.conj().T) / 2
     return is_hermitian(c) and np.linalg.eigvalsh(h).min() >= -PSD_TOL * np.linalg.norm(c)
 

@@ -22,6 +22,7 @@ from .choi import (
     ChoiOperator,
     _kraus_stack,
     combine,
+    orthonormal_compression,
     output_trace,
 )
 from .linalg import (
@@ -88,7 +89,7 @@ def statistical_decompose(j: ChoiOperator, tol: float = HERM_TOL) -> Statistical
     v_i reshaped to d_out x d_in and divided by sqrt(d_out). Raises
     ``ValueError`` unless ||J - J^dag||_F <= tol ||J||_F.
     """
-    if not is_hermitian(j._compressed[1], tol):
+    if not is_hermitian(j._compressed, tol):
         raise ValueError("map is not hermiticity-preserving within tolerance")
     w, v = hermitian_eigendecomposition((j.matrix + j.matrix.conj().T) / 2)
     kraus = (v.T / np.sqrt(j.d_out)).reshape(w.size, 1, j.d_out, j.d_in)
@@ -110,13 +111,14 @@ def error_lower_bound(j: ChoiOperator, tol: float = HERM_TOL) -> float:
     Equals min over states sigma of Tr[|J| (1 (x) sigma)], which reduces to
     the minimum eigenvalue of the input-side partial trace of |J| (the trace
     against sigma of a fixed PSD operator is minimized by its ground-state
-    projector). With J = Q C Q^dag, |J| = Q |C| Q^dag for a Hermitian C.
+    projector). With J = Q C Q^dag, |J| = Q |C| Q^dag for a Hermitian C; Q
+    comes from a thin QR of the map's stacks, taken here and not kept.
     Raises ``ValueError`` unless ||J - J^dag||_F <= tol ||J||_F.
     """
-    c = j._compressed[1]
-    if not is_hermitian(c, tol):
+    if not is_hermitian(j._compressed, tol):
         raise ValueError("map is not hermiticity-preserving within tolerance")
-    reduced = output_trace(j, operator_absolute_value((c + c.conj().T) / 2))
+    q, c = orthonormal_compression(j)
+    reduced = output_trace(j, operator_absolute_value((c + c.conj().T) / 2), q)
     return float(np.linalg.eigvalsh(reduced).min())
 
 

@@ -131,14 +131,18 @@ def _hermitian(m: np.ndarray, name: str):
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{_SQUARE[name]}, got shape {m.shape}")
-    scale = _frobenius(m)
-    if not scale < math.inf:  # a non-finite entry, or a norm beyond float range
+    m_dag, scale = m.conj().T, _frobenius(m)
+    if scale < math.inf:
+        hermitian = _frobenius(m - m_dag) <= HERM_TOL * scale
+    else:  # a non-finite entry, or a norm beyond float range
         bad = np.argwhere(~np.isfinite(m))
         if len(bad):
             i, j = bad[0]
             raise ValueError(f"{name} entry [{i}, {j}] is not finite: {m[i, j]}")
-    m_dag = m.conj().T
-    if not _frobenius(m - m_dag) <= HERM_TOL * scale:
+        # judge m 2^-k instead, 2^k from the largest entry: an exact scaling
+        top = max(np.abs(m.real).max(), np.abs(m.imag).max())
+        hermitian = is_hermitian(m * np.ldexp(1.0, -int(np.frexp(top)[1])))
+    if not hermitian:
         raise ValueError(f"{name} is not Hermitian within tolerance")
     return m, (m + m_dag) / 2
 

@@ -18,7 +18,7 @@ from twopoint.correlator import (
     universal_imag_decomposition,
     universal_real_decomposition,
 )
-from twopoint.decomposition import error_lower_bound
+from twopoint.decomposition import error_lower_bound, recombine
 from twopoint.linalg import swap_operator
 
 from reference_maps import choi_of_action, cloner_apply, maximally_entangled_projector
@@ -60,6 +60,8 @@ def test_choi_operator_validates_kraus_stack():
         ChoiOperator(None, d_in=2, d_out=4, kraus=np.ones((3, 4, 2)), right=np.ones((2, 4, 2)))
     with pytest.raises(ValueError, match="Kraus"):
         ChoiOperator(np.eye(4), d_in=2, d_out=2, right=np.ones((1, 2, 2)))
+    with pytest.raises(ValueError, match="r >= 1"):
+        ChoiOperator(None, d_in=2, d_out=3, kraus=np.zeros((0, 3, 2)))
 
 
 # --- two-sided stacks -----------------------------------------------------------
@@ -112,6 +114,100 @@ def test_stacked_map_matches_its_matrix(case):
         "negative": [True, False, False],
         "two-sided": [False, False, False],
     }[case]
+
+
+def _channel(stack):
+    """The stack K_a S^(-1/2), S = sum_a K_a^dag K_a: a channel's Kraus stack."""
+    w, v = np.linalg.eigh(np.einsum("aoi,aoj->ij", stack.conj(), stack))
+    return stack @ ((v * w**-0.5) @ v.conj().T)
+
+
+_COMPRESSION_CASES = ["two-sided", "kraus", "channel", "shared", "wide-channel", "wide-shared",
+                      "tall-shared", "family-real", "family-imag"]
+
+
+def _compression_case(case):
+    """A stacked map and its (hermiticity-preserving, completely positive,
+    trace-preserving) flags. "shared" is c X + conj(c) X^dag carried, as the
+    family's parts are, by [c A, conj(c) B] / [B, A]: [vec L | vec R] has
+    rank r, not 2r. The "wide" maps have 2r > d_out d_in columns; the "tall"
+    one has d_out d_in = 160 rows, read in three blocks of output rows."""
+    rng = np.random.default_rng(_COMPRESSION_CASES.index(case))
+    a, b = _stack(rng, 3, 3, 2), _stack(rng, 3, 3, 2)
+    if case == "two-sided":
+        return ChoiOperator(None, 2, 3, kraus=a, right=b), (False, False, False)
+    if case == "kraus":
+        return ChoiOperator(None, 2, 3, kraus=a), (True, True, False)
+    if case == "channel":
+        return ChoiOperator(None, 2, 3, kraus=_channel(a)), (True, True, True)
+    if case == "shared":
+        return ChoiOperator(None, 2, 3, kraus=np.concatenate([0.5j * a, -0.5j * b]),
+                            right=np.concatenate([b, a])), (True, False, False)
+    if case == "wide-channel":
+        return ChoiOperator(None, 2, 2, kraus=_channel(_stack(rng, 5, 2, 2))), (True, True, True)
+    if case == "wide-shared":
+        a, b = _stack(rng, 3, 2, 2), _stack(rng, 3, 2, 2)
+        return ChoiOperator(None, 2, 2, kraus=np.concatenate([0.5 * a, 0.5 * b]),
+                            right=np.concatenate([b, a])), (True, False, False)
+    if case == "tall-shared":
+        a, b = _stack(rng, 8, 40, 4), _stack(rng, 8, 40, 4)
+        return ChoiOperator(None, 4, 40, kraus=np.concatenate([0.5j * a, -0.5j * b]),
+                            right=np.concatenate([b, a])), (True, False, False)
+    fam = CorrelatorFamily(3)
+    return (fam.j_real, (True, False, True)) if case == "family-real" else (fam.j_imag, (True, False, False))
+
+
+@pytest.mark.parametrize("case", _COMPRESSION_CASES)
+def test_compressed_map_agrees_with_its_dense_matrix(case):
+    """Norm, trace product, the three predicates and the bound read off the
+    compressed matrix C = T_L T_R^dag (and the stacks) equal those of the
+    same map given as its dense matrix, within 1e-12 relative."""
+    j, flags = _compression_case(case)
+    left, right = j.stacks
+    want = sum(np.outer(a.reshape(-1), b.reshape(-1).conj()) for a, b in zip(left, right))
+    dense = ChoiOperator(want, d_in=j.d_in, d_out=j.d_out)
+    norm = np.linalg.norm(want)
+    assert abs(frobenius_norm(j) - norm) <= 1e-12 * norm
+    rng = np.random.default_rng(7)
+    other = ChoiOperator(None, j.d_in, j.d_out, kraus=_stack(rng, 2, j.d_out, j.d_in),
+                         right=_stack(rng, 2, j.d_out, j.d_in))
+    as_matrix = {j: dense, other: ChoiOperator(other.matrix, j.d_in, j.d_out)}
+    for x, y in ((j, other), (other, j), (j, j)):
+        want_tp = trace_product(as_matrix[x], as_matrix[y])
+        assert abs(trace_product(x, y) - want_tp) <= 1e-12 * frobenius_norm(x) * frobenius_norm(y)
+    preds = (is_hermiticity_preserving, is_completely_positive, is_trace_preserving)
+    assert tuple(p(j) for p in preds) == tuple(p(dense) for p in preds) == flags
+    if flags[0]:
+        assert abs(error_lower_bound(j) - error_lower_bound(dense)) <= 1e-12 * norm
+    else:
+        for m in (j, dense):
+            with pytest.raises(ValueError, match="hermiticity"):
+                error_lower_bound(m)
+
+
+def _cached_sides(j):
+    """Every side length of every array the map holds, cached values included."""
+    held = [a for v in vars(j).values() for a in (v if isinstance(v, tuple) else (v,))]
+    return {n for a in held if isinstance(a, np.ndarray) for n in a.shape}
+
+
+@pytest.mark.parametrize("predicate", [
+    frobenius_norm, is_hermiticity_preserving, is_completely_positive, is_trace_preserving,
+    error_lower_bound, lambda j: trace_product(j, CorrelatorFamily(3).j_sym),
+])
+def test_stacked_map_caches_no_process_matrix_sided_array(predicate):
+    """After any predicate, a stacked map holds its stacks and small matrices
+    only: no array with a side of d_out d_in = 27, such as an orthonormal
+    basis Q of its stacks or its process matrix."""
+    fam = CorrelatorFamily(3)
+    residual = combine((1, -1), (fam.j_real, recombine(universal_real_decomposition(3))))
+    total = combine((1, -1j), (fam.j_real, fam.j_imag))
+    for j in (fam.j_real, fam.j_imag, fam.j_sym, residual, total):
+        try:
+            predicate(j)
+        except ValueError:  # the bound of a map that is not hermiticity-preserving
+            pass
+        assert 27 not in _cached_sides(j), j.stacks[0].shape
 
 
 def test_combine_stacks_or_adds_matrices():

@@ -516,6 +516,20 @@ def test_verify_eigendecompositions_are_at_most_d_squared(monkeypatch):
     assert sides and max(sides) <= 8 * 8
 
 
+def test_verify_keeps_only_compressed_matrices_in_memory():
+    """No check builds the d^3 x 2r matrix [vec L | vec R] or its orthonormal
+    basis for more than the bound's two parts, so the tracemalloc peak of the
+    whole suite at d = 12 is about 10 MB (24 MB when every map cached Q)."""
+    tracemalloc.start()
+    try:
+        checks, _ = _verify_checks(12, 42, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(c["passed"] for c in checks)
+    assert peak <= 16 * 2**20, peak
+
+
 def test_verify_fails_real_identity_on_a_flipped_factor(monkeypatch):
     """The identity checks compare the parts built from S (1 (x) rho) with the
     branches, so a sign flipped in the factor L_0 = S (|0> (x) 1) must show.

@@ -4,6 +4,7 @@ import pytest
 from twopoint.cli import _random_observable as rand_herm, _random_state as rand_state
 from twopoint.linalg import (
     _canonical_eigenbasis,
+    _hermitian,
     check_density_matrix,
     check_observable,
     eigenvalue_clusters,
@@ -383,3 +384,17 @@ def test_check_density_matrix_rejects_negative():
 def test_check_observable_rejects_non_hermitian():
     with pytest.raises(ValueError, match="[Hh]ermitian"):
         check_observable(np.array([[0, 1], [0, 0]], dtype=complex))
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e300])
+def test_hermiticity_is_judged_beyond_the_squared_norm_range(scale):
+    """Entries above about 1e154 overflow ||m||_F^2 (and inf <= tol * inf
+    holds), so such m is judged as m 2^-k, an exact scaling: a non-Hermitian
+    one is refused and a Hermitian one comes back bit for bit."""
+    with pytest.raises(ValueError, match="Hermitian"):
+        check_observable(scale * np.array([[0, 1], [0, 0]], dtype=complex))
+    a = scale * np.array([[1, 1j], [-1j, -2]])
+    m, h = _hermitian(a, "observable")
+    assert np.array_equal(m, a) and np.array_equal(h, a)
+    near = a + 1e-12 * scale * np.array([[0, 1], [0, 0]])
+    assert np.array_equal(check_observable(near), near)
