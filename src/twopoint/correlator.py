@@ -37,10 +37,10 @@ def _frozen(m: np.ndarray) -> np.ndarray:
 
 
 def _column_blocks(op: np.ndarray) -> np.ndarray:
-    """The (d, d*d, d) stack of operators op (|i> (x) 1) of a d^2-sided op:
-    column i*d + c of op is op (|i> (x) |c>)."""
+    """The C-contiguous (d, d*d, d) stack of operators op (|i> (x) 1) of a
+    d^2-sided op: column i*d + c of op is op (|i> (x) |c>)."""
     d = math.isqrt(op.shape[0])
-    return op.reshape(d * d, d, d).transpose(1, 0, 2)
+    return np.ascontiguousarray(op.reshape(d * d, d, d).transpose(1, 0, 2))
 
 
 def _sandwich(left: np.ndarray, scale: float) -> ChoiOperator:

@@ -23,8 +23,6 @@ KRAUS_RTOL      1e-12  eigenvalues of J <= KRAUS_RTOL max(w) give no Kraus opera
 STATE_TOL       1e-9   |Tr rho - 1| <= STATE_TOL, least eigenvalue of rho >= -STATE_TOL
 BRANCH_FLOOR    1e-15  a sampler branch of probability <= BRANCH_FLOOR is not drawn
 INSTRUMENT_TOL  1e-8   |sum_i p(i) - 1| of a plan, ||V^dag V - 1||_F of a dilation
-AMP_CUTOFF      1e-15  photon amplitudes of modulus <= AMP_CUTOFF are dropped
-MIXTURE_FLOOR   1e-12  eigenvalues <= MIXTURE_FLOOR of a qubit state skip the optics
 ==============  =====  ====================================================================
 """
 
@@ -42,8 +40,6 @@ KRAUS_RTOL = 1e-12
 STATE_TOL = 1e-9
 BRANCH_FLOOR = 1e-15
 INSTRUMENT_TOL = 1e-8
-AMP_CUTOFF = 1e-15
-MIXTURE_FLOOR = 1e-12
 
 
 def partial_trace(m: np.ndarray, keep, dims) -> np.ndarray:

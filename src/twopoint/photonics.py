@@ -28,34 +28,43 @@ Detectors sit on ``c``, ``e`` and ``f``. Two coincidence patterns are kept:
 Recombining the two post-selected branch statistics with weights +3/2 and
 -1/2 reproduces the two-copy expectation Tr[rho {A, B}] / 2 exactly.
 
-States are sparse creation-operator polynomials: a dict mapping a sorted
-tuple of occupied (spatial, polarization) modes to the monomial's complex
-amplitude. The squared norm of a monomial is the product of factorials of
-its mode multiplicities. Everything here is an exact amplitude computation;
-no sampling is involved.
+The beamsplitters act on spatial modes only, and each kept pattern puts its
+photons in distinct modes x and y, so its amplitudes are 2x2 permanents of
+the splitters' real 4x4 mode matrix U (the two-photon permanent formula of
+linear optics): M = U[x,a] U[y,b] 1 + U[y,a] U[x,b] S on the polarizations
+of the photons from a and b, S the swap. Each pattern is the fixed 8x2 Kraus
+operator K = (M (x) 1_r)(1_a (x) |Phi+>_br); its unnormalised post-selected
+state is K rho K^dag, exact and linear in rho.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from math import sqrt
 
 import numpy as np
 
-from .linalg import (AMP_CUTOFF, MIXTURE_FLOOR, check_density_matrix, check_observable,
-                     hermitian_eigendecomposition, partial_trace)
+from .linalg import check_density_matrix, check_observable, partial_trace, swap_operator
 
-# One occupied mode: (spatial label, polarization bit).
-Mode = tuple[str, int]
-# Sparse 3-photon vector: sorted mode multiset -> amplitude.
-FockVector = dict[tuple[Mode, ...], complex]
 
-# Complete spatial occupation profiles of the two accepted coincidence
-# patterns, and the order in which the detected polarizations enter the
-# returned (pair x reference) state.
-_SYM_PROFILE = ("e", "f", "r")
-_ANTI_PROFILE = ("c", "e", "r")
+def _pattern_kraus(x: int, y: int) -> np.ndarray:
+    """K of the pattern with one photon in each of the output modes x != y.
+
+    U[x, y] is the amplitude of a photon entering mode y to leave in mode x,
+    over (a, b, f, h) in and (c, e, f, h) out: the splitters on (a, b), (d, f)
+    and (c, h) in turn, each taking its first mode to (first + second)/sqrt(2)
+    and its second to (first - second)/sqrt(2)."""
+    u = np.eye(4)
+    for i, j in ((0, 1), (1, 2), (0, 3)):
+        bs = np.eye(4)
+        bs[np.ix_((i, j), (i, j))] = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
+        u = bs @ u
+    m = u[x, 0] * u[y, 1] * np.eye(4) + u[y, 0] * u[x, 1] * swap_operator(2)
+    phi = np.array([[1.0], [0.0], [0.0], [1.0]]) / np.sqrt(2)  # |Phi+> on (b, r)
+    return np.kron(m, np.eye(2)) @ np.kron(np.eye(2), phi)
+
+
+_K_SYM = _pattern_kraus(1, 2)  # (e, f)
+_K_ANTI = _pattern_kraus(0, 1)  # (c, e)
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,109 +83,8 @@ class CoincidenceStats:
 
     def __post_init__(self):
         if not 0.0 <= self.p_anti <= self.p_sym <= 1.0:
-            raise ValueError(
-                f"coincidence probabilities out of order: "
-                f"p_anti={self.p_anti}, p_sym={self.p_sym}"
-            )
-
-
-def _substitute(state: FockVector, table) -> FockVector:
-    """Expand each creation operator through a linear substitution table."""
-    out: FockVector = {}
-    for key, amp in state.items():
-        options = [table.get(m, ((m, 1.0),)) for m in key]
-        for combo in itertools.product(*options):
-            coeff = amp
-            modes = []
-            for mode, c in combo:
-                coeff = coeff * c
-                modes.append(mode)
-            k2 = tuple(sorted(modes))
-            prev = out.get(k2, 0j)
-            out[k2] = prev + coeff
-    return {k: v for k, v in out.items() if abs(v) > AMP_CUTOFF}
-
-
-def beamsplitter_action(
-    state: FockVector, mode_pair: tuple[str, str], transmissivity: float
-) -> FockVector:
-    """Mix two spatial modes, polarization by polarization.
-
-    With transmissivity t, the first mode's creation operator maps to
-    sqrt(t)*first + sqrt(1-t)*second and the second's to
-    sqrt(1-t)*first - sqrt(t)*second; photon number is conserved and the
-    vector norm is preserved. Either input port may be vacuum.
-    """
-    s1, s2 = mode_pair
-    if not (isinstance(s1, str) and isinstance(s2, str)) or s1 == s2:
-        raise ValueError(f"invalid mode labels for beamsplitter: {mode_pair!r}")
-    if not 0.0 <= transmissivity <= 1.0:
-        raise ValueError(f"transmissivity {transmissivity} outside [0, 1]")
-    ct = sqrt(transmissivity)
-    cr = sqrt(1.0 - transmissivity)
-    table = {}
-    for p in (0, 1):
-        table[(s1, p)] = (((s1, p), ct), ((s2, p), cr))
-        table[(s2, p)] = (((s1, p), cr), ((s2, p), -ct))
-    return _substitute(state, table)
-
-
-def _relabel(state: FockVector, old: str, new: str) -> FockVector:
-    out: FockVector = {}
-    for key, amp in state.items():
-        if any(s == new for s, _ in key):
-            raise ValueError(f"relabel target {new!r} already occupied")
-        k2 = tuple(sorted((new if s == old else s, p) for s, p in key))
-        out[k2] = amp
-    return out
-
-
-def _pure_pipeline(psi: np.ndarray) -> FockVector:
-    """Propagate one pure polarization input through the whole bench."""
-    state: FockVector = {}
-    for p in (0, 1):
-        if abs(psi[p]) <= AMP_CUTOFF:
-            continue
-        for q in (0, 1):
-            key = tuple(sorted((("a", p), ("b", q), ("r", q))))
-            state[key] = state.get(key, 0j) + psi[p] / sqrt(2.0)
-    state = beamsplitter_action(state, ("a", "b"), 0.5)
-    state = _relabel(state, "a", "c")
-    state = _relabel(state, "b", "d")
-    state = beamsplitter_action(state, ("d", "f"), 0.5)
-    state = _relabel(state, "d", "e")
-    state = beamsplitter_action(state, ("c", "h"), 0.5)
-    return state
-
-
-def _profile_vector(state: FockVector, profile: tuple[str, str, str]) -> np.ndarray:
-    """Post-select on a complete spatial profile with all-distinct modes and
-    return the 8-component polarization amplitude vector, ordered
-    (first detected, second detected, reference)."""
-    vec = np.zeros(8, dtype=complex)
-    want = tuple(sorted(profile))
-    for key, amp in state.items():
-        if tuple(sorted(s for s, _ in key)) != want:
-            continue
-        pol = {s: p for s, p in key}
-        idx = (pol[profile[0]] << 2) | (pol[profile[1]] << 1) | pol[profile[2]]
-        vec[idx] = amp
-    return vec
-
-
-def _bench_outputs(rho: np.ndarray) -> list[tuple[float, FockVector]]:
-    """Run the bench on each eigenvector of a polarization-qubit state.
-
-    Returns (eigenvalue, output vector) pairs for the eigenvalues above
-    ``MIXTURE_FLOOR``; the output state is their eigenvalue-weighted mixture.
-    """
-    rho = check_density_matrix(rho)
-    if rho.shape != (2, 2):
-        raise ValueError(
-            f"input photon must be a polarization qubit, got side {rho.shape[0]}"
-        )
-    w, v = hermitian_eigendecomposition(rho)
-    return [(w[k], _pure_pipeline(v[:, k])) for k in range(w.size) if w[k] > MIXTURE_FLOOR]
+            raise ValueError(f"coincidence probabilities out of order: "
+                             f"p_anti={self.p_anti}, p_sym={self.p_sym}")
 
 
 def simulate_optics(rho: np.ndarray) -> CoincidenceStats:
@@ -186,34 +94,22 @@ def simulate_optics(rho: np.ndarray) -> CoincidenceStats:
     1/16) and the normalized post-selected states on detected pair x
     reference.
     """
-    sym_acc = np.zeros((8, 8), dtype=complex)
-    anti_acc = np.zeros((8, 8), dtype=complex)
-    for weight, state in _bench_outputs(rho):
-        vs = _profile_vector(state, _SYM_PROFILE)
-        va = _profile_vector(state, _ANTI_PROFILE)
-        sym_acc += weight * np.outer(vs, vs.conj())
-        anti_acc += weight * np.outer(va, va.conj())
-    p_sym = float(np.trace(sym_acc).real)
-    p_anti = float(np.trace(anti_acc).real)
-    return CoincidenceStats(
-        p_sym=p_sym,
-        p_anti=p_anti,
-        state_sym=sym_acc / p_sym,
-        state_anti=anti_acc / p_anti,
-    )
+    rho = check_density_matrix(rho)
+    if rho.shape != (2, 2):
+        raise ValueError(f"input photon must be a polarization qubit, got side {rho.shape[0]}")
+    sym, anti = (k @ rho @ k.conj().T for k in (_K_SYM, _K_ANTI))
+    p_sym, p_anti = float(np.trace(sym).real), float(np.trace(anti).real)
+    return CoincidenceStats(p_sym, p_anti, state_sym=sym / p_sym, state_anti=anti / p_anti)
 
 
-def recombine_coincidences(
-    stats: CoincidenceStats, a: np.ndarray, b: np.ndarray
-) -> float:
+def recombine_coincidences(stats: CoincidenceStats, a: np.ndarray, b: np.ndarray) -> float:
     """Weighted two-copy expectation +3/2 <A x B>_sym - 1/2 <A x B>_anti.
 
     Equals Tr[rho (AB + BA)] / 2 for the input state the stats came from.
     The reference qubit is traced out: it is only classically correlated
     with the detected pair, so it does not affect this expectation.
     """
-    a = check_observable(a)
-    b = check_observable(b)
+    a, b = check_observable(a), check_observable(b)
     if a.shape != (2, 2) or b.shape != (2, 2):
         raise ValueError("observables must act on polarization qubits")
     ab = np.kron(a, b)

@@ -173,14 +173,20 @@ def _cell_counts(cell_probs, n_shots, rng):
 
 def _sample(plan, n_shots, rng):
     """Mean and standard error of the records of ``n_shots`` shots drawn
-    over the cells of ``plan`` by ``_cell_counts``."""
+    over the cells of ``plan`` by ``_cell_counts``.
+
+    Both are computed on the records times 2^-k, 2^k from their largest
+    modulus, and scaled back: the scaling is exact, and squaring the scaled
+    records neither overflows nor underflows."""
     cell_probs, values = plan
     counts = _cell_counts(cell_probs, n_shots, rng)
-    values = values.ravel()
+    scale = math.ldexp(1.0, math.frexp(np.abs(values).max())[1])
+    values = values.ravel() / scale
     mean = float(counts @ values / n_shots)
     if n_shots == 1:
-        return mean, 0.0
-    return mean, float(np.sqrt(counts @ (values - mean) ** 2 / (n_shots - 1) / n_shots))
+        return mean * scale, 0.0
+    se = float(np.sqrt(counts @ (values - mean) ** 2 / (n_shots - 1) / n_shots))
+    return mean * scale, se * scale
 
 
 def _integer(x, name):

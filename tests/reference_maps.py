@@ -6,13 +6,16 @@ that compares the two checks one construction against another. The check
 suite of ``twopoint verify`` has a dense counterpart here too, which works on
 d^3-sided process matrices where the package works on their factors, and
 the sampler's plan has one that measures the dense conditional two-copy state
-of each branch with dense spectral projectors. The random inputs that only
-the tests use (pure and rank-two states, two-valued observables) live here
-too.
+of each branch with dense spectral projectors. The optical bench has one
+that propagates sparse Fock-space vectors through each beamsplitter, where
+the package uses one fixed Kraus operator per coincidence pattern. The random
+inputs that only the tests use (pure and rank-two states, two-valued
+observables) live here too.
 """
 
+import itertools
 from collections import Counter
-from math import factorial
+from math import factorial, sqrt
 
 import numpy as np
 
@@ -29,6 +32,7 @@ from twopoint.linalg import (
     HERM_TOL,
     PSD_TOL,
     TP_TOL,
+    check_density_matrix,
     check_observable,
     eigenvalue_clusters,
     hermitian_eigendecomposition,
@@ -37,7 +41,6 @@ from twopoint.linalg import (
     sector_projector,
     swap_operator,
 )
-from twopoint.photonics import _bench_outputs
 
 
 def maximally_entangled_projector(d):
@@ -74,6 +77,140 @@ def choi_of_action(action, d_in, d_out):
             unit[i, j] = 1.0
             jm += np.kron(np.asarray(action(unit.copy()), dtype=complex), unit)
     return ChoiOperator(jm, d_in=d_in, d_out=d_out)
+
+
+# --- the optical bench as sparse Fock-space vectors ------------------------------
+#
+# A state is a creation-operator polynomial: a dict mapping a sorted tuple of
+# occupied (spatial, polarization) modes to the monomial's complex amplitude.
+# The squared norm of a monomial is the product of factorials of its mode
+# multiplicities.
+
+# One occupied mode: (spatial label, polarization bit).
+Mode = tuple[str, int]
+# Sparse 3-photon vector: sorted mode multiset -> amplitude.
+FockVector = dict[tuple[Mode, ...], complex]
+
+# Amplitudes of modulus at most FOCK_CUTOFF are dropped from a vector.
+FOCK_CUTOFF = 1e-15
+
+# Complete spatial occupation profiles of the two accepted coincidence
+# patterns, and the order in which the detected polarizations enter the
+# (pair x reference) state.
+SYM_PROFILE = ("e", "f", "r")
+ANTI_PROFILE = ("c", "e", "r")
+
+
+def _substitute(state: FockVector, table) -> FockVector:
+    """Expand each creation operator through a linear substitution table."""
+    out: FockVector = {}
+    for key, amp in state.items():
+        options = [table.get(m, ((m, 1.0),)) for m in key]
+        for combo in itertools.product(*options):
+            coeff = amp
+            modes = []
+            for mode, c in combo:
+                coeff = coeff * c
+                modes.append(mode)
+            k2 = tuple(sorted(modes))
+            prev = out.get(k2, 0j)
+            out[k2] = prev + coeff
+    return {k: v for k, v in out.items() if abs(v) > FOCK_CUTOFF}
+
+
+def beamsplitter_action(
+    state: FockVector, mode_pair: tuple[str, str], transmissivity: float
+) -> FockVector:
+    """Mix two spatial modes, polarization by polarization.
+
+    With transmissivity t, the first mode's creation operator maps to
+    sqrt(t)*first + sqrt(1-t)*second and the second's to
+    sqrt(1-t)*first - sqrt(t)*second; photon number is conserved and the
+    vector norm is preserved. Either input port may be vacuum.
+    """
+    s1, s2 = mode_pair
+    if not (isinstance(s1, str) and isinstance(s2, str)) or s1 == s2:
+        raise ValueError(f"invalid mode labels for beamsplitter: {mode_pair!r}")
+    if not 0.0 <= transmissivity <= 1.0:
+        raise ValueError(f"transmissivity {transmissivity} outside [0, 1]")
+    ct = sqrt(transmissivity)
+    cr = sqrt(1.0 - transmissivity)
+    table = {}
+    for p in (0, 1):
+        table[(s1, p)] = (((s1, p), ct), ((s2, p), cr))
+        table[(s2, p)] = (((s1, p), cr), ((s2, p), -ct))
+    return _substitute(state, table)
+
+
+def _relabel(state: FockVector, old: str, new: str) -> FockVector:
+    out: FockVector = {}
+    for key, amp in state.items():
+        if any(s == new for s, _ in key):
+            raise ValueError(f"relabel target {new!r} already occupied")
+        k2 = tuple(sorted((new if s == old else s, p) for s, p in key))
+        out[k2] = amp
+    return out
+
+
+def _pure_pipeline(psi: np.ndarray) -> FockVector:
+    """Propagate one pure polarization input through the whole bench."""
+    state: FockVector = {}
+    for p in (0, 1):
+        if abs(psi[p]) <= FOCK_CUTOFF:
+            continue
+        for q in (0, 1):
+            key = tuple(sorted((("a", p), ("b", q), ("r", q))))
+            state[key] = state.get(key, 0j) + psi[p] / sqrt(2.0)
+    state = beamsplitter_action(state, ("a", "b"), 0.5)
+    state = _relabel(state, "a", "c")
+    state = _relabel(state, "b", "d")
+    state = beamsplitter_action(state, ("d", "f"), 0.5)
+    state = _relabel(state, "d", "e")
+    state = beamsplitter_action(state, ("c", "h"), 0.5)
+    return state
+
+
+def _profile_vector(state: FockVector, profile: tuple[str, str, str]) -> np.ndarray:
+    """Post-select on a complete spatial profile with all-distinct modes and
+    return the 8-component polarization amplitude vector, ordered
+    (first detected, second detected, reference)."""
+    vec = np.zeros(8, dtype=complex)
+    want = tuple(sorted(profile))
+    for key, amp in state.items():
+        if tuple(sorted(s for s, _ in key)) != want:
+            continue
+        pol = {s: p for s, p in key}
+        idx = (pol[profile[0]] << 2) | (pol[profile[1]] << 1) | pol[profile[2]]
+        vec[idx] = amp
+    return vec
+
+
+def _bench_outputs(rho: np.ndarray) -> list[tuple[float, FockVector]]:
+    """Run the bench on each eigenvector of a polarization-qubit state.
+
+    Returns (eigenvalue, output vector) pairs for all eigenvalues; the output
+    state is their eigenvalue-weighted mixture, linear in rho.
+    """
+    rho = check_density_matrix(rho)
+    if rho.shape != (2, 2):
+        raise ValueError(
+            f"input photon must be a polarization qubit, got side {rho.shape[0]}"
+        )
+    w, v = hermitian_eigendecomposition(rho)
+    return [(w[k], _pure_pipeline(v[:, k])) for k in range(w.size)]
+
+
+def fock_post_selected(rho):
+    """The unnormalised 8x8 post-selected states (symmetric, antisymmetric)
+    on (detected pair) x (reference) of the bench run on a qubit state."""
+    out = []
+    for profile in (SYM_PROFILE, ANTI_PROFILE):
+        acc = np.zeros((8, 8), dtype=complex)
+        for weight, state in _bench_outputs(rho):
+            vec = _profile_vector(state, profile)
+            acc += weight * np.outer(vec, vec.conj())
+        out.append(acc)
+    return tuple(out)
 
 
 def fock_norm_squared(state):

@@ -245,6 +245,18 @@ def test_builders_match_applied_maps(d):
         assert np.linalg.norm(built.matrix - chois[name].matrix) <= 1e-10, name
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_family_stacks_are_c_contiguous(d):
+    """Every operator stack of the family maps and of the universal
+    decompositions' effects is C-contiguous, so reading it as a (r, side)
+    matrix is a view, not a copy."""
+    maps = list(choi_builders(CorrelatorFamily(d)).values())
+    maps += [*universal_real_decomposition(d).effects, *universal_imag_decomposition(d).effects]
+    for j in maps:
+        for stack in j.stacks:
+            assert stack.flags.c_contiguous
+
+
 def test_builder_trace_normalization():
     fam = CorrelatorFamily(2)
     reduced = partial_trace(fam.j_sym.matrix, 1, [4, 2])

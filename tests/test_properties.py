@@ -6,6 +6,8 @@ same on every run, and each property also runs at d = 16, the top of the
 documented range.
 """
 
+import math
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -21,7 +23,7 @@ from twopoint.correlator import (
     universal_real_decomposition,
 )
 from twopoint.decomposition import decomposition_cost
-from twopoint.sampler import _kirkwood_dirac_plans
+from twopoint.sampler import _kirkwood_dirac_plans, estimate_two_point
 
 from reference_maps import assert_plans_agree, reference_plan, two_valued_observable
 
@@ -111,3 +113,22 @@ def test_map_predicates_do_not_depend_on_scale(d, scale):
         scaled = combine((scale,), (j,))
         assert is_hermiticity_preserving(scaled) == is_hermiticity_preserving(j)
         assert is_completely_positive(scaled) == is_completely_positive(j)
+
+
+@PROPERTY
+@given(d=DIMS, seed=SEEDS, ks=st.integers(-300, 300), kt=st.integers(-300, 300))
+@example(d=4, seed=4, ks=300, kt=300)
+@example(d=4, seed=4, ks=-300, kt=-300)
+@example(d=16, seed=16, ks=-300, kt=300)
+def test_estimate_is_exactly_scale_equivariant(d, seed, ks, kt):
+    """(rho, sA, tB) gives s t times the estimate and the error bar of
+    (rho, A, B), bit for bit, for s = 2^ks and t = 2^kt. LAPACK's eigh scales
+    exactly only while a matrix's largest entry stays within about 2^-404 to
+    2^484, so the exponents stay within +-300 of unit-scale observables."""
+    rng = np.random.default_rng(seed)
+    rho, a, b = rand_state(rng, d), rand_herm(rng, d), rand_herm(rng, d)
+    s, t = math.ldexp(1.0, ks), math.ldexp(1.0, kt)
+    unit = estimate_two_point(rho, a, b, n_shots=10**5, seed=seed)
+    scaled = estimate_two_point(rho, s * a, t * b, n_shots=10**5, seed=seed)
+    assert scaled.estimate == s * t * unit.estimate
+    assert scaled.std_error == (s * t * unit.std_error[0], s * t * unit.std_error[1])

@@ -637,6 +637,20 @@ def test_error_scales_like_inverse_sqrt():
     assert 8.0 <= ratio <= 12.0  # sqrt(100) with sampling noise
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e-160, 1e-200])
+def test_standard_error_survives_extreme_observable_scales(scale):
+    """The records are squared at a power-of-two scale near their largest
+    modulus, so the error bar neither overflows to inf nor underflows to 0,
+    and it is the unit-scale one times the scale."""
+    unit = estimate_two_point(MIXED2, SZ, SX, n_shots=10**6, seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = estimate_two_point(MIXED2, scale * SZ, SX, n_shots=10**6, seed=1)
+    for se, se_unit in zip(report.std_error, unit.std_error):
+        assert 0.0 < se < np.inf
+        assert abs(se / scale - se_unit) <= 1e-12 * se_unit
+
+
 def test_split_shifts_budget():
     lopsided = estimate_two_point(KET0, SX, SY, n_shots=10_000, seed=31, split=0.9)
     assert lopsided.n_shots == 10_000
