@@ -5,8 +5,8 @@ quantum instruments, realizes them as dilations and shot-based samplers with
 classical post-processing, and models an exact three-photon optical
 implementation of the real-part instrument on polarization qubits.
 
-The names below are the public surface; the remaining helpers (fixed
-two-copy operators, report containers, the beamsplitter model) are imported
+The names below are the public surface; the remaining helpers (the
+universal branch table, the swap operator, report containers) are imported
 from their submodules.
 """
 

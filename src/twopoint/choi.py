@@ -28,7 +28,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import KRAUS_RTOL, PSD_TOL, TP_TOL, hermitian_eigendecomposition, is_hermitian
+from .linalg import (KRAUS_RTOL, PSD_TOL, TP_TOL, _unit_scaled, hermitian_eigendecomposition,
+                     is_hermitian)
 
 
 class ChoiOperator:
@@ -190,10 +191,10 @@ def is_completely_positive(j: ChoiOperator) -> bool:
 
     J is zero outside the span of [vec L | vec R]. Those zero eigenvalues are
     in C's spectrum too: C = T_L T_R^dag for a stack of r pairs has rank <= r,
-    and T has 2r rows unless 2r > d_out d_in, where C is as large as J."""
-    c = j._compressed
-    h = (c + c.conj().T) / 2
-    return is_hermitian(c) and np.linalg.eigvalsh(h).min() >= -PSD_TOL * np.linalg.norm(c)
+    and T has 2r rows unless 2r > d_out d_in, where C is as large as J. C
+    is judged as its ``_unit_scaled`` form."""
+    c, scale = _unit_scaled(j._compressed)
+    return is_hermitian(c) and np.linalg.eigvalsh((c + c.conj().T) / 2).min() >= -PSD_TOL * scale
 
 
 def is_trace_preserving(j: ChoiOperator) -> bool:

@@ -15,6 +15,10 @@ with P± the exchange-sector projectors and Q± the complex-phase blends
 weights ±(d±1) and ±sqrt(d^2-1); the resulting error-amplification factors d
 and sqrt(d^2-1) meet the universal lower bound at every input state, with
 branch probabilities exactly 1/2 each.
+
+Each branch is c G (1 (x) rho) G^dag with G = (1 + zS)/2; the table
+``universal_branches`` of their (lambda, c, z) is the one that the family,
+the decompositions, the sampler and the optics recombination all read.
 """
 
 from __future__ import annotations
@@ -27,36 +31,47 @@ import numpy as np
 
 from .choi import ChoiOperator
 from .decomposition import StatisticalDecomposition
-from .linalg import q_operator, sector_projector, swap_operator
+from .linalg import swap_operator
 
 
-def _frozen(m: np.ndarray) -> np.ndarray:
-    m = np.ascontiguousarray(m)
-    m.flags.writeable = False
-    return m
+def universal_branches(d: int) -> tuple[tuple[float, float, complex], ...]:
+    """(lambda, c, z) of the four branches c G (1 (x) rho) G^dag, G = (1 + zS)/2,
+    of the universal instruments: the real pair z = +1, -1 with c = 1/(d±1)
+    and weights ±(d±1), then the imaginary pair z, conj(z) with
+    z = (-1 + i sqrt(d^2-1))/d, c = d/(d^2-1) and weights ±sqrt(d^2-1)."""
+    if d < 2:
+        raise ValueError(f"the universal branches need dimension >= 2, got {d}")
+    lam = math.sqrt(d * d - 1)
+    z, c = complex(-1, lam) / d, d / (d * d - 1)
+    return ((d + 1.0, 1 / (d + 1), 1 + 0j), (1.0 - d, 1 / (d - 1), -1 + 0j),
+            (lam, c, z), (-lam, c, z.conjugate()))
 
 
-def _column_blocks(op: np.ndarray) -> np.ndarray:
-    """The C-contiguous (d, d*d, d) stack of operators op (|i> (x) 1) of a
-    d^2-sided op: column i*d + c of op is op (|i> (x) |c>)."""
-    d = math.isqrt(op.shape[0])
-    return np.ascontiguousarray(op.reshape(d * d, d, d).transpose(1, 0, 2))
+def _swap_stacks(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(L, R): the C-contiguous (d, d*d, d) stacks L_a = S (|a> (x) 1) and
+    R_a = |a> (x) 1, which take |c> to |c, a> and |a, c>."""
+    a, c = np.divmod(np.arange(d * d), d)
+    left, right = np.zeros((2, d, d * d, d), dtype=complex)
+    left[a, c * d + a, c] = right[a, a * d + c, c] = 1
+    return left, right
 
 
-def _sandwich(left: np.ndarray, scale: float) -> ChoiOperator:
-    """The map rho -> scale * L (1 (x) rho) L^dag on two d-dimensional copies,
-    carried by its d Kraus operators sqrt(scale) L (|i> (x) 1)."""
-    kraus = np.sqrt(scale) * _column_blocks(left)
-    return ChoiOperator(None, d_in=kraus.shape[2], d_out=kraus.shape[1], kraus=kraus)
+def _branches(d: int, k: float, rows) -> tuple[ChoiOperator, ...]:
+    """The maps rho -> k c G (1 (x) rho) G^dag of the ``universal_branches``
+    rows (lambda, c, z), each carried by its d Kraus operators
+    sqrt(k c) G (|a> (x) 1) = sqrt(k c) (R_a + z L_a)/2."""
+    left, right = _swap_stacks(d)
+    return tuple(ChoiOperator(None, d_in=d, d_out=d * d, kraus=math.sqrt(k * c) * ((right + z * left) / 2))
+                 for _, c, z in rows)
 
 
 def _ideal_part(d: int, c: complex) -> ChoiOperator:
     """c X + conj(c) X^dag, X the process matrix of S (1 (x) rho): c = 1/2
     gives the real part, c = i/2 the imaginary part. 1 (x) rho is
-    sum_a (|a> (x) 1) rho (<a| (x) 1), so S (1 (x) rho) = sum_a L_a rho R_a^dag
-    with L_a = S (|a> (x) 1) and R_a = |a> (x) 1; X^dag is the process matrix
-    of (1 (x) rho) S, carried by the swapped stacks."""
-    left, right = _column_blocks(swap_operator(d)), _column_blocks(np.eye(d * d))
+    sum_a (|a> (x) 1) rho (<a| (x) 1), so S (1 (x) rho) = sum_a L_a rho R_a^dag;
+    X^dag is the process matrix of (1 (x) rho) S, carried by the swapped
+    stacks."""
+    left, right = _swap_stacks(d)
     return ChoiOperator(
         None, d_in=d, d_out=d * d,
         kraus=np.concatenate([c * left, np.conj(c) * right]),
@@ -69,27 +84,29 @@ class CorrelatorFamily:
     """Fixed operators for one system dimension d >= 2.
 
     Holds the swap operator and builds the representing operators of all six
-    maps (real/imaginary parts and their four physical branches) on first
+    maps (real/imaginary parts and their four physical branches, the
+    channels 2 c G (1 (x) rho) G^dag of ``universal_branches``) on first
     access. The branches carry their Kraus stacks; the parts carry two-sided
     stacks built from the defining map S (1 (x) rho), never from the
     branches. Everything is read-only once built; threads that first touch a
-    process matrix at once may each build it, with equal results.
+    map at once may each build it, with equal results.
     """
 
     d: int
     swap: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.d < 2:
-            raise ValueError(f"family requires dimension >= 2, got {self.d}")
-        object.__setattr__(self, "swap", _frozen(swap_operator(self.d)))
+        universal_branches(self.d)  # the dimension check
+        object.__setattr__(self, "swap", swap_operator(self.d))
+        self.swap.flags.writeable = False
 
+    _channels = cached_property(lambda self: _branches(self.d, 2, universal_branches(self.d)))
     j_real = cached_property(lambda self: _ideal_part(self.d, 0.5))
     j_imag = cached_property(lambda self: _ideal_part(self.d, 0.5j))
-    j_sym = cached_property(lambda self: _sandwich(sector_projector(self.d, +1), 2 / (self.d + 1)))
-    j_anti = cached_property(lambda self: _sandwich(sector_projector(self.d, -1), 2 / (self.d - 1)))
-    j_phase_plus = cached_property(lambda self: _sandwich(q_operator(self.d, +1), 2 * self.d / (self.d**2 - 1)))
-    j_phase_minus = cached_property(lambda self: _sandwich(q_operator(self.d, -1), 2 * self.d / (self.d**2 - 1)))
+    j_sym = property(lambda self: self._channels[0])
+    j_anti = property(lambda self: self._channels[1])
+    j_phase_plus = property(lambda self: self._channels[2])
+    j_phase_minus = property(lambda self: self._channels[3])
 
 
 def real_part_apply(fam: CorrelatorFamily, rho: np.ndarray) -> np.ndarray:
@@ -106,26 +123,20 @@ def imag_part_apply(fam: CorrelatorFamily, rho: np.ndarray) -> np.ndarray:
     return (x @ fam.swap - fam.swap @ x) / 2j
 
 
+def _decomposition(d: int, rows) -> StatisticalDecomposition:
+    """Weights lambda and effects (the branches at k = 1) of the rows."""
+    return StatisticalDecomposition(tuple(lam for lam, _, _ in rows), _branches(d, 1, rows))
+
+
 def universal_real_decomposition(d: int) -> StatisticalDecomposition:
     """Instrument form of the real part: effects {R±/2}, weights ±(d±1)."""
-    if d < 2:
-        raise ValueError(f"decomposition requires dimension >= 2, got {d}")
-    return StatisticalDecomposition(
-        weights=(float(d + 1), -float(d - 1)),
-        effects=tuple(_sandwich(sector_projector(d, s), 1 / (d + s)) for s in (+1, -1)),
-    )
+    return _decomposition(d, universal_branches(d)[:2])
 
 
 def universal_imag_decomposition(d: int) -> StatisticalDecomposition:
     """Instrument form of the imaginary part: effects {I±/2}, weights
     ±sqrt(d^2-1)."""
-    if d < 2:
-        raise ValueError(f"decomposition requires dimension >= 2, got {d}")
-    lam = float(np.sqrt(d * d - 1))
-    return StatisticalDecomposition(
-        weights=(lam, -lam),
-        effects=tuple(_sandwich(q_operator(d, s), d / (d * d - 1)) for s in (+1, -1)),
-    )
+    return _decomposition(d, universal_branches(d)[2:])
 
 
 def choi_builders(fam: CorrelatorFamily) -> dict[str, ChoiOperator]:

@@ -1,4 +1,4 @@
-"""Dense complex linear algebra primitives and fixed two-copy operators.
+"""Dense complex linear algebra primitives, the swap operator, and validation.
 
 Matrices are plain complex ``numpy.ndarray`` values treated as immutable:
 every function returns a fresh array and never mutates its inputs. The global
@@ -13,6 +13,8 @@ produce identical output.
 Every tolerance of the package is defined here. A bound on an operator is
 relative to a stated norm of it, so inputs of any scale are judged alike; one
 on a scale-free quantity (a state, a probability, an isometry) is absolute.
+An operator whose squared norm would overflow or underflow is judged as its
+exact scaling by a power of two (``_unit_scaled``).
 
 ==============  =====  ====================================================================
 HERM_TOL        1e-10  ||m - m^dag||_F <= HERM_TOL ||m||_F: states, observables, maps' J
@@ -76,14 +78,15 @@ def partial_trace(m: np.ndarray, keep, dims) -> np.ndarray:
     return t.reshape(kept, kept)
 
 
-def eigenvalue_clusters(w: np.ndarray, tol: float = DEGENERACY_TOL):
+def eigenvalue_clusters(w: np.ndarray):
     """Start indices and sizes (two arrays) of the runs of ascending
-    eigenvalues ``w`` in which each neighbouring gap is <= tol * max|w|."""
+    eigenvalues ``w`` in which each neighbouring gap is
+    <= DEGENERACY_TOL * max|w|."""
     # a run starts at 0 and after each gap above the bound; the last ends at
     # len(w). max|w| of an ascending w is -w[0] or w[-1].
     edges = np.ones(len(w) + 1, dtype=bool)
     if len(w) > 1:
-        edges[1:-1] = w[1:] - w[:-1] > tol * max(-w[0], w[-1])
+        edges[1:-1] = w[1:] - w[:-1] > DEGENERACY_TOL * max(-w[0], w[-1])
     edges = edges.nonzero()[0]
     return edges[:-1], edges[1:] - edges[:-1]
 
@@ -115,9 +118,30 @@ def _frobenius(m: np.ndarray) -> float:
     return math.sqrt(np.vdot(m, m).real)
 
 
+# The least ||m||_F at which a difference at the rounding level,
+# 2^-53 ||m||_F, still squares to a normal float.
+_SMALL_NORM = 2.0**-458
+
+
+def _unit_scaled(m: np.ndarray):
+    """``(m, ||m||_F)``, or ``(m 2^-k, ||m 2^-k||_F)`` with 2^k from the
+    largest entry where ||m||_F is below ``_SMALL_NORM`` or its square
+    overflows: an exact scaling, under which relative bounds hold alike. The
+    norm is inf iff an entry is not finite."""
+    scale = _frobenius(m)
+    if _SMALL_NORM <= scale < math.inf:
+        return m, scale
+    if not np.isfinite(m).all():
+        return m, math.inf
+    top = max(np.abs(m.real).max(initial=0.0), np.abs(m.imag).max(initial=0.0))
+    m = m * np.ldexp(1.0, -int(np.frexp(top)[1]))
+    return m, _frobenius(m)
+
+
 def is_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> bool:
-    """True iff ||m - m^dag||_F <= tol ||m||_F."""
-    return _frobenius(m - m.conj().T) <= tol * _frobenius(m)
+    """True iff m has finite entries and ||m - m^dag||_F <= tol ||m||_F."""
+    m, scale = _unit_scaled(m)
+    return scale < math.inf and _frobenius(m - m.conj().T) <= tol * scale
 
 
 def _hermitian(m: np.ndarray, name: str):
@@ -127,20 +151,13 @@ def _hermitian(m: np.ndarray, name: str):
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{_SQUARE[name]}, got shape {m.shape}")
-    m_dag, scale = m.conj().T, _frobenius(m)
-    if scale < math.inf:
-        hermitian = _frobenius(m - m_dag) <= HERM_TOL * scale
-    else:  # a non-finite entry, or a norm beyond float range
+    if not is_hermitian(m):
         bad = np.argwhere(~np.isfinite(m))
         if len(bad):
             i, j = bad[0]
             raise ValueError(f"{name} entry [{i}, {j}] is not finite: {m[i, j]}")
-        # judge m 2^-k instead, 2^k from the largest entry: an exact scaling
-        top = max(np.abs(m.real).max(), np.abs(m.imag).max())
-        hermitian = is_hermitian(m * np.ldexp(1.0, -int(np.frexp(top)[1])))
-    if not hermitian:
         raise ValueError(f"{name} is not Hermitian within tolerance")
-    return m, (m + m_dag) / 2
+    return m, (m + m.conj().T) / 2
 
 
 def hermitian_eigendecomposition(m: np.ndarray):
@@ -173,31 +190,6 @@ def swap_operator(d: int) -> np.ndarray:
         raise ValueError(f"dimension must be positive, got {d}")
     # Row (i, j) of S is row (j, i) of the identity.
     return np.eye(d * d, dtype=complex)[np.arange(d * d).reshape(d, d).T.ravel()]
-
-
-def sector_projector(d: int, sign: int) -> np.ndarray:
-    """Projector (1 ± S)/2 onto the exchange-symmetric (+1) or -antisymmetric
-    (-1) subspace of two d-dimensional copies."""
-    if sign not in (+1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    return (np.eye(d * d, dtype=complex) + sign * swap_operator(d)) / 2
-
-
-def q_operator(d: int, sign: int) -> np.ndarray:
-    """The non-Hermitian operators (1 + zS)/2 with z = (-1 + i sqrt(d^2-1))/d.
-
-    ``sign=+1`` returns the operator itself, ``sign=-1`` its adjoint. |z| = 1,
-    so these are halfway between the two exchange-sector projectors in a
-    complex-phase sense; they require d >= 2.
-    """
-    if sign not in (+1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    if d < 2:
-        raise ValueError(f"dimension must be at least 2, got {d}")
-    z = (-1 + 1j * np.sqrt(d * d - 1)) / d
-    if sign < 0:
-        z = np.conj(z)
-    return (np.eye(d * d, dtype=complex) + z * swap_operator(d)) / 2
 
 
 def check_density_matrix(rho: np.ndarray) -> np.ndarray:

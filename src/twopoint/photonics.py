@@ -26,7 +26,8 @@ Detectors sit on ``c``, ``e`` and ``f``. Two coincidence patterns are kept:
   sandwich (for qubits, the singlet).
 
 Recombining the two post-selected branch statistics with weights +3/2 and
--1/2 reproduces the two-copy expectation Tr[rho {A, B}] / 2 exactly.
+-1/2, half the real-part weights of ``correlator.universal_branches(2)``,
+reproduces the two-copy expectation Tr[rho {A, B}] / 2 exactly.
 
 The beamsplitters act on spatial modes only, and each kept pattern puts its
 photons in distinct modes x and y, so its amplitudes are 2x2 permanents of
@@ -43,6 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .correlator import universal_branches
 from .linalg import check_density_matrix, check_observable, partial_trace, swap_operator
 
 
@@ -65,6 +67,8 @@ def _pattern_kraus(x: int, y: int) -> np.ndarray:
 
 _K_SYM = _pattern_kraus(1, 2)  # (e, f)
 _K_ANTI = _pattern_kraus(0, 1)  # (c, e)
+# lambda/2 of the real pair: its channels R± = 2 x effect are what the patterns post-select
+_W_SYM, _W_ANTI = (lam / 2 for lam, _, _ in universal_branches(2)[:2])
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,4 +121,4 @@ def recombine_coincidences(stats: CoincidenceStats, a: np.ndarray, b: np.ndarray
     pair_anti = partial_trace(stats.state_anti, (0, 1), [2, 2, 2])
     val_sym = float(np.trace(pair_sym @ ab).real)
     val_anti = float(np.trace(pair_anti @ ab).real)
-    return 1.5 * val_sym - 0.5 * val_anti
+    return _W_SYM * val_sym + _W_ANTI * val_anti

@@ -8,9 +8,8 @@ for the recombined map L; running the real- and imaginary-part instruments
 and combining as real - i*imag gives Tr[A rho B].
 
 Every branch of the universal instruments is E(rho) = c G (1 (x) rho) G^dag
-with G = (1 + zS)/2: z = +1 and -1 with c = 1/(d+1) and 1/(d-1) for the
-real part, z and conj(z) with z = (-1 + i sqrt(d^2-1))/d and
-c = d/(d^2-1) for the imaginary part. Since S (1 (x) rho) S = rho (x) 1 and
+with G = (1 + zS)/2, its weight lambda, c and z read from
+``correlator.universal_branches``. Since S (1 (x) rho) S = rho (x) 1 and
 Tr[S (X (x) Y)] = Tr[XY], a branch's cell is
 
     p(i) q_i(alpha, beta) = (c/4) [r_alpha t_beta + t_alpha r_beta
@@ -44,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .choi import _kraus_stack
-from .correlator import two_point_exact
+from .correlator import two_point_exact, universal_branches
 from .decomposition import StatisticalDecomposition
 from .linalg import (BRANCH_FLOOR, INSTRUMENT_TOL, _hermitian, check_density_matrix,
                      eigenvalue_clusters)
@@ -144,25 +143,18 @@ def _kirkwood_dirac_plans(rho, ha, hb):
 
     K is the cluster sum of (U_A^dag rho U_B) o conj(U_A^dag U_B), and its
     row and column sums are t_alpha and t_beta. The four branches' cells
-    come from one broadcast over their (c, z), in the order of
-    universal_real_decomposition and universal_imag_decomposition.
+    come from one broadcast over their (c, z) in ``universal_branches``,
+    whose first pair is the real part's.
     """
-    d = len(rho)
     (ua, sa, ra, avals), (ub, sb, rb, bvals) = _outcomes(ha, hb)
     ua_dag = ua.conj().T
     kd = (ua_dag @ rho @ ub) * (ua_dag @ ub).conj()
     kd = np.add.reduceat(np.add.reduceat(kd, sa, axis=0), sb, axis=1)
     local = ra[:, None] * kd.sum(axis=0).real + kd.sum(axis=1).real[:, None] * rb
-    lam = math.sqrt(d * d - 1)
-    z = complex(-1, lam) / d
-    zs = np.array([1.0, -1.0, z, z.conjugate()])[:, None, None]
-    c = np.array([1 / (d + 1), 1 / (d - 1), d / (d * d - 1), d / (d * d - 1)])
-    cells = np.maximum((c / 4)[:, None, None] * (local + 2 * (zs * kd).real), 0.0)
-    cells = cells.reshape(2, 2, -1)
-    return (
-        _plan(cells[0], np.array([d + 1.0, 1.0 - d]), avals, bvals),
-        _plan(cells[1], np.array([lam, -lam]), avals, bvals),
-    )
+    lams, c, zs = map(np.array, zip(*universal_branches(len(rho))))
+    cells = np.maximum((c / 4)[:, None, None] * (local + 2 * (zs[:, None, None] * kd).real), 0.0)
+    cells, lams = cells.reshape(2, 2, -1), lams.reshape(2, 2)
+    return _plan(cells[0], lams[0], avals, bvals), _plan(cells[1], lams[1], avals, bvals)
 
 
 def _cell_counts(cell_probs, n_shots, rng):

@@ -37,8 +37,6 @@ from twopoint.linalg import (
     eigenvalue_clusters,
     hermitian_eigendecomposition,
     partial_trace,
-    q_operator,
-    sector_projector,
     swap_operator,
 )
 
@@ -53,6 +51,19 @@ def ideal_correlator_apply(fam, rho):
     """S (1 (x) rho): the unphysical map whose pairing with A (x) B gives
     Tr[A rho B]."""
     return swap_operator(fam.d) @ np.kron(np.eye(fam.d), rho)
+
+
+def sector_projector(d, sign):
+    """(1 ± S)/2: the projector onto the exchange-symmetric (+1) or
+    -antisymmetric (-1) subspace of two d-dimensional copies."""
+    return (np.eye(d * d) + sign * swap_operator(d)) / 2
+
+
+def q_operator(d, sign):
+    """(1 + zS)/2 with z = (-1 + i sqrt(d^2-1))/d for sign = +1, its adjoint
+    (1 + conj(z) S)/2 for sign = -1."""
+    z = complex(-1.0, sign * sqrt(d * d - 1)) / d
+    return (np.eye(d * d) + z * swap_operator(d)) / 2
 
 
 def cloner_apply(fam, sign, rho):

@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 
 import numpy as np
@@ -15,13 +16,15 @@ from twopoint.correlator import (
     universal_real_decomposition,
 )
 from twopoint.decomposition import decomposition_cost, recombine
-from twopoint.linalg import (
-    partial_trace,
-    sector_projector,
-    swap_operator,
-)
+from twopoint.linalg import partial_trace, swap_operator
 
-from reference_maps import choi_of_action, cloner_apply, ideal_correlator_apply, rootswap_apply
+from reference_maps import (
+    choi_of_action,
+    cloner_apply,
+    ideal_correlator_apply,
+    rootswap_apply,
+    sector_projector,
+)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]])
@@ -112,13 +115,14 @@ def test_two_point_identity_random_triples(d):
 def test_cloner_outputs_are_states(d):
     rng = np.random.default_rng(8 + d)
     fam = CorrelatorFamily(d)
-    for sign in (+1, -1):
+    for sign, branch in ((+1, fam.j_sym), (-1, fam.j_anti)):
         rho = rand_state(rng, d)
         out = cloner_apply(fam, sign, rho)
         assert abs(np.trace(out) - 1) <= 1e-11
         assert np.linalg.eigvalsh(out).min() >= -1e-10
         opposite = sector_projector(d, -sign)
         assert np.linalg.norm(opposite @ out @ opposite) <= 1e-11
+        assert np.linalg.norm(apply_choi(branch, rho) - out) <= 1e-11
 
 
 def test_cloner_marginal_formula_qubit():
@@ -255,6 +259,34 @@ def test_family_stacks_are_c_contiguous(d):
     for j in maps:
         for stack in j.stacks:
             assert stack.flags.c_contiguous
+
+
+# sha256 of the branch stacks, recorded from the dense construction
+# sqrt(c) column blocks of (1 + zS)/2 that the stacks replace: any moved bit fails.
+STACK_DIGESTS = {
+    2: "ee78ba920fe4098d7b7a9482a2f00b7296ee05407b567e8a875b4441fb149845",
+    3: "65b773c80313fe2a97ccdb014838399c25f7fe7f408bd43fa374225bccd9480d",
+    4: "3f3474c5d34f18d86a95e6caeb622814a5c88389578e54705289c1b1ac21a0d0",
+    8: "d189e6df183064033da76284990abac76114c24406db4cb70a5997ac1972433e",
+}
+
+
+@pytest.mark.parametrize("d", sorted(STACK_DIGESTS))
+def test_branch_stacks_keep_their_bits(d):
+    """The Kraus stacks of the four family branches, then those of the real
+    and imaginary decompositions' effects, then the (L, R) stacks of j_real
+    and j_imag: each complex128 and C-contiguous, hashed with its shape."""
+    fam = CorrelatorFamily(d)
+    stacks = [j.kraus for j in (fam.j_sym, fam.j_anti, fam.j_phase_plus, fam.j_phase_minus)]
+    stacks += [eff.kraus for dec in (universal_real_decomposition(d), universal_imag_decomposition(d))
+               for eff in dec.effects]
+    stacks += [*fam.j_real.stacks, *fam.j_imag.stacks]
+    digest = hashlib.sha256()
+    for stack in stacks:
+        assert stack.dtype == np.complex128 and stack.flags.c_contiguous
+        digest.update(repr(stack.shape).encode())
+        digest.update(stack.tobytes())
+    assert digest.hexdigest() == STACK_DIGESTS[d]
 
 
 def test_builder_trace_normalization():

@@ -2,6 +2,11 @@ import numpy as np
 import pytest
 
 from twopoint.cli import _random_observable as rand_herm, _random_state as rand_state
+from twopoint.correlator import (
+    universal_branches,
+    universal_imag_decomposition,
+    universal_real_decomposition,
+)
 from twopoint.linalg import (
     _canonical_eigenbasis,
     _hermitian,
@@ -11,8 +16,6 @@ from twopoint.linalg import (
     hermitian_eigendecomposition,
     operator_absolute_value,
     partial_trace,
-    q_operator,
-    sector_projector,
     swap_operator,
 )
 
@@ -143,13 +146,8 @@ def test_eigendecomposition_rejects_non_hermitian():
 
 def test_eigenvalue_clusters_split_at_gaps_above_tol():
     w = np.array([-1.0, -1.0 + 1e-10, 0.5, 2.0, 2.0, 2.0 + 2e-10])
-    for tol, starts, sizes in [
-        (1e-9, [0, 2, 3], [2, 1, 3]),
-        (0.0, [0, 1, 2, 3, 5], [1, 1, 1, 2, 1]),
-    ]:
-        got = eigenvalue_clusters(w, tol)
-        assert [a.tolist() for a in got] == [starts, sizes]
-    assert [a.tolist() for a in eigenvalue_clusters(np.array([3.0]), 1e-9)] == [[0], [1]]
+    assert [a.tolist() for a in eigenvalue_clusters(w)] == [[0, 2, 3], [2, 1, 3]]
+    assert [a.tolist() for a in eigenvalue_clusters(np.array([3.0]))] == [[0], [1]]
 
 
 def test_eigenvalue_clusters_are_relative_to_the_largest_modulus():
@@ -259,23 +257,37 @@ def test_swap_trace_identity():
         assert abs(got - np.trace(a @ b)) <= 1e-11
 
 
-# --- sector_projector -------------------------------------------------------
+# --- the two-copy operators of the universal branches ------------------------
+#
+# Each branch of correlator.universal_branches is c G (1 (x) rho) G^dag with
+# G = (1 + zS)/2; its effect carries the Kraus stack sqrt(c) G (|a> (x) 1),
+# from which G is read back column block by column block.
+
+
+def _branch_operators(d):
+    """G of the four branches, in the order of ``universal_branches``:
+    P+, P-, Q+ and Q- = Q+^dag."""
+    effects = [*universal_real_decomposition(d).effects, *universal_imag_decomposition(d).effects]
+    return [eff.kraus.transpose(1, 0, 2).reshape(d * d, d * d) / np.sqrt(c)
+            for eff, (_, c, _) in zip(effects, universal_branches(d))]
 
 
 def test_sector_projector_traces():
-    assert abs(np.trace(sector_projector(2, +1)) - 3) <= 1e-13
-    assert abs(np.trace(sector_projector(2, -1)) - 1) <= 1e-13
+    pp, pm, _, _ = _branch_operators(2)
+    assert abs(np.trace(pp) - 3) <= 1e-13
+    assert abs(np.trace(pm) - 1) <= 1e-13
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
 def test_sector_projector_algebra(d):
-    pp = sector_projector(d, +1)
-    pm = sector_projector(d, -1)
+    pp, pm, _, _ = _branch_operators(d)
+    assert [z for _, _, z in universal_branches(d)[:2]] == [1, -1]
     assert np.linalg.norm(pp @ pp - pp) <= 1e-12
     assert np.linalg.norm(pm @ pm - pm) <= 1e-12
     assert np.linalg.norm(pp - pp.conj().T) <= 1e-12
     assert np.linalg.norm(pp + pm - np.eye(d * d)) <= 1e-12
     assert np.linalg.norm(pp @ pm) <= 1e-12
+    assert np.linalg.norm(pp - pm - swap_operator(d)) <= 1e-12
     assert abs(np.trace(pp) - d * (d + 1) / 2) <= 1e-11
     assert abs(np.trace(pm) - d * (d - 1) / 2) <= 1e-11
 
@@ -284,48 +296,34 @@ def test_antisymmetric_qubit_projector_is_singlet():
     singlet = np.zeros(4, dtype=complex)
     singlet[1] = 1 / np.sqrt(2)
     singlet[2] = -1 / np.sqrt(2)
-    assert np.allclose(sector_projector(2, -1), np.outer(singlet, singlet.conj()), atol=1e-14)
-
-
-def test_sector_projector_bad_sign():
-    with pytest.raises(ValueError, match="sign"):
-        sector_projector(2, 0)
-
-
-# --- q_operator --------------------------------------------------------------
-
-
-def _phase_from_q(d):
-    # entry |01..> <10..| of (1 + z*S)/2 is z/2
-    q = q_operator(d, +1)
-    return 2 * q[1, d]
+    assert np.allclose(_branch_operators(2)[1], np.outer(singlet, singlet.conj()), atol=1e-14)
 
 
 def test_q_phase_qubit_is_cube_root():
-    z = _phase_from_q(2)
+    z = universal_branches(2)[2][2]
     assert abs(z - (-1 + 1j * np.sqrt(3)) / 2) <= 1e-14
     assert abs(z**3 - 1) <= 1e-13
     assert abs(z - 1) > 1
+    # entry |01> <10| of (1 + zS)/2 is z/2
+    assert abs(2 * _branch_operators(2)[2][1, 2] - z) <= 1e-15
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 8, 16, 32, 64])
 def test_q_phase_unimodular(d):
-    assert abs(abs(_phase_from_q(d)) - 1) <= 1e-12
+    (_, _, z), (_, _, z_bar) = universal_branches(d)[2:]
+    assert abs(abs(z) - 1) <= 1e-12
+    assert z_bar == z.conjugate()
+    assert abs(z + z_bar + 2 / d) <= 1e-15
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_q_operators_sum_and_product(d):
-    qp = q_operator(d, +1)
-    qm = q_operator(d, -1)
+    _, _, qp, qm = _branch_operators(d)
     assert np.allclose(qm, qp.conj().T, atol=1e-14)
     # z + conj(z) = -2/d
     assert np.allclose(qp + qm, np.eye(d * d) - swap_operator(d) / d, atol=1e-13)
+    assert np.linalg.norm(qp @ qm - qm @ qp) <= 1e-12
     assert np.linalg.eigvalsh(qp @ qm).min() >= -1e-12
-
-
-def test_q_operator_rejects_d1():
-    with pytest.raises(ValueError, match="d"):
-        q_operator(1, +1)
 
 
 # --- maximally_entangled_projector -------------------------------------------
@@ -386,9 +384,10 @@ def test_check_observable_rejects_non_hermitian():
         check_observable(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
-@pytest.mark.parametrize("scale", [1e160, 1e300])
+@pytest.mark.parametrize("scale", [1e-200, 1e160, 1e300])
 def test_hermiticity_is_judged_beyond_the_squared_norm_range(scale):
     """Entries above about 1e154 overflow ||m||_F^2 (and inf <= tol * inf
+    holds), and entries below about 1e-162 underflow it (and 0 <= tol * 0
     holds), so such m is judged as m 2^-k, an exact scaling: a non-Hermitian
     one is refused and a Hermitian one comes back bit for bit."""
     with pytest.raises(ValueError, match="Hermitian"):

@@ -102,12 +102,15 @@ def test_plan_outcomes_do_not_depend_on_the_observable_scale(d, seed, scale):
 
 
 @PROPERTY
-@given(d=DIMS, scale=st.sampled_from([1e-12, 1e-6, 1e3, 1e9]))
+@given(d=DIMS, scale=st.sampled_from([1e-200, 1e-12, 1e-6, 1e3, 1e9, 1e200]))
 @example(d=16, scale=1e-12)
 @example(d=16, scale=1e9)
+@example(d=2, scale=1e-200)
+@example(d=2, scale=1e200)
 def test_map_predicates_do_not_depend_on_scale(d, scale):
     """A map is hermiticity-preserving or completely positive exactly when
-    s times it is: both bounds are relative to ||J||_F."""
+    s times it is: both bounds are relative to ||J||_F, and a J whose squared
+    norm would underflow or overflow is judged at an exact scaling."""
     fam = CorrelatorFamily(d)
     for j in (fam.j_sym, fam.j_phase_plus, fam.j_real, combine((1, -1j), (fam.j_real, fam.j_imag))):
         scaled = combine((scale,), (j,))
