@@ -128,8 +128,11 @@ def combine(coeffs, maps) -> ChoiOperator:
 
 
 def frobenius_norm(j: ChoiOperator) -> float:
-    """||J||_F = ||C||_F."""
-    return float(np.linalg.norm(j._compressed))
+    """||J||_F = ||C||_F: that of C's ``_unit_scaled`` form, scaled back (inf
+    beyond the float range)."""
+    _, scale, k = _unit_scaled(j._compressed)
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(scale, k))
 
 
 def trace_product(j1: ChoiOperator, j2: ChoiOperator) -> complex:
@@ -193,7 +196,7 @@ def is_completely_positive(j: ChoiOperator) -> bool:
     in C's spectrum too: C = T_L T_R^dag for a stack of r pairs has rank <= r,
     and T has 2r rows unless 2r > d_out d_in, where C is as large as J. C
     is judged as its ``_unit_scaled`` form."""
-    c, scale = _unit_scaled(j._compressed)
+    c, scale, _ = _unit_scaled(j._compressed)
     return is_hermitian(c) and np.linalg.eigvalsh((c + c.conj().T) / 2).min() >= -PSD_TOL * scale
 
 

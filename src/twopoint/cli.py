@@ -22,6 +22,7 @@ import argparse
 import contextlib
 import itertools
 import json
+import math
 import os
 import sys
 from collections.abc import Iterator
@@ -47,12 +48,7 @@ from .correlator import (
     universal_imag_decomposition,
     universal_real_decomposition,
 )
-from .decomposition import (
-    decomposition_cost,
-    error_lower_bound,
-    recombine,
-    statistical_decompose,
-)
+from .decomposition import error_lower_bound, recombine, statistical_decompose
 from .linalg import HERM_TOL
 from .photonics import recombine_coincidences, simulate_optics
 from .sampler import DEFAULT_SEED, estimate_two_point
@@ -61,9 +57,6 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_PARSE = 2
 EXIT_SEMANTIC = 3
-# verify --dump writes each d^3-sided process matrix as side^2 [re, im] pairs:
-# about 60 MB per file at d = 10, and 6 GB of JSON in all at d = 16.
-DUMP_MAX_D = 10
 
 
 class MatrixFileError(ValueError):
@@ -327,17 +320,17 @@ def _verify_checks(d: int, seed: int, tol: float | None):
     add("real_bound_value", abs(bound_real - d), thresh(1e-9))
     add("imag_bound_value", abs(bound_imag - np.sqrt(d * d - 1.0)), thresh(1e-9))
 
-    sat_real = prob_dev = sat_imag = 0.0
-    for _ in range(20):
-        rho = _random_state(rng, d)
-        cr = decomposition_cost(dec_real, rho, bound=bound_real)
-        ci = decomposition_cost(dec_imag, rho, bound=bound_imag)
-        sat_real = max(sat_real, abs(cr.cost - cr.bound))
-        sat_imag = max(sat_imag, abs(ci.cost - ci.bound))
-        for p in cr.probabilities + ci.probabilities:
-            prob_dev = max(prob_dev, abs(p - 0.5))
-    add("real_saturation", sat_real, thresh(1e-9))
-    add("imag_saturation", sat_imag, thresh(1e-9))
+    # p_i(rho) = Tr[M_i^T rho] for the input marginal M_i of effect i, so the
+    # worst case over every state of |p_i - 1/2| is ||M_i - 1/2||_op, and that
+    # of |cost - bound| is ||sum_i |lambda_i| M_i - bound 1||_op.
+    def op_norm(h: np.ndarray) -> float:
+        return float(np.abs(np.linalg.eigvalsh(h)).max())
+
+    for part, dec, bound in (("real", dec_real, bound_real), ("imag", dec_imag, bound_imag)):
+        cost = sum(abs(lam) * eff._input_marginal for lam, eff in zip(dec.weights, dec.effects))
+        add(f"{part}_saturation", op_norm(cost - bound * np.eye(d)), thresh(1e-9))
+    effects = dec_real.effects + dec_imag.effects
+    prob_dev = max(op_norm(eff._input_marginal - np.eye(d) / 2) for eff in effects)
     add("branch_probabilities", prob_dev, thresh(1e-10))
 
     add("orthogonality_sym", abs(trace_product(chois["sym"], chois["anti"])), thresh(1e-12))
@@ -374,11 +367,6 @@ def _verify_checks(d: int, seed: int, tol: float | None):
 def cmd_verify(args) -> int:
     if not 2 <= args.d <= 16:
         raise ValueError(f"dimension must satisfy 2 <= d <= 16, got {args.d}")
-    if args.dump is not None and args.d > DUMP_MAX_D:
-        raise ValueError(
-            f"--dump writes six {args.d**3}-sided process matrices; it takes "
-            f"d <= {DUMP_MAX_D}, got {args.d}"
-        )
     if args.tol is not None:
         _check_tol(args.tol)
     if args.dump is not None:
@@ -386,8 +374,10 @@ def cmd_verify(args) -> int:
     checks, chois = _verify_checks(args.d, args.seed, args.tol)
     if args.dump is not None:
         for name, j in chois.items():
-            path = os.path.join(args.dump, f"choi_{name}_d{args.d}.json")
-            _write_report(_matrix_file(j), path)
+            # each stack as one MatrixFile: its r operators, d_out x d_in, one under the next
+            files = {side: {"rows": len(s) * s.shape[1], "cols": args.d, "data": s}
+                     for side, s in zip(("left", "right"), j.stacks)}
+            _write_report(files, os.path.join(args.dump, f"choi_{name}_d{args.d}.json"))
     passed = all(c["passed"] for c in checks)
     report = {"d": args.d, "seed": args.seed, "checks": checks, "passed": passed}
     _write_report(report, args.out)
@@ -397,14 +387,14 @@ def cmd_verify(args) -> int:
 def cmd_experiment(args) -> int:
     rho = _load_matrix(args.rho)
     stats = simulate_optics(rho)
-    rng = np.random.default_rng(0xC01C)
-    residual = 0.0
-    for _ in range(10):
-        a = _random_observable(rng, 2)
-        b = _random_observable(rng, 2)
-        got = recombine_coincidences(stats, a, b)
-        want = float(np.trace(rho @ (a @ b + b @ a)).real) / 2.0
-        residual = max(residual, abs(got - want))
+    # The recombination and Tr[rho (AB + BA)]/2 are both linear in A (x) B, so
+    # the root-sum-square of their differences over the 16 Pauli pairs bounds
+    # the difference for every pair of observables of operator norm <= 1.
+    paulis = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, -1j, 1j, 0], [1, 0, 0, -1]]).reshape(4, 2, 2)
+    residual = math.hypot(*(
+        recombine_coincidences(stats, a, b) - float(np.trace(rho @ (a @ b + b @ a)).real) / 2
+        for a in paulis for b in paulis
+    ))
     payload = {
         "p_sym": stats.p_sym,
         "p_anti": stats.p_anti,
@@ -464,14 +454,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed",
         type=int,
         default=DEFAULT_SEED,
-        help=f"seed for random states (default {DEFAULT_SEED} = 0x2A)",
+        help=f"seed for the states and observables of two_point_identity "
+             f"(default {DEFAULT_SEED} = 0x2A)",
     )
     p.add_argument("--tol", type=float, default=None, help="override per-check residual thresholds")
     p.add_argument(
         "--dump",
         default=None,
         metavar="DIR",
-        help=f"also write all process matrices as MatrixFiles (d <= {DUMP_MAX_D})",
+        help="also write each map's operator stacks (L, R) as MatrixFiles",
     )
     p.add_argument("--out", default=None, help="output file (default: stdout)")
     p.set_defaults(func=cmd_verify)

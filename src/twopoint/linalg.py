@@ -124,23 +124,24 @@ _SMALL_NORM = 2.0**-458
 
 
 def _unit_scaled(m: np.ndarray):
-    """``(m, ||m||_F)``, or ``(m 2^-k, ||m 2^-k||_F)`` with 2^k from the
+    """``(m, ||m||_F, 0)``, or ``(m 2^-k, ||m 2^-k||_F, k)`` with 2^k from the
     largest entry where ||m||_F is below ``_SMALL_NORM`` or its square
-    overflows: an exact scaling, under which relative bounds hold alike. The
-    norm is inf iff an entry is not finite."""
+    overflows: an exact scaling, subnormal entries included, under which
+    relative bounds hold alike. The norm is inf iff an entry is not finite."""
     scale = _frobenius(m)
     if _SMALL_NORM <= scale < math.inf:
-        return m, scale
+        return m, scale, 0
     if not np.isfinite(m).all():
-        return m, math.inf
+        return m, math.inf, 0
     top = max(np.abs(m.real).max(initial=0.0), np.abs(m.imag).max(initial=0.0))
-    m = m * np.ldexp(1.0, -int(np.frexp(top)[1]))
-    return m, _frobenius(m)
+    k = int(np.frexp(top)[1])
+    m = np.ldexp(m.real, -k) + 1j * np.ldexp(m.imag, -k)
+    return m, _frobenius(m), k
 
 
 def is_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> bool:
     """True iff m has finite entries and ||m - m^dag||_F <= tol ||m||_F."""
-    m, scale = _unit_scaled(m)
+    m, scale, _ = _unit_scaled(m)
     return scale < math.inf and _frobenius(m - m.conj().T) <= tol * scale
 
 

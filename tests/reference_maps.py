@@ -26,7 +26,6 @@ from twopoint.correlator import (
     universal_imag_decomposition,
     universal_real_decomposition,
 )
-from twopoint.decomposition import decomposition_cost
 from twopoint.linalg import (
     BRANCH_FLOOR,
     HERM_TOL,
@@ -263,7 +262,8 @@ def dense_verify_values(d, seed):
     process matrices: eigendecompositions of d^3-sided matrices, partial
     traces and matrix sums. The real and imaginary parts are placed index by
     index; the branches and effects are the matrices of their Kraus stacks,
-    and the branch probabilities act through those stacks."""
+    and the branch probabilities are the partial traces of the effects'
+    matrices."""
     fam = CorrelatorFamily(d)
     real, imag = ideal_part_matrix(d, 0.5), ideal_part_matrix(d, 0.5j)
     branches = [getattr(fam, f"j_{k}").matrix for k in ("sym", "anti", "phase_plus", "phase_minus")]
@@ -288,6 +288,9 @@ def dense_verify_values(d, seed):
             and np.linalg.eigvalsh((m + m.conj().T) / 2).min() >= -PSD_TOL * norm
         )
 
+    def marginal(eff):  # p(rho) = Tr[M^T rho]
+        return partial_trace(eff.matrix, keep=1, dims=[d * d, d])
+
     b_real, b_imag = bound(real), bound(imag)
     values = {
         "real_identity": np.linalg.norm(real - recombined(dec_real)),
@@ -295,18 +298,14 @@ def dense_verify_values(d, seed):
         "real_bound_value": abs(b_real - d),
         "imag_bound_value": abs(b_imag - np.sqrt(d * d - 1.0)),
     }
-    rng = np.random.default_rng(seed)
-    sat_real = sat_imag = prob_dev = 0.0
-    for _ in range(20):
-        rho = _random_state(rng, d)
-        cr = decomposition_cost(dec_real, rho, bound=b_real)
-        ci = decomposition_cost(dec_imag, rho, bound=b_imag)
-        sat_real = max(sat_real, abs(cr.cost - b_real))
-        sat_imag = max(sat_imag, abs(ci.cost - b_imag))
-        prob_dev = max([prob_dev] + [abs(p - 0.5) for p in cr.probabilities + ci.probabilities])
-    values["real_saturation"] = sat_real
-    values["imag_saturation"] = sat_imag
-    values["branch_probabilities"] = prob_dev
+    # worst cases over every state: spectral norms, from singular values
+    for part, dec, b in (("real", dec_real, b_real), ("imag", dec_imag, b_imag)):
+        cost = sum(abs(lam) * marginal(eff) for lam, eff in zip(dec.weights, dec.effects))
+        values[f"{part}_saturation"] = np.linalg.norm(cost - b * np.eye(d), 2)
+    values["branch_probabilities"] = max(
+        np.linalg.norm(marginal(eff) - np.eye(d) / 2, 2)
+        for eff in dec_real.effects + dec_imag.effects
+    )
     values["orthogonality_sym"] = abs(np.sum(branches[0] * branches[1].T))
     values["orthogonality_phase"] = abs(np.sum(branches[2] * branches[3].T))
     total = real - 1j * imag
@@ -314,6 +313,7 @@ def dense_verify_values(d, seed):
     flags = flags and np.linalg.norm(total - total.conj().T) > HERM_TOL * np.linalg.norm(total)
     flags = flags and not tp(imag)
     values["cp_tp_flags"] = 0.0 if flags else 1.0
+    rng = np.random.default_rng(seed)
     two_point_dev = 0.0
     for _ in range(5):
         rho, a, b = _random_state(rng, d), _random_observable(rng, d), _random_observable(rng, d)

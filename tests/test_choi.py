@@ -185,6 +185,15 @@ def test_compressed_map_agrees_with_its_dense_matrix(case):
                 error_lower_bound(m)
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_frobenius_norm_holds_beyond_the_squared_norm_range(scale):
+    """||s J||_F = s ||J||_F where ||C||_F^2 underflows (1e-200) or
+    overflows (1e200)."""
+    j = CorrelatorFamily(2).j_sym
+    want = scale * frobenius_norm(j)
+    assert abs(frobenius_norm(combine((scale,), (j,))) - want) <= 1e-12 * want
+
+
 def _cached_sides(j):
     """Every side length of every array the map holds, cached values included."""
     held = [a for v in vars(j).values() for a in (v if isinstance(v, tuple) else (v,))]

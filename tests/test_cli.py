@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from twopoint import correlator
+from twopoint import cli, correlator
 from twopoint.choi import ChoiOperator
 from twopoint.cli import (
     BLOCK,
@@ -26,7 +26,7 @@ from twopoint.cli import (
     matrix_to_json,
 )
 from twopoint.correlator import CorrelatorFamily, choi_builders
-from twopoint.decomposition import error_lower_bound
+from twopoint.decomposition import StatisticalDecomposition, error_lower_bound
 from twopoint.sampler import DEFAULT_SEED
 
 from reference_maps import dense_verify_values
@@ -265,13 +265,13 @@ def test_decompose_identity_channel(tmp_path, capsys):
 
 
 def test_decompose_dumped_family_matrix(tmp_path, capsys):
+    """decompose takes the process matrix that a dumped map's stacks build."""
     dump = tmp_path / "dump"
     code, _ = _run(capsys, ["verify", "2", "--dump", str(dump)])
     assert code == EXIT_OK
-    code, out = _run(
-        capsys,
-        ["decompose", str(dump / "choi_real_d2.json"), "--din", "2", "--dout", "4"],
-    )
+    left, right = _read_stacks(dump / "choi_real_d2.json", 2)
+    path = _write(tmp_path, "real.json", ChoiOperator(None, 2, 4, kraus=left, right=right).matrix)
+    code, out = _run(capsys, ["decompose", path, "--din", "2", "--dout", "4"])
     assert code == EXIT_OK
     report = json.loads(out)
     lams = [t["lambda"] for t in report["terms"]]
@@ -457,6 +457,18 @@ def test_estimate_shot_budget_range(tmp_path, capsys):
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("scale", [1e-320, 5e-324])
+def test_estimate_takes_subnormal_observables(tmp_path, capsys, scale):
+    """A = scale sigma_z with subnormal entries is judged Hermitian, by an
+    exact scaling, and is estimated."""
+    rho = _write(tmp_path, "rho.json", MIXED2)
+    a = _write(tmp_path, "a.json", scale * np.diag([1.0, -1.0]))
+    one = _write(tmp_path, "one.json", np.eye(2))
+    code, out = _run(capsys, ["estimate", rho, a, one, "--shots", "1000"])
+    assert code == EXIT_OK
+    assert all(np.isfinite(json.loads(out)["estimate"]))
+
+
 def test_estimate_help_mentions_default_seed(capsys):
     code = main(["estimate", "--help"])
     out = capsys.readouterr().out
@@ -549,6 +561,31 @@ def test_verify_fails_real_identity_on_a_flipped_factor(monkeypatch):
     assert not checks["real_identity"]["passed"]
 
 
+def test_verify_catches_branch_probabilities_off_at_some_states_only(monkeypatch):
+    """One more Kraus operator sqrt(eps) |w><v| on the symmetric effect moves
+    its p(rho) by eps <v|rho^T|v>: eps = 2e-10, twice the threshold, at the
+    worst state, and about eps / d at a random one (20 random states at d = 8
+    saw at most 4.0e-11, and 3.6e-10 for the cost against its 1e-9)."""
+    eps, d = 2e-10, 8
+    rng = np.random.default_rng(42)
+    v, w = (rng.normal(size=n) + 1j * rng.normal(size=n) for n in (d, d * d))
+    v, w = v / np.linalg.norm(v), w / np.linalg.norm(w)
+    real_decomposition = cli.universal_real_decomposition
+
+    def perturbed(d):
+        dec = real_decomposition(d)
+        sym = dec.effects[0]
+        kraus = np.concatenate([sym.kraus, np.sqrt(eps) * np.outer(w, v.conj())[None]])
+        bent = ChoiOperator(None, d_in=d, d_out=d * d, kraus=kraus)
+        return StatisticalDecomposition(dec.weights, (bent,) + dec.effects[1:])
+
+    monkeypatch.setattr(cli, "universal_real_decomposition", perturbed)
+    checks = {c["name"]: c for c in _verify_checks(d, DEFAULT_SEED, None)[0]}
+    assert checks["branch_probabilities"]["residual"] == pytest.approx(eps, rel=1e-4)
+    assert not checks["branch_probabilities"]["passed"]
+    assert not checks["real_saturation"]["passed"]
+
+
 @pytest.mark.parametrize("d", ["1", "17"])
 def test_verify_out_of_range_exits_3(capsys, d):
     code = main(["verify", d])
@@ -569,20 +606,46 @@ def test_verify_bad_tolerance_exits_3(capsys, tol):
     assert out == ""
 
 
+def _read_stacks(path, d):
+    """The (L, R) stacks of a ``verify --dump`` file of dimension d."""
+    files = json.loads(path.read_text(encoding="utf-8"))
+    return [json_to_matrix(files[side]).reshape(-1, d * d, d) for side in ("left", "right")]
+
+
 def test_verify_dump_round_trips_family(tmp_path, capsys):
-    """verify 6 --dump: each file holds its process matrix bit for bit, and
-    the dump adds less to the peak than the text of one file (1.6 MB)."""
+    """verify 6 --dump: each file holds its map's stacks, which rebuild its
+    process matrix bit for bit, and the dump adds less to the peak than the
+    text of one file. The run without --dump goes first, so that neither
+    peak holds the imports of a first run."""
+    _, checks_only = _traced(["verify", "6"])
     dump = tmp_path / "mats"
     code, peak = _traced(["verify", "6", "--dump", str(dump)])
     assert code == EXIT_OK
-    _, checks_only = _traced(["verify", "6"])
     capsys.readouterr()
     fam = CorrelatorFamily(6)
     chois = choi_builders(fam)
     for name, j in chois.items():
-        text = (dump / f"choi_{name}_d6.json").read_text(encoding="utf-8")
-        assert np.array_equal(json_to_matrix(json.loads(text)), j.matrix)
-        assert peak - checks_only < len(text)
+        path = dump / f"choi_{name}_d6.json"
+        left, right = _read_stacks(path, 6)
+        rebuilt = ChoiOperator(None, d_in=6, d_out=36, kraus=left, right=right)
+        assert np.array_equal(rebuilt.matrix, j.matrix)
+        assert peak - checks_only < len(path.read_text(encoding="utf-8"))
+
+
+def test_verify_dump_builds_no_process_matrix_at_any_dimension(tmp_path, capsys, monkeypatch):
+    """verify 11 --dump writes the six stack files and builds no process
+    matrix, so its size does not cap d."""
+
+    def must_not_build(self):
+        raise AssertionError("a process matrix was built")
+
+    monkeypatch.setattr(ChoiOperator, "matrix", property(must_not_build))
+    dump = tmp_path / "mats"
+    code, out = _run(capsys, ["verify", "11", "--dump", str(dump)])
+    assert code == EXIT_OK and json.loads(out)["passed"] is True
+    assert len(os.listdir(dump)) == 6
+    left, right = _read_stacks(dump / "choi_real_d11.json", 11)
+    assert left.shape == right.shape == (22, 121, 11)
 
 
 # --- experiment --------------------------------------------------------------------
@@ -605,6 +668,30 @@ def test_experiment_maximally_mixed(tmp_path, capsys):
     payload = json.loads(out)
     assert abs(payload["p_sym"] - 3 / 16) <= 1e-10
     assert abs(payload["p_anti"] - 1 / 16) <= 1e-10
+
+
+def test_experiment_residual_bounds_every_unit_observable_pair(tmp_path, capsys, monkeypatch):
+    """An error Tr[D (A (x) B)] put into the recombination shows in the
+    residual as its root-sum-square over the 16 Pauli pairs, which bounds
+    the error of every pair of observables of operator norm <= 1."""
+    rng = np.random.default_rng(5)
+    delta = 1e-6 * _random_observable(rng, 4)
+    recombine = cli.recombine_coincidences
+
+    def error(a, b):
+        return float(np.trace(delta @ np.kron(a, b)).real)
+
+    monkeypatch.setattr(cli, "recombine_coincidences",
+                        lambda stats, a, b: recombine(stats, a, b) + error(a, b))
+    code, out = _run(capsys, ["experiment", _write(tmp_path, "rho.json", KET0)])
+    assert code == EXIT_OK
+    residual = json.loads(out)["recombination_residual"]
+    paulis = (np.eye(2), SX, SY, np.diag([1.0, -1.0]))
+    assert residual == pytest.approx(np.hypot.reduce([error(p, q) for p in paulis for q in paulis]))
+    for _ in range(100):
+        a, b = (h / np.abs(np.linalg.eigvalsh(h)).max() for h in
+                (_random_observable(rng, 2), _random_observable(rng, 2)))
+        assert abs(error(a, b)) <= residual
 
 
 def test_experiment_rejects_non_qubit(tmp_path, capsys):
@@ -635,11 +722,11 @@ def test_output_file_flag(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "target",
-    ["out-in-missing-dir", "dump-on-a-file", "decompose-out-in-missing-dir", "dump-above-d10"],
+    ["out-in-missing-dir", "dump-on-a-file", "decompose-out-in-missing-dir"],
 )
 def test_unwritable_output_exits_3(tmp_path, capsys, monkeypatch, target):
-    """An unwritable --out or --dump, or a --dump above d = 10 (gigabytes of
-    JSON at d = 16), fails before any check or decomposition runs."""
+    """An unwritable --out or --dump fails before any check or decomposition
+    runs."""
 
     def must_not_run(*args, **kwargs):
         raise AssertionError("work started before the output path was checked")
@@ -653,8 +740,6 @@ def test_unwritable_output_exits_3(tmp_path, capsys, monkeypatch, target):
         blocker = tmp_path / "taken"
         blocker.write_text("", encoding="utf-8")
         argv = ["verify", "2", "--dump", str(blocker)]
-    elif target == "dump-above-d10":
-        argv = ["verify", "11", "--dump", str(tmp_path / "mats")]
     else:
         path = _write(tmp_path, "choi.json", np.eye(4) / 2)
         argv = ["decompose", path, "--din", "2", "--dout", "2", "--out", missing]

@@ -384,12 +384,14 @@ def test_check_observable_rejects_non_hermitian():
         check_observable(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
-@pytest.mark.parametrize("scale", [1e-200, 1e160, 1e300])
+@pytest.mark.parametrize("scale", [1e-200, 1e160, 1e300, 1e-320, 5e-324])
 def test_hermiticity_is_judged_beyond_the_squared_norm_range(scale):
     """Entries above about 1e154 overflow ||m||_F^2 (and inf <= tol * inf
     holds), and entries below about 1e-162 underflow it (and 0 <= tol * 0
     holds), so such m is judged as m 2^-k, an exact scaling: a non-Hermitian
-    one is refused and a Hermitian one comes back bit for bit."""
+    one is refused and a Hermitian one comes back bit for bit. Subnormal
+    entries (1e-320, 5e-324) are scaled exactly too, where 2^-k itself would
+    overflow."""
     with pytest.raises(ValueError, match="Hermitian"):
         check_observable(scale * np.array([[0, 1], [0, 0]], dtype=complex))
     a = scale * np.array([[1, 1j], [-1j, -2]])
