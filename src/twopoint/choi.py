@@ -93,16 +93,20 @@ class ChoiOperator:
         accumulated over blocks of whole output rows read straight from the
         stacks, about max(2k, 2^11 / k) rows of that matrix each,
         t = qr([t; block]) (tall-skinny QR), so neither that matrix nor Q is
-        ever formed."""
+        ever formed. It runs on each stack's ``_unit_scaled`` form L 2^-k_L,
+        R 2^-k_R; a power-of-two column scaling scales T exactly, so C is
+        scaled back by 2^(k_L + k_R)."""
         if self._left is None:
             return self._matrix
-        n = len(self._left)
+        (left, _, kl), (right, _, kr) = (_unit_scaled(s) for s in (self._left, self._right))
+        n = len(left)
         step = max(1, max(4 * n, 2**10 // n) // self.d_in)
         t = np.empty((0, 2 * n), dtype=complex)
         for o in range(0, self.d_out, step):
-            block = np.concatenate([self._left[:, o:o + step], self._right[:, o:o + step]])
+            block = np.concatenate([left[:, o:o + step], right[:, o:o + step]])
             t = np.linalg.qr(np.concatenate([t, block.reshape(2 * n, -1).T]), mode="r")
-        return t[:, :n] @ t[:, n:].conj().T
+        c = t[:, :n] @ t[:, n:].conj().T
+        return c if kl == kr == 0 else np.ldexp(c.view(float), kl + kr).view(complex)
 
     @cached_property
     def _input_marginal(self) -> np.ndarray:

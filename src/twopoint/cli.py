@@ -12,8 +12,9 @@ A report is written as it is formatted, once every value in it is computed;
 its matrices are built and written one at a time, a block of entries at a
 time, so memory does not grow with the report.
 Exit codes: 0 success, 1 verification failure, 2 parse error, 3 semantic or
-validation error or an unwritable output path. Diagnostics go to standard
-error; results go to --out or standard output.
+validation error, a non-finite number in the report or an unwritable output
+path. Diagnostics go to standard error; results go to --out or standard
+output.
 """
 
 from __future__ import annotations
@@ -140,8 +141,8 @@ BLOCK = 4096  # [re, im] pairs formatted and written at a time
 
 def _write_json(obj, fh) -> None:
     """Write the text of json.dumps(obj, indent=2, sort_keys=True,
-    ensure_ascii=False) and a newline to ``fh``, for objects with string keys,
-    as it is formatted: in runs of up to 64 KiB, and each block of BLOCK
+    ensure_ascii=False, allow_nan=False) and a newline to ``fh``, for objects
+    with string keys, as it is formatted: in runs of up to 64 KiB, and each block of BLOCK
     [re, im] pairs on its own. An ndarray is written as MatrixFile data (the
     [re, im] pairs of its entries, row-major) and an iterator as a list.
     json.dumps with ``indent`` would take seconds on the side^3 numbers of a
@@ -179,22 +180,25 @@ def _chunks(obj, nl: str) -> Iterator[str]:
             sep = ","
         yield "[]" if sep == "[" else nl + "]"
     else:
-        yield json.dumps(obj, ensure_ascii=False)
+        yield json.dumps(obj, ensure_ascii=False, allow_nan=False)
 
 
 def _float_pairs(m: np.ndarray, nl: str) -> Iterator[str]:
     """The text of the list of [re, im] pairs of ``m``'s entries (row-major),
-    each block of BLOCK pairs formatted by one %-format (%r is float.__repr__)."""
+    each block of BLOCK pairs formatted by one %-format (%r is float.__repr__).
+    A non-finite entry raises ``ValueError``, as json.dumps(allow_nan=False) does."""
     flat = np.asarray(m, dtype=complex).reshape(-1).view(float)
     inner = nl + "  "
     pair, between = "%r," + inner + "  %r", inner + "]," + inner + "[" + inner + "  "
     template = between.join([pair] * min(BLOCK, flat.size // 2))
     for start in range(0, flat.size, 2 * BLOCK):
-        numbers = tuple(flat[start : start + 2 * BLOCK].tolist())
+        block = flat[start : start + 2 * BLOCK]
+        if not np.isfinite(block).all():
+            bad = float(block[~np.isfinite(block)][0])
+            raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}")
+        numbers = tuple(block.tolist())
         yield between if start else "[" + inner + "[" + inner + "  "
-        text = template[: (len(pair) + len(between)) * len(numbers) // 2 - len(between)] % numbers
-        # float.__repr__ spells nan and inf where JSON has NaN and Infinity
-        yield text.replace("nan", "NaN").replace("inf", "Infinity") if "n" in text else text
+        yield template[: (len(pair) + len(between)) * len(numbers) // 2 - len(between)] % numbers
     yield inner + "]" + nl + "]" if flat.size else "[]"
 
 

@@ -32,7 +32,6 @@ from .linalg import (
     hermitian_eigendecomposition,
     is_hermitian,
     operator_absolute_value,
-    partial_trace,
 )
 
 
@@ -175,13 +174,17 @@ def stinespring_dilation(decomp: StatisticalDecomposition) -> Dilation:
 
 
 def partial_expectation(dil: Dilation, rho: np.ndarray) -> np.ndarray:
-    """Evaluate Tr_ancilla[ V rho V^dag (1 (x) Z) ], the dilated map's action."""
+    """Evaluate Tr_ancilla[ V rho V^dag (1 (x) Z) ], the dilated map's action.
+
+    With V's Kraus blocks K_m (V[(k, m), c] = K_m[k, c]) this is
+    sum_{m,n} Z[n, m] K_m rho K_n^dag, for any Z; the dilated state is
+    never formed."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (dil.d_in, dil.d_in):
         raise ValueError(
             f"state dimension {rho.shape[0]} does not match isometry input "
             f"dimension {dil.d_in}"
         )
-    big = dil.isometry @ rho @ dil.isometry.conj().T
-    weighted = big @ np.kron(np.eye(dil.d_out), dil.ancilla_observable)
-    return partial_trace(weighted, keep=0, dims=[dil.d_out, dil.d_ancilla])
+    k = dil.isometry.reshape(dil.d_out, dil.d_ancilla, dil.d_in)
+    zk = np.einsum("nm,kmc->knc", dil.ancilla_observable, k @ rho)
+    return zk.reshape(dil.d_out, -1) @ k.reshape(dil.d_out, -1).conj().T

@@ -44,49 +44,17 @@ BRANCH_FLOOR = 1e-15
 INSTRUMENT_TOL = 1e-8
 
 
-def partial_trace(m: np.ndarray, keep, dims) -> np.ndarray:
-    """Trace out all subsystems except ``keep`` (an index or list of indices).
-
-    Parameters
-    ----------
-    m : square matrix of dimension prod(dims)
-    keep : int or sequence of int, subsystems (0-based) retained in their
-        original relative order
-    dims : sequence of positive int, the subsystem dimensions
-
-    Returns
-    -------
-    The reduced matrix on the kept subsystems.
-    """
-    m = np.asarray(m)
-    dims = list(dims)
-    n = len(dims)
-    total = int(np.prod(dims))
-    if m.shape != (total, total):
-        raise ValueError(f"matrix shape {m.shape} does not match subsystem dims {dims}")
-    if isinstance(keep, (int, np.integer)):
-        keep = [int(keep)]
-    keep = list(keep)
-    if any(k < 0 or k >= n for k in keep) or len(set(keep)) != len(keep):
-        raise ValueError(f"invalid subsystem selector {keep} for {n} subsystems")
-    t = m.reshape(dims + dims)
-    # Trace paired (row, column) axes of every traced-out subsystem, highest
-    # index first so earlier axis positions stay valid.
-    for ax in sorted(set(range(n)) - set(keep), reverse=True):
-        t = np.trace(t, axis1=ax, axis2=ax + t.ndim // 2)
-    kept = int(np.prod([dims[k] for k in keep])) if keep else 1
-    return t.reshape(kept, kept)
-
-
 def eigenvalue_clusters(w: np.ndarray):
     """Start indices and sizes (two arrays) of the runs of ascending
     eigenvalues ``w`` in which each neighbouring gap is
     <= DEGENERACY_TOL * max|w|."""
     # a run starts at 0 and after each gap above the bound; the last ends at
-    # len(w). max|w| of an ascending w is -w[0] or w[-1].
+    # len(w). max|w| of an ascending w is -w[0] or w[-1]. A gap beyond the
+    # float range is inf, above the bound as it should be.
     edges = np.ones(len(w) + 1, dtype=bool)
     if len(w) > 1:
-        edges[1:-1] = w[1:] - w[:-1] > DEGENERACY_TOL * max(-w[0], w[-1])
+        with np.errstate(over="ignore"):
+            edges[1:-1] = w[1:] - w[:-1] > DEGENERACY_TOL * max(-w[0], w[-1])
     edges = edges.nonzero()[0]
     return edges[:-1], edges[1:] - edges[:-1]
 
@@ -148,17 +116,23 @@ def is_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> bool:
 def _hermitian(m: np.ndarray, name: str):
     """``(m, (m + m^dag)/2)`` for a square matrix m with finite entries that is
     Hermitian within ``HERM_TOL`` (relative Frobenius); ``name`` ("state",
-    "observable" or "matrix") is what a ``ValueError`` calls m."""
+    "observable" or "matrix") is what a ``ValueError`` calls m. Where m + m^dag
+    could overflow, the Hermitian part is that of ``_unit_scaled``'s m 2^-k,
+    scaled back."""
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{_SQUARE[name]}, got shape {m.shape}")
-    if not is_hermitian(m):
+    u, scale, k = _unit_scaled(m)  # as is_hermitian judges m, keeping k
+    if not (scale < math.inf and _frobenius(u - u.conj().T) <= HERM_TOL * scale):
         bad = np.argwhere(~np.isfinite(m))
         if len(bad):
             i, j = bad[0]
             raise ValueError(f"{name} entry [{i}, {j}] is not finite: {m[i, j]}")
         raise ValueError(f"{name} is not Hermitian within tolerance")
-    return m, (m + m.conj().T) / 2
+    if k <= 0:  # m + m^dag cannot overflow, and halving rounds once
+        return m, (m + m.conj().T) / 2
+    h = (u + u.conj().T) / 2
+    return m, np.ldexp(h.view(float), k).view(complex)
 
 
 def hermitian_eigendecomposition(m: np.ndarray):

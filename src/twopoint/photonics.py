@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlator import universal_branches
-from .linalg import check_density_matrix, check_observable, partial_trace, swap_operator
+from .linalg import check_density_matrix, check_observable, swap_operator
 
 
 def _pattern_kraus(x: int, y: int) -> np.ndarray:
@@ -117,8 +117,8 @@ def recombine_coincidences(stats: CoincidenceStats, a: np.ndarray, b: np.ndarray
     if a.shape != (2, 2) or b.shape != (2, 2):
         raise ValueError("observables must act on polarization qubits")
     ab = np.kron(a, b)
-    pair_sym = partial_trace(stats.state_sym, (0, 1), [2, 2, 2])
-    pair_anti = partial_trace(stats.state_anti, (0, 1), [2, 2, 2])
+    pair_sym, pair_anti = (np.einsum("iaja->ij", state.reshape(4, 2, 4, 2))
+                           for state in (stats.state_sym, stats.state_anti))
     val_sym = float(np.trace(pair_sym @ ab).real)
     val_anti = float(np.trace(pair_anti @ ab).real)
     return _W_SYM * val_sym + _W_ANTI * val_anti

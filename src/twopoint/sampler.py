@@ -90,7 +90,9 @@ def _plan(cells, lams, avals, bvals):
     i and outcome pair j. ``cell_probs`` holds the cells in the order of
     ``values.ravel()``, with the branch probabilities normalised so that
     they sum to 1, within ``INSTRUMENT_TOL`` before. Branches of probability
-    at most ``BRANCH_FLOOR`` are dropped: they are never drawn.
+    at most ``BRANCH_FLOOR`` are dropped: they are never drawn. A
+    ``ValueError`` names the records' range, max|lambda| max|alpha|
+    max|beta|, if it is not a finite float.
     """
     sums = cells.sum(axis=1)
     kept = sums > BRANCH_FLOOR
@@ -101,6 +103,10 @@ def _plan(cells, lams, avals, bvals):
     total = sum(sums.tolist())
     if not abs(total - 1.0) <= INSTRUMENT_TOL:
         raise ValueError(f"branch probabilities sum to {total}, not 1: not an instrument")
+    tops = [max(map(abs, x.tolist())) for x in (lams, avals, bvals)]  # Python floats: no warning
+    if not math.isfinite(tops[0] * tops[1] * tops[2]):
+        raise ValueError("the records lambda*alpha*beta reach {:g} * {:g} * {:g}, "
+                         "beyond the float range".format(*tops))
     values = ((lams[:, None] * avals)[:, :, None] * bvals).reshape(len(lams), -1)
     return cells.ravel() / total, values
 

@@ -35,9 +35,15 @@ from twopoint.linalg import (
     check_observable,
     eigenvalue_clusters,
     hermitian_eigendecomposition,
-    partial_trace,
     swap_operator,
 )
+
+
+def partial_trace(m, keep, dims):
+    """Factor ``keep`` (0 or 1) of the matrix m on a bipartite space of
+    dims (d_0, d_1), the other factor traced out."""
+    t = np.asarray(m).reshape(dims[0], dims[1], dims[0], dims[1])
+    return np.einsum("iaja->ij" if keep == 0 else "aiaj->ij", t)
 
 
 def maximally_entangled_projector(d):

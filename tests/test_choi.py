@@ -194,6 +194,17 @@ def test_frobenius_norm_holds_beyond_the_squared_norm_range(scale):
     assert abs(frobenius_norm(combine((scale,), (j,))) - want) <= 1e-12 * want
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_frobenius_norm_holds_at_the_float_maximum():
+    """At 1e308 the compressed matrix C = T_L T_R^dag of the raw stacks
+    overflows; each stack is QR-factored at a power-of-two scale and C is
+    scaled back, so the norm is the finite s ||J||_F at both ends."""
+    j = CorrelatorFamily(2).j_sym
+    for scale in (1e308, 1e-300):
+        want = scale * frobenius_norm(j)
+        assert abs(frobenius_norm(combine((scale,), (j,))) - want) <= 1e-15 * want
+
+
 def _cached_sides(j):
     """Every side length of every array the map holds, cached values included."""
     held = [a for v in vars(j).values() for a in (v if isinstance(v, tuple) else (v,))]

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import tracemalloc
 
@@ -68,6 +69,13 @@ def test_matrix_round_trip_is_exact():
     assert np.array_equal(back, m)
 
 
+def test_matrix_to_json_rejects_a_non_matrix():
+    with pytest.raises(ValueError, match="expected a matrix, got ndim=1"):
+        matrix_to_json(np.ones(3))
+    with pytest.raises(ValueError, match="expected a matrix, got ndim=3"):
+        matrix_to_json(np.ones((2, 2, 2)))
+
+
 def test_json_to_matrix_rejects_malformed_objects():
     with pytest.raises(MatrixFileError, match="JSON object"):
         json_to_matrix([1, 2, 3])
@@ -130,7 +138,7 @@ def test_bad_data_entry_exits_2_naming_it(tmp_path, capsys, entry):
 
 
 def _reference_dumps(obj):
-    return json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    return json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False, allow_nan=False) + "\n"
 
 
 def _written(obj) -> str:
@@ -186,22 +194,37 @@ JSON_VALUES = st.recursive(
 @example({"\u00e9t\u00e9": [[-0.0, 5e-324]], "\u043a\u043b\u044e\u0447": None, "a": {}, "b": []})
 @example([[1e-5, 1e16], [2.5, -0.0]])
 def test_writer_matches_json_dumps(obj):
-    assert _written(obj) == _reference_dumps(_listed(obj))
+    """The same text, or for an object with a non-finite float, the same refusal."""
+    try:
+        want = _reference_dumps(_listed(obj))
+    except ValueError:
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            _written(obj)
+    else:
+        assert _written(obj) == want
 
 
 @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
 def test_writer_formats_array_blocks_as_json_dumps_formats_lists(n):
-    """An n-entry matrix, cut into blocks of BLOCK pairs, with every special
-    float in it (non-finite ones as NaN and Infinity, as json.dumps writes
-    them), inside a list given as an iterator."""
+    """An n-entry matrix, cut into blocks of BLOCK pairs, with every finite
+    special float in it, inside a list given as an iterator. With a
+    non-finite float in its last block, the writer refuses it as
+    json.dumps(allow_nan=False) refuses the listed object."""
     rng = np.random.default_rng(n)
     m = rng.normal(size=(1, n)) + 1j * rng.normal(size=(1, n))
     flat = m.reshape(-1).view(float)
-    flat[rng.permutation(flat.size)[: len(SPECIAL_FLOATS)]] = SPECIAL_FLOATS[: flat.size]
+    finite = [x for x in SPECIAL_FLOATS if math.isfinite(x)]
+    flat[rng.permutation(flat.size)[: len(finite)]] = finite[: flat.size]
     file = {"rows": 1, "cols": n, "data": m}
-    got = _written({"terms": iter([file, {"data": m.T}]), "none": iter([]), "zero": m[:0]})
-    listed = {"terms": [_listed(file), {"data": _listed(m.T)}], "none": [], "zero": []}
-    assert got == _reference_dumps(listed)
+    report = {"terms": [file, {"data": m.T}], "none": [], "zero": m[:0]}
+    got = _written({**report, "terms": iter(report["terms"]), "none": iter([])})
+    assert got == _reference_dumps(_listed(report))
+    for value in (x for x in SPECIAL_FLOATS if not math.isfinite(x)):
+        flat[-1] = value
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            _reference_dumps(_listed(report))
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            _written({**report, "terms": iter(report["terms"])})
 
 
 def test_decompose_output_matches_json_dumps(tmp_path, capsys):
@@ -469,6 +492,21 @@ def test_estimate_takes_subnormal_observables(tmp_path, capsys, scale):
     assert all(np.isfinite(json.loads(out)["estimate"]))
 
 
+def test_estimate_records_beyond_the_float_range_exit_3(tmp_path, capsys):
+    """A = 1e308 sigma_z, B = sigma_x on 1/2: the records reach 3e308, beyond
+    the largest float. One error line, no report and no NaN."""
+    rho = _write(tmp_path, "rho.json", MIXED2)
+    a = _write(tmp_path, "a.json", 1e308 * np.diag([1.0, -1.0]))
+    b = _write(tmp_path, "b.json", SX)
+    code = main(["estimate", rho, a, b])
+    captured = capsys.readouterr()
+    assert code == EXIT_SEMANTIC
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the records lambda*alpha*beta reach 3 * 1e+308 * 1, beyond the float range\n"
+    )
+
+
 def test_estimate_help_mentions_default_seed(capsys):
     code = main(["estimate", "--help"])
     out = capsys.readouterr().out
@@ -718,6 +756,24 @@ def test_output_file_flag(tmp_path, capsys):
     assert code == EXIT_OK
     payload = json.loads(out_path.read_text(encoding="utf-8"))
     assert abs(payload["p_sym"] - 3 / 16) <= 1e-10
+
+
+def test_out_overwrites_an_existing_file(tmp_path, capsys):
+    rho = _write(tmp_path, "rho.json", MIXED2)
+    out_path = tmp_path / "result.json"
+    out_path.write_text("old contents, longer than nothing\n" * 100, encoding="utf-8")
+    code, out = _run(capsys, ["experiment", rho, "--out", str(out_path)])
+    assert code == EXIT_OK and out == ""
+    assert json.loads(out_path.read_text(encoding="utf-8"))["p_anti"] == pytest.approx(1 / 16)
+
+
+def test_out_at_an_existing_directory_exits_3(tmp_path, capsys):
+    rho = _write(tmp_path, "rho.json", MIXED2)
+    code = main(["experiment", rho, "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == EXIT_SEMANTIC
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {tmp_path}\n"
 
 
 @pytest.mark.parametrize(

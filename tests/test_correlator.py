@@ -16,12 +16,13 @@ from twopoint.correlator import (
     universal_real_decomposition,
 )
 from twopoint.decomposition import decomposition_cost, recombine
-from twopoint.linalg import partial_trace, swap_operator
+from twopoint.linalg import swap_operator
 
 from reference_maps import (
     choi_of_action,
     cloner_apply,
     ideal_correlator_apply,
+    partial_trace,
     rootswap_apply,
     sector_projector,
 )
@@ -336,6 +337,17 @@ def test_two_point_exact_matches_the_trace_of_the_product(d):
     rho, a, b = rand_state(rng, d), rand_herm(rng, d), rand_herm(rng, d)
     want = np.trace(a @ rho @ b)
     assert abs(two_point_exact(rho, a, b) - want) <= 1e-12 * abs(want)
+
+
+def test_two_point_exact_rejects_mismatched_shapes():
+    with pytest.raises(ValueError, match=r"dimension mismatch: rho \(2, 2\), a \(3, 3\), b \(2, 2\)"):
+        two_point_exact(np.eye(2) / 2, np.eye(3), np.eye(2))
+
+
+@pytest.mark.parametrize("part_apply", [real_part_apply, imag_part_apply])
+def test_part_apply_rejects_a_state_of_another_dimension(part_apply):
+    with pytest.raises(ValueError, match=r"state shape \(3, 3\) does not match family dimension 2"):
+        part_apply(CorrelatorFamily(2), np.eye(3) / 3)
 
 
 def test_correlator_family_rejects_d1():

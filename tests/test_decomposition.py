@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -26,9 +27,9 @@ from twopoint.decomposition import (
     statistical_decompose,
     stinespring_dilation,
 )
-from twopoint.linalg import hermitian_eigendecomposition, partial_trace
+from twopoint.linalg import hermitian_eigendecomposition
 
-from reference_maps import choi_of_action, maximally_entangled_projector
+from reference_maps import choi_of_action, maximally_entangled_projector, partial_trace
 
 
 def _rand_hp_choi(rng, d_in, d_out):
@@ -159,6 +160,20 @@ def test_cost_rejects_invalid_state():
     dec = universal_real_decomposition(2)
     with pytest.raises(ValueError, match="trace"):
         decomposition_cost(dec, np.eye(2, dtype=complex))
+
+
+def test_cost_rejects_a_state_of_another_dimension():
+    dec = universal_real_decomposition(2)
+    with pytest.raises(ValueError, match="state dimension 3 does not match map input dimension 2"):
+        decomposition_cost(dec, np.eye(3, dtype=complex) / 3)
+
+
+def test_decomposition_needs_paired_terms():
+    effect = universal_real_decomposition(2).effects[0]
+    with pytest.raises(ValueError, match="weights and effects must pair up one-to-one"):
+        StatisticalDecomposition(weights=(1.0, 2.0), effects=(effect,))
+    with pytest.raises(ValueError, match="a decomposition needs at least one term"):
+        StatisticalDecomposition(weights=(), effects=())
 
 
 def test_bound_values_qubit():
@@ -309,21 +324,56 @@ def test_dilation_isometry_for_random_hp_maps():
 
 
 def test_partial_expectation_with_identity_ancilla():
+    """With Z = 1 the readout is the unweighted instrument output
+    sum_i E_i(rho), of unit trace."""
     rng = np.random.default_rng(15)
     j = _rand_channel_choi(rng, 2)
     dec = statistical_decompose(j)
     dil = stinespring_dilation(dec)
     rho = rand_state(rng, 2)
-    # replacing Z by the identity must give the recombined-with-|weights|...
-    # here: the plain channel output when all weights are ~1? They are the
-    # eigen-branch weights, so instead check the Z=1 marginal is the
-    # unweighted instrument output sum(E_i(rho)) with unit total trace.
-    v = dil.isometry
-    full = v @ rho @ v.conj().T
-    marginal = partial_trace(full, 0, [dil.d_out, dil.d_ancilla])
+    ones = dataclasses.replace(dil, ancilla_observable=np.eye(dil.d_ancilla))
+    marginal = partial_expectation(ones, rho)
     total = sum(apply_choi(e, rho) for e in dec.effects)
     assert np.linalg.norm(marginal - total) <= 1e-10
     assert abs(np.trace(marginal) - 1) <= 1e-10
+
+
+def test_partial_expectation_with_any_ancilla_observable():
+    """A non-diagonal Z gives the dense Tr_anc[V rho V^dag (1 (x) Z)]."""
+    rng = np.random.default_rng(17)
+    dil = stinespring_dilation(universal_imag_decomposition(3))
+    z = rng.normal(size=(dil.d_ancilla, 2 * dil.d_ancilla)).view(complex)
+    dil = dataclasses.replace(dil, ancilla_observable=z)
+    rho = rand_state(rng, 3)
+    v = dil.isometry
+    full = v @ rho @ v.conj().T @ np.kron(np.eye(dil.d_out), z)
+    want = partial_trace(full, 0, [dil.d_out, dil.d_ancilla])
+    assert np.abs(partial_expectation(dil, rho) - want).max() <= 1e-13
+
+
+def test_partial_expectation_contracts_kraus_blocks():
+    """At d = 8 the dilated state V rho V^dag would be 1024-sided (16 MiB);
+    the readout contracts V's Kraus blocks instead."""
+    d = 8
+    rho = rand_state(np.random.default_rng(18), d)
+    fam = CorrelatorFamily(d)
+    for dec, part_apply in ((universal_real_decomposition(d), real_part_apply),
+                            (universal_imag_decomposition(d), imag_part_apply)):
+        dil = stinespring_dilation(dec)
+        tracemalloc.start()
+        try:
+            got = partial_expectation(dil, rho)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        assert np.abs(got - part_apply(fam, rho)).max() <= 1e-12
+
+
+def test_partial_expectation_rejects_a_state_of_another_dimension():
+    dil = stinespring_dilation(universal_real_decomposition(2))
+    with pytest.raises(ValueError, match="state dimension 3 does not match isometry input dimension 2"):
+        partial_expectation(dil, np.eye(3) / 3)
 
 
 def test_dilation_rejects_non_cp_effect():

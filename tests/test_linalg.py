@@ -15,11 +15,10 @@ from twopoint.linalg import (
     eigenvalue_clusters,
     hermitian_eigendecomposition,
     operator_absolute_value,
-    partial_trace,
     swap_operator,
 )
 
-from reference_maps import maximally_entangled_projector
+from reference_maps import maximally_entangled_projector, partial_trace
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]])
@@ -61,46 +60,6 @@ def test_tensor_matches_index_expansion():
                 for l in range(2):
                     want[i * 2 + k, j * 2 + l] = SX[i, j] * SY[k, l]
     assert np.allclose(np.kron(SX, SY), want, atol=1e-14)
-
-
-# --- partial_trace --------------------------------------------------------
-
-
-def test_partial_trace_product_state():
-    rng = np.random.default_rng(0)
-    a = rand_herm(rng, 3)
-    b = rand_herm(rng, 2)
-    kept_first = partial_trace(np.kron(a, b), 0, [3, 2])
-    assert np.allclose(kept_first, a * np.trace(b), atol=1e-12)
-    kept_second = partial_trace(np.kron(a, b), 1, [3, 2])
-    assert np.allclose(kept_second, b * np.trace(a), atol=1e-12)
-
-
-@pytest.mark.parametrize("d", [2, 3, 5])
-def test_partial_trace_entangled_marginal(d):
-    phi = maximally_entangled_projector(d)
-    for keep in (0, 1):
-        assert np.allclose(partial_trace(phi, keep, [d, d]), np.eye(d) / d, atol=1e-13)
-
-
-def test_partial_trace_against_index_sum():
-    """Trace out the second qubit of S(1 x rho) and compare with an explicit
-    elementwise index sum."""
-    rng = np.random.default_rng(1)
-    rho = rand_state(rng, 2)
-    m = swap_operator(2) @ np.kron(np.eye(2), rho)
-    got = partial_trace(m, 0, [2, 2])
-    want = np.zeros((2, 2), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                want[i, j] += m[i * 2 + k, j * 2 + k]
-    assert np.allclose(got, want, atol=1e-14)
-
-
-def test_partial_trace_dimension_mismatch():
-    with pytest.raises(ValueError, match="dims"):
-        partial_trace(np.eye(5), 0, [2, 2])
 
 
 # --- hermitian_eigendecomposition ----------------------------------------
@@ -257,6 +216,11 @@ def test_swap_trace_identity():
         assert abs(got - np.trace(a @ b)) <= 1e-11
 
 
+def test_swap_rejects_dimension_zero():
+    with pytest.raises(ValueError, match="dimension must be positive, got 0"):
+        swap_operator(0)
+
+
 # --- the two-copy operators of the universal branches ------------------------
 #
 # Each branch of correlator.universal_branches is c G (1 (x) rho) G^dag with
@@ -399,3 +363,12 @@ def test_hermiticity_is_judged_beyond_the_squared_norm_range(scale):
     assert np.array_equal(m, a) and np.array_equal(h, a)
     near = a + 1e-12 * scale * np.array([[0, 1], [0, 0]])
     assert np.array_equal(check_observable(near), near)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_hermitian_part_holds_near_the_float_maximum():
+    """m + m^dag overflows at 1e308; the Hermitian part is that of m 2^-k,
+    scaled back, and comes back bit for bit."""
+    a = 1e308 * np.array([[1, 0.5 - 0.25j], [0.5 + 0.25j, -1]])
+    m, h = _hermitian(a, "observable")
+    assert np.array_equal(m, a) and np.array_equal(h, a)

@@ -1,4 +1,5 @@
 import hashlib
+import re
 import tracemalloc
 import warnings
 
@@ -30,6 +31,7 @@ from twopoint.sampler import (
 from reference_maps import (
     _joint_distribution,
     assert_plans_agree,
+    partial_trace,
     pure_state,
     rank_two_state,
     reference_plan,
@@ -115,8 +117,6 @@ def test_branch_frequencies_random_instrument():
     g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     j = g @ g.conj().T
     j = (j + j.conj().T) / 2
-    from twopoint.linalg import partial_trace
-
     # normalize so tracing out the first (output) factor leaves the identity
     # on the input factor, which makes the map trace preserving
     reduced = partial_trace(j, 1, [2, 2])
@@ -651,6 +651,18 @@ def test_standard_error_survives_extreme_observable_scales(scale):
         assert abs(se / scale - se_unit) <= 1e-12 * se_unit
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("a, b, reach", [
+    (1e308 * SZ, SX, "3 * 1e+308 * 1,"), (1e300 * SZ, 1e300 * SZ, "3 * 1e+300 * 1e+300,"),
+], ids=["1e308-sz-sx", "1e300-sz-1e300-sz"])
+def test_records_beyond_the_float_range_are_refused(a, b, reach):
+    """(d + 1) max|alpha| max|beta| is beyond the largest float: the estimate
+    is refused, naming that range, before any record is formed (no overflow,
+    no NaN estimate)."""
+    with pytest.raises(ValueError, match=re.escape(f"records lambda*alpha*beta reach {reach} beyond")):
+        estimate_two_point(MIXED2, a, b, n_shots=1000)
+
+
 def test_split_shifts_budget():
     lopsided = estimate_two_point(KET0, SX, SY, n_shots=10_000, seed=31, split=0.9)
     assert lopsided.n_shots == 10_000
@@ -934,3 +946,18 @@ def test_tiny_non_hermitian_observable_is_rejected():
     """Hermiticity is judged relative to the observable's own norm."""
     with pytest.raises(ValueError, match="^observable is not Hermitian within tolerance$"):
         estimate_two_point(MIXED2, 1e-12 * _NON_HERMITIAN, SX, 10)
+
+
+@pytest.mark.parametrize("factor, message", [
+    (0.0, "all branch probabilities vanish for this state"),
+    (2.0, "branch probabilities sum to 4.0, not 1: not an instrument"),
+], ids=["vanishing", "not-trace-preserving"])
+def test_plan_rejects_a_decomposition_that_is_no_instrument(factor, message):
+    """One hand-built effect K rho K^dag with K = f (|0> (x) 1), of total
+    probability f^2: at f = 0 nothing is left to draw, and f = 2 gives no
+    instrument."""
+    kraus = factor * np.eye(4, 2, dtype=complex)[None]
+    effect = ChoiOperator(None, d_in=2, d_out=4, kraus=kraus)
+    dec = StatisticalDecomposition(weights=(1.0,), effects=(effect,))
+    with pytest.raises(ValueError, match=message):
+        estimate_component(dec, MIXED2, SZ, SZ, 100, np.random.SeedSequence(0))
