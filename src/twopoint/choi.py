@@ -9,14 +9,16 @@ on the (output (x) input) space, with the output factor as the slowest tensor
 index. Complete positivity, hermiticity preservation and trace preservation
 are predicates on J, and Kraus operators come out of its eigendecomposition.
 
-A map can also be carried by a two-sided stack of d_out x d_in operators
+Every map is carried by a two-sided stack of d_out x d_in operators
 (L_a, R_a): it acts as m -> sum_a L_a m R_a^dag, and its matrix is
 J = sum_a vec(L_a) vec(R_a)^dag (row-major vec). A Kraus stack is the case
-R_a = L_a. A stacked map keeps its operators, acts through them, and builds
-J only when something asks for it. With [vec L | vec R] = Q T (thin QR), J is
-Q C Q^dag for the small matrix C = T_L T_R^dag. Norms, hermiticity and
-complete positivity read C alone; the map caches C (J itself for a map given
-as a matrix) and never Q, which only ``error_lower_bound`` builds. The input
+R_a = L_a. A map given as its matrix J is the stack of unit operators
+vec(L_a) = e_a against R_a = conj(J[a]) and keeps J; any other builds J only
+when something asks for it. With [vec L | vec R] = Q T (thin QR), J is
+Q C Q^dag for the small matrix C = T_L T_R^dag; for a map given as J,
+[1 | J^dag] is already triangular and LAPACK's QR keeps it: Q = 1 and C = J,
+bit for bit. Norms, hermiticity and complete positivity read C alone; the map
+caches C and never Q, which only ``error_lower_bound`` builds. The input
 marginal and ``trace_product`` contract the stacks directly, so a map of rank
 r costs QR and eigendecompositions of 2r-sided matrices, not of J.
 """
@@ -28,25 +30,25 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import (KRAUS_RTOL, PSD_TOL, TP_TOL, _unit_scaled, hermitian_eigendecomposition,
-                     is_hermitian)
+from .linalg import (KRAUS_RTOL, PSD_TOL, TP_TOL, _hermitian_part, _unit_scaled,
+                     hermitian_eigendecomposition, is_hermitian)
 
 
 class ChoiOperator:
-    """A linear map carried as its (d_out*d_in)-sided matrix or an operator stack.
+    """A linear map, carried by an operator stack (see the module docstring).
 
     ``matrix`` lives on output (x) input with the output index slowest;
-    ``d_in`` and ``d_out`` are the map's input/output dimensions. A map given
-    by ``kraus``, an (r, d_out, d_in) stack of operators L_a, and optionally
-    ``right``, a stack R_a of the same shape (R_a = L_a if omitted), builds
-    ``matrix`` on first access as sum_a vec(L_a) vec(R_a)^dag and keeps it
-    read-only. ``kraus`` reads the stack of a map with R_a = L_a, and is
-    None for a two-sided stack or a map given as a matrix.
+    ``d_in`` and ``d_out`` are the map's input/output dimensions. A map is
+    given as ``matrix`` J, or by ``kraus``, an (r, d_out, d_in) stack of
+    operators L_a, and optionally ``right``, a stack R_a of the same shape
+    (R_a = L_a if omitted); a stack builds ``matrix`` on first access and
+    keeps it read-only. ``kraus`` reads the stack of a map with R_a = L_a,
+    and is None for a two-sided stack or a map given as a matrix.
     """
 
     def __init__(self, matrix, d_in: int, d_out: int, kraus=None, right=None):
         self.d_in, self.d_out = d_in, d_out
-        self._left = self._right = self._matrix = None
+        self._matrix = None
         if right is not None and kraus is None:
             raise ValueError("a right stack needs a Kraus (left) stack")
         if kraus is not None:
@@ -67,15 +69,18 @@ class ChoiOperator:
         if m.shape != (side, side):
             raise ValueError(f"matrix shape {m.shape} does not match dims (d_out*d_in = {side})")
         self._matrix = m
+        # L_a = E_a, R_a = conj(J[a]): sum_a vec(L_a) vec(R_a)^dag = 1 J
+        self._left = np.eye(side, dtype=complex).reshape(side, d_out, d_in)
+        self._right = m.conj().reshape(side, d_out, d_in)
 
     @property
     def kraus(self) -> np.ndarray | None:
         return self._left if self._right is self._left else None
 
     @property
-    def stacks(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """(L, R) for a map carried by operator stacks, else None."""
-        return None if self._left is None else (self._left, self._right)
+    def stacks(self) -> tuple[np.ndarray, np.ndarray]:
+        """(L, R), the map's two operator stacks."""
+        return self._left, self._right
 
     @property
     def matrix(self) -> np.ndarray:
@@ -96,8 +101,6 @@ class ChoiOperator:
         ever formed. It runs on each stack's ``_unit_scaled`` form L 2^-k_L,
         R 2^-k_R; a power-of-two column scaling scales T exactly, so C is
         scaled back by 2^(k_L + k_R)."""
-        if self._left is None:
-            return self._matrix
         (left, _, kl), (right, _, kr) = (_unit_scaled(s) for s in (self._left, self._right))
         n = len(left)
         step = max(1, max(4 * n, 2**10 // n) // self.d_in)
@@ -105,30 +108,22 @@ class ChoiOperator:
         for o in range(0, self.d_out, step):
             block = np.concatenate([left[:, o:o + step], right[:, o:o + step]])
             t = np.linalg.qr(np.concatenate([t, block.reshape(2 * n, -1).T]), mode="r")
-        c = t[:, :n] @ t[:, n:].conj().T
+        with np.errstate(invalid="ignore"):  # a non-finite stack gives a non-finite C
+            c = t[:, :n] @ t[:, n:].conj().T
         return c if kl == kr == 0 else np.ldexp(c.view(float), kl + kr).view(complex)
 
     @cached_property
     def _input_marginal(self) -> np.ndarray:
-        """Tr_out J: the d_in x d_in matrix M with Tr[L(m)] = sum_ij M[i, j] m[i, j];
-        sum_a L_a^T conj(R_a) for a stacked map."""
-        if self._left is None:
-            return output_trace(self, self._matrix)
+        """M = Tr_out J = sum_a L_a^T conj(R_a), so Tr[L(m)] = sum_ij M[i, j] m[i, j]."""
         return np.einsum("aoi,aoj->ij", self._left, self._right.conj())
 
 
 def combine(coeffs, maps) -> ChoiOperator:
-    """The map sum_i c_i L_i. Stacked maps combine into one stack
-    [c_i L_i] / [R_i]; if any map is given as a matrix, the matrices add."""
+    """The map sum_i c_i L_i, carried by the stacks [c_i L_i] / [R_i]."""
     maps = list(maps)
-    d_in, d_out = maps[0].d_in, maps[0].d_out
-    if all(j.stacks is not None for j in maps):
-        return ChoiOperator(
-            None, d_in=d_in, d_out=d_out,
-            kraus=np.concatenate([c * j.stacks[0] for c, j in zip(coeffs, maps)]),
-            right=np.concatenate([j.stacks[1] for j in maps]),
-        )
-    return ChoiOperator(sum(c * j.matrix for c, j in zip(coeffs, maps)), d_in=d_in, d_out=d_out)
+    left = np.concatenate([c * j.stacks[0] for c, j in zip(coeffs, maps)])
+    right = np.concatenate([j.stacks[1] for j in maps])
+    return ChoiOperator(None, maps[0].d_in, maps[0].d_out, kraus=left, right=right)
 
 
 def frobenius_norm(j: ChoiOperator) -> float:
@@ -140,51 +135,28 @@ def frobenius_norm(j: ChoiOperator) -> float:
 
 
 def trace_product(j1: ChoiOperator, j2: ChoiOperator) -> complex:
-    """Tr[J_1 J_2]; for two stacked maps Tr[(R_1^dag L_2)(R_2^dag L_1)] over
-    the stacks' vecs, an r_1 x r_2 product instead of J_1 or J_2."""
-    if j1.stacks is None or j2.stacks is None:
-        return complex(np.sum(j1.matrix * j2.matrix.T))
+    """Tr[J_1 J_2] = Tr[(R_1^dag L_2)(R_2^dag L_1)] over the stacks' vecs, an
+    r_1 x r_2 product instead of J_1 or J_2."""
     (l1, r1), (l2, r2) = ([s.reshape(len(s), -1) for s in j.stacks] for j in (j1, j2))
     return complex(np.sum((r1.conj() @ l2.T) * (r2.conj() @ l1.T).T))
 
 
-def output_trace(j: ChoiOperator, x: np.ndarray, q: np.ndarray | None = None) -> np.ndarray:
-    """Tr_out[q x q^dag] for orthonormal columns q of the map's space, without
-    building the product (Tr_out x if q is None): the input-side reduction of
-    the operator that x represents in q's basis."""
-    if q is None:
-        return np.einsum("oioj->ij", x.reshape(j.d_out, j.d_in, j.d_out, j.d_in))
-    qx = (q @ x).reshape(j.d_out, j.d_in, -1)
-    return np.einsum("oil,ojl->ij", qx, q.conj().reshape(j.d_out, j.d_in, -1))
-
-
-def orthonormal_compression(j: ChoiOperator) -> tuple[np.ndarray | None, np.ndarray]:
-    """(Q, C) with J = Q C Q^dag: Q the orthonormal columns of a thin QR of
-    [vec L | vec R] for a stacked map, None (the identity) for a map given as
-    a matrix, whose C is J. Q is d_out*d_in x 2r and is not cached."""
-    if j.stacks is None:
-        return None, j.matrix
+def orthonormal_compression(j: ChoiOperator) -> tuple[np.ndarray, np.ndarray]:
+    """(Q, C) with J = Q C Q^dag: Q the d_out*d_in x min(2r, d_out*d_in)
+    orthonormal columns of a thin QR of [vec L | vec R], not cached; Q = 1 and
+    C = J for a map given as its matrix J (see the module docstring)."""
     n = len(j.stacks[0])
     q, t = np.linalg.qr(np.concatenate([s.reshape(n, -1) for s in j.stacks]).T)
     return q, t[:, :n] @ t[:, n:].conj().T
 
 
 def apply_choi(j: ChoiOperator, m: np.ndarray) -> np.ndarray:
-    """Act with the map represented by ``j`` on the matrix ``m``.
-
-    Computes sum_a L_a m R_a^dag for a map given by its stacks, and
-    Tr_in[ J (1_out (x) m^T) ] otherwise; linear in both arguments.
-    """
+    """Act with the map represented by ``j`` on the matrix ``m``:
+    sum_a L_a m R_a^dag, linear in both arguments."""
     m = np.asarray(m, dtype=complex)
     if m.shape != (j.d_in, j.d_in):
         raise ValueError(f"input shape {m.shape} does not match map input dimension {j.d_in}")
-    if j.stacks is not None:
-        left, right = j.stacks
-        return np.tensordot(left @ m, right.conj(), axes=([0, 2], [0, 2]))
-    # Contract without building the d_out*d_in sized product explicitly:
-    # J reshaped to (k, i, l, j) gives L(m)[k, l] = sum_{ij} J[k,i,l,j] m[j,i].
-    t = j.matrix.reshape(j.d_out, j.d_in, j.d_out, j.d_in)
-    return np.einsum("kilj,ij->kl", t, m)
+    return np.tensordot(j.stacks[0] @ m, j.stacks[1].conj(), axes=([0, 2], [0, 2]))
 
 
 def is_hermiticity_preserving(j: ChoiOperator) -> bool:
@@ -220,7 +192,7 @@ def kraus_from_choi(j: ChoiOperator) -> list[np.ndarray]:
     """
     if not is_completely_positive(j):
         raise ValueError("map is not completely positive within tolerance")
-    w, v = hermitian_eigendecomposition((j.matrix + j.matrix.conj().T) / 2)
+    w, v = hermitian_eigendecomposition(_hermitian_part(j.matrix))
     cutoff = KRAUS_RTOL * max(w.max(), 0.0)
     # largest eigenvalue first
     return [np.sqrt(w[k]) * v[:, k].reshape(j.d_out, j.d_in) for k in range(w.size - 1, -1, -1)

@@ -24,14 +24,13 @@ the decompositions, the sampler and the optics recombination all read.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .choi import ChoiOperator
+from .choi import ChoiOperator, apply_choi
 from .decomposition import StatisticalDecomposition
-from .linalg import swap_operator
 
 
 def universal_branches(d: int) -> tuple[tuple[float, float, complex], ...]:
@@ -83,22 +82,18 @@ def _ideal_part(d: int, c: complex) -> ChoiOperator:
 class CorrelatorFamily:
     """Fixed operators for one system dimension d >= 2.
 
-    Holds the swap operator and builds the representing operators of all six
-    maps (real/imaginary parts and their four physical branches, the
-    channels 2 c G (1 (x) rho) G^dag of ``universal_branches``) on first
-    access. The branches carry their Kraus stacks; the parts carry two-sided
-    stacks built from the defining map S (1 (x) rho), never from the
-    branches. Everything is read-only once built; threads that first touch a
-    map at once may each build it, with equal results.
+    Builds the representing operators of all six maps (real/imaginary parts
+    and their four physical branches, the channels 2 c G (1 (x) rho) G^dag of
+    ``universal_branches``) on first access: the branches carry their Kraus
+    stacks, the parts two-sided stacks of the defining map S (1 (x) rho), not
+    built from the branches. Everything is read-only once built; threads that
+    first touch a map at once may each build it, with equal results.
     """
 
     d: int
-    swap: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         universal_branches(self.d)  # the dimension check
-        object.__setattr__(self, "swap", swap_operator(self.d))
-        self.swap.flags.writeable = False
 
     _channels = cached_property(lambda self: _branches(self.d, 2, universal_branches(self.d)))
     j_real = cached_property(lambda self: _ideal_part(self.d, 0.5))
@@ -111,16 +106,12 @@ class CorrelatorFamily:
 
 def real_part_apply(fam: CorrelatorFamily, rho: np.ndarray) -> np.ndarray:
     """[(1 (x) rho) S + S (1 (x) rho)] / 2 — Hermitian, trace 1."""
-    rho = _check_dim(fam, rho)
-    x = np.kron(np.eye(fam.d), rho)
-    return (x @ fam.swap + fam.swap @ x) / 2
+    return apply_choi(fam.j_real, _check_dim(fam, rho))
 
 
 def imag_part_apply(fam: CorrelatorFamily, rho: np.ndarray) -> np.ndarray:
     """[(1 (x) rho) S - S (1 (x) rho)] / 2i — Hermitian, trace 0."""
-    rho = _check_dim(fam, rho)
-    x = np.kron(np.eye(fam.d), rho)
-    return (x @ fam.swap - fam.swap @ x) / 2j
+    return apply_choi(fam.j_imag, _check_dim(fam, rho))
 
 
 def _decomposition(d: int, rows) -> StatisticalDecomposition:
@@ -160,7 +151,5 @@ def two_point_exact(rho: np.ndarray, a: np.ndarray, b: np.ndarray) -> complex:
 def _check_dim(fam: CorrelatorFamily, rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (fam.d, fam.d):
-        raise ValueError(
-            f"state shape {rho.shape} does not match family dimension {fam.d}"
-        )
+        raise ValueError(f"state shape {rho.shape} does not match family dimension {fam.d}")
     return rho

@@ -14,6 +14,7 @@ expectation value reproduces the map.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,11 +24,12 @@ from .choi import (
     _kraus_stack,
     combine,
     orthonormal_compression,
-    output_trace,
 )
 from .linalg import (
     HERM_TOL,
     INSTRUMENT_TOL,
+    _hermitian_part,
+    _unit_scaled,
     check_density_matrix,
     hermitian_eigendecomposition,
     is_hermitian,
@@ -86,21 +88,24 @@ def statistical_decompose(j: ChoiOperator, tol: float = HERM_TOL) -> Statistical
     represented by 1/d_out, which is trace-preserving, so the instrument is
     complete by construction. Each effect carries its one Kraus operator,
     v_i reshaped to d_out x d_in and divided by sqrt(d_out). Raises
-    ``ValueError`` unless ||J - J^dag||_F <= tol ||J||_F.
+    ``ValueError`` unless ||J - J^dag||_F <= tol ||J||_F, or if a weight is
+    beyond the float range.
     """
     if not is_hermitian(j._compressed, tol):
         raise ValueError("map is not hermiticity-preserving within tolerance")
-    w, v = hermitian_eigendecomposition((j.matrix + j.matrix.conj().T) / 2)
+    w, v = hermitian_eigendecomposition(_hermitian_part(j.matrix))
+    weights = tuple(j.d_out * mu for mu in w.tolist())  # Python floats: inf, no warning
+    if not all(map(math.isfinite, weights)):
+        raise ValueError(f"the weights d_out * mu reach {j.d_out} * {max(-w[0], w[-1]):g}, "
+                         "beyond the float range")
     kraus = (v.T / np.sqrt(j.d_out)).reshape(w.size, 1, j.d_out, j.d_in)
-    return StatisticalDecomposition(
-        tuple(float(j.d_out * mu) for mu in w),
-        tuple(ChoiOperator(None, d_in=j.d_in, d_out=j.d_out, kraus=k) for k in kraus),
-    )
+    effects = tuple(ChoiOperator(None, d_in=j.d_in, d_out=j.d_out, kraus=k) for k in kraus)
+    return StatisticalDecomposition(weights, effects)
 
 
 def recombine(decomp: StatisticalDecomposition) -> ChoiOperator:
-    """Sum the weighted effects back into the represented map (one operator
-    stack if every effect carries one)."""
+    """Sum the weighted effects back into the represented map, one operator
+    stack."""
     return combine(decomp.weights, decomp.effects)
 
 
@@ -111,14 +116,24 @@ def error_lower_bound(j: ChoiOperator, tol: float = HERM_TOL) -> float:
     the minimum eigenvalue of the input-side partial trace of |J| (the trace
     against sigma of a fixed PSD operator is minimized by its ground-state
     projector). With J = Q C Q^dag, |J| = Q |C| Q^dag for a Hermitian C; Q
-    comes from a thin QR of the map's stacks, taken here and not kept.
-    Raises ``ValueError`` unless ||J - J^dag||_F <= tol ||J||_F.
+    comes from a thin QR of the map's stacks, taken here and not kept. Where
+    ``_unit_scaled`` scales C down by 2^k, the bound is that of C 2^-k, scaled
+    back. Raises ``ValueError`` unless ||J - J^dag||_F <= tol ||J||_F, or if
+    the bound is beyond the float range.
     """
     if not is_hermitian(j._compressed, tol):
         raise ValueError("map is not hermiticity-preserving within tolerance")
     q, c = orthonormal_compression(j)
-    reduced = output_trace(j, operator_absolute_value((c + c.conj().T) / 2), q)
-    return float(np.linalg.eigvalsh(reduced).min())
+    u, _, k = _unit_scaled(c)
+    absj = operator_absolute_value(_hermitian_part(u if k > 0 else c))
+    # Tr_out[q |C| q^dag], without building the product
+    qx = (q @ absj).reshape(j.d_out, j.d_in, -1)
+    reduced = np.einsum("oil,ojl->ij", qx, q.conj().reshape(qx.shape))
+    bound = float(np.linalg.eigvalsh(reduced).min())
+    try:
+        return math.ldexp(bound, max(k, 0))
+    except OverflowError:
+        raise ValueError(f"the bound {bound!r} * 2^{k} is beyond the float range") from None
 
 
 def decomposition_cost(
@@ -130,8 +145,8 @@ def decomposition_cost(
     Tr_out J (d_in-sided, cached per effect). The bound comes from
     ``error_lower_bound`` of the recombined map and holds for every valid
     input state. Since it does not depend on rho, callers sweeping many
-    states can precompute it once and pass it in; for effects that carry
-    operator stacks it is cheap either way.
+    states can precompute it once and pass it in; it costs a QR of the
+    effects' stacks, d_out*d_in x 2r for r operators in all.
     """
     rho = check_density_matrix(rho)
     if rho.shape != (decomp.d_in, decomp.d_in):
@@ -152,8 +167,8 @@ def stinespring_dilation(decomp: StatisticalDecomposition) -> Dilation:
     Stacks the Kraus operators K_{i,a} of every effect into an isometry
     V psi = sum_{i,a} (K_{i,a} psi) (x) |i,a> and puts the weights on the
     ancilla as Z = sum_{i,a} lambda_i |i,a><i,a|. An effect that carries its
-    Kraus stack contributes it as is; one given as a matrix must be completely
-    positive and is split by ``kraus_from_choi``, which raises ``ValueError``
+    Kraus stack contributes it as is; any other must be completely positive
+    and is split by ``kraus_from_choi``, which raises ``ValueError``
     otherwise. Completeness of the instrument makes V^dag V = 1, and a
     ``ValueError`` says so if it fails by more than ``INSTRUMENT_TOL``.
     """

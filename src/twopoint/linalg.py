@@ -113,26 +113,31 @@ def is_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> bool:
     return scale < math.inf and _frobenius(m - m.conj().T) <= tol * scale
 
 
+def _hermitian_part(m: np.ndarray, scaled=None) -> np.ndarray:
+    """(m + m^dag)/2 of a square matrix with finite entries; where that could
+    overflow (``_unit_scaled`` scales m by 2^-k, k > 0), the Hermitian part of
+    m 2^-k, scaled back. ``scaled`` is ``_unit_scaled(m)`` if the caller has it."""
+    u, _, k = _unit_scaled(m) if scaled is None else scaled
+    if k <= 0:  # m + m^dag cannot overflow, and halving rounds once
+        return (m + m.conj().T) / 2
+    return np.ldexp(((u + u.conj().T) / 2).view(float), k).view(complex)
+
+
 def _hermitian(m: np.ndarray, name: str):
-    """``(m, (m + m^dag)/2)`` for a square matrix m with finite entries that is
-    Hermitian within ``HERM_TOL`` (relative Frobenius); ``name`` ("state",
-    "observable" or "matrix") is what a ``ValueError`` calls m. Where m + m^dag
-    could overflow, the Hermitian part is that of ``_unit_scaled``'s m 2^-k,
-    scaled back."""
+    """``(m, _hermitian_part(m))`` for a square matrix m with finite entries
+    that is Hermitian within ``HERM_TOL`` (relative Frobenius); ``name``
+    ("state", "observable" or "matrix") is what a ``ValueError`` calls m."""
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{_SQUARE[name]}, got shape {m.shape}")
-    u, scale, k = _unit_scaled(m)  # as is_hermitian judges m, keeping k
+    u, scale, k = _unit_scaled(m)  # as is_hermitian judges m
     if not (scale < math.inf and _frobenius(u - u.conj().T) <= HERM_TOL * scale):
         bad = np.argwhere(~np.isfinite(m))
         if len(bad):
             i, j = bad[0]
             raise ValueError(f"{name} entry [{i}, {j}] is not finite: {m[i, j]}")
         raise ValueError(f"{name} is not Hermitian within tolerance")
-    if k <= 0:  # m + m^dag cannot overflow, and halving rounds once
-        return m, (m + m.conj().T) / 2
-    h = (u + u.conj().T) / 2
-    return m, np.ldexp(h.view(float), k).view(complex)
+    return m, _hermitian_part(m, (u, scale, k))
 
 
 def hermitian_eigendecomposition(m: np.ndarray):

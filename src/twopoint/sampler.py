@@ -70,16 +70,28 @@ class EstimationReport:
     seed: int
 
 
+def _cluster_means(w, starts, sizes):
+    """The mean of each cluster of the ascending eigenvalues ``w``; where a
+    cluster sum could overflow, that of w 2^-k (2^k from max|w|), scaled back."""
+    top = max(-float(w[0]), float(w[-1]))
+    if top * len(w) < math.inf:  # Python floats: no cluster sum overflows
+        return np.add.reduceat(w, starts) / sizes
+    if not np.isfinite(w).all():
+        raise ValueError("an observable has an eigenvalue beyond the float range")
+    k = math.frexp(top)[1]
+    return np.ldexp(np.add.reduceat(np.ldexp(w, -k), starts) / sizes, k)
+
+
 def _outcomes(*hs):
     """Yields ``(eigenvectors, starts, sizes, values)`` of each Hermitian
     matrix in ``hs`` (all of one shape) from one batched ``eigh``: the
     ``eigenvalue_clusters`` of its eigenvalues and each cluster's outcome
-    value, its mean. Cluster sums do not depend on the basis chosen inside a
-    cluster, so the basis is not canonicalised."""
+    value, its ``_cluster_means``. Cluster sums do not depend on the basis
+    chosen inside a cluster, so the basis is not canonicalised."""
     ws, us = np.linalg.eigh(np.array(hs))
     for w, u in zip(ws, us):
         starts, sizes = eigenvalue_clusters(w)
-        yield u, starts, sizes, np.add.reduceat(w, starts) / sizes
+        yield u, starts, sizes, _cluster_means(w, starts, sizes)
 
 
 def _plan(cells, lams, avals, bvals):
@@ -104,11 +116,17 @@ def _plan(cells, lams, avals, bvals):
     if not abs(total - 1.0) <= INSTRUMENT_TOL:
         raise ValueError(f"branch probabilities sum to {total}, not 1: not an instrument")
     tops = [max(map(abs, x.tolist())) for x in (lams, avals, bvals)]  # Python floats: no warning
-    if not math.isfinite(tops[0] * tops[1] * tops[2]):
-        raise ValueError("the records lambda*alpha*beta reach {:g} * {:g} * {:g}, "
-                         "beyond the float range".format(*tops))
-    values = ((lams[:, None] * avals)[:, :, None] * bvals).reshape(len(lams), -1)
-    return cells.ravel() / total, values
+    if math.isfinite(tops[0] * tops[1] * tops[2]):
+        values = (lams[:, None] * avals)[:, :, None] * bvals
+    else:  # lambda alpha, or the records, overflow: take each factor at 2^-k
+        ks = [math.frexp(t)[1] for t in tops]
+        lams, avals, bvals = (np.ldexp(x, -k) for x, k in zip((lams, avals, bvals), ks))
+        with np.errstate(over="ignore"):
+            values = np.ldexp((lams[:, None] * avals)[:, :, None] * bvals, sum(ks))
+        if not np.isfinite(values).all():
+            raise ValueError("the records lambda*alpha*beta reach {:g} * {:g} * {:g}, "
+                             "beyond the float range".format(*tops))
+    return cells.ravel() / total, values.reshape(len(lams), -1)
 
 
 def _component_plan(decomp, rho, a, b):

@@ -10,6 +10,7 @@ from twopoint.choi import (
     is_hermiticity_preserving,
     is_trace_preserving,
     kraus_from_choi,
+    orthonormal_compression,
     trace_product,
 )
 from twopoint.cli import _random_observable as rand_herm, _random_state as rand_state
@@ -230,16 +231,61 @@ def test_stacked_map_caches_no_process_matrix_sided_array(predicate):
         assert 27 not in _cached_sides(j), j.stacks[0].shape
 
 
-def test_combine_stacks_or_adds_matrices():
+def test_combine_concatenates_stacks():
+    """Stacked and matrix-given maps combine into one stack [c_i L_i] / [R_i]
+    whose matrix is the weighted sum of theirs."""
     rng = np.random.default_rng(11)
     a, b = _stacked_map("two-sided", rng), _stacked_map("hermitian", rng)
     want = 2 * a.matrix - 1j * b.matrix
-    stacked = combine((2, -1j), (a, b))
-    assert stacked.stacks is not None and stacked.kraus is None
-    assert np.abs(stacked.matrix - want).max() <= 1e-12
-    mixed = combine((2, -1j), (a, ChoiOperator(b.matrix, 2, 3)))
-    assert mixed.stacks is None
-    assert np.abs(mixed.matrix - want).max() <= 1e-12
+    for other in (b, ChoiOperator(b.matrix, 2, 3)):
+        combined = combine((2, -1j), (a, other))
+        assert combined.kraus is None
+        left, right = combined.stacks
+        assert np.array_equal(left, np.concatenate([2 * a.stacks[0], -1j * other.stacks[0]]))
+        assert np.array_equal(right, np.concatenate([a.stacks[1], other.stacks[1]]))
+        assert np.abs(combined.matrix - want).max() <= 1e-12
+
+
+# (d_in, d_out): square, family (3, 9) (4, 16) (8, 64), and a prime output side
+_MATRIX_SHAPES = [(2, 2), (3, 9), (4, 16), (8, 64), (2, 5)]
+
+
+@pytest.mark.parametrize("d_in,d_out", _MATRIX_SHAPES)
+def test_matrix_given_map_is_its_unit_stack(d_in, d_out):
+    """A map given as its matrix J is carried by the unit operators against
+    J's rows conjugated, and [1 | J^dag] is already upper triangular: the QR
+    leaves it as it is, so C = J and Q = 1 bit for bit, and ``matrix`` is the
+    array given."""
+    side = d_in * d_out
+    rng = np.random.default_rng(side)
+    g = rng.normal(size=(side, 2 * side)).view(complex)
+    maps = [(g + g.conj().T) / 2, g]
+    if d_out == d_in * d_in:
+        maps.append(CorrelatorFamily(d_in).j_real.matrix.copy())
+    for m in maps:
+        j = ChoiOperator(m, d_in=d_in, d_out=d_out)
+        assert j.matrix is m and j.kraus is None
+        left, right = j.stacks
+        assert np.array_equal(left.reshape(side, side), np.eye(side))
+        assert np.array_equal(right.reshape(side, side), m.conj())
+        assert np.array_equal(j._compressed, m)
+        q, c = orthonormal_compression(j)
+        assert np.array_equal(q, np.eye(side)) and np.array_equal(c, m)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_a_non_finite_matrix_is_no_hermitian_map(bad):
+    """A non-finite entry of J reaches the QR of [1 | J^dag]: C is not
+    finite, so the map is neither hermiticity-preserving nor completely
+    positive, and no RuntimeWarning is raised on the way."""
+    m = np.eye(4, dtype=complex)
+    m[0, 1] = bad
+    j = ChoiOperator(m, 2, 2)
+    assert not is_hermiticity_preserving(j) and not is_completely_positive(j)
+    assert frobenius_norm(j) == np.inf
+    with pytest.raises(ValueError, match="hermiticity"):
+        error_lower_bound(j)
 
 
 # --- apply_choi ---------------------------------------------------------------

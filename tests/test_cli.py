@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import math
@@ -319,6 +320,18 @@ def test_decompose_tol_reaches_the_bound(tmp_path, capsys):
     assert "not hermiticity-preserving within tolerance" in capsys.readouterr().err
 
 
+def test_decompose_weights_beyond_the_float_range_exit_3(tmp_path, capsys):
+    """A finite Hermitian 2 -> 2 map whose largest entry is 1.5e308: its
+    weights d_out mu reach 3e308. One error line that names them, no report."""
+    path = _write(tmp_path, "big.json", 1.5e308 * np.diag([1.0, -1.0, 0.5, 0.0]))
+    code = main(["decompose", path, "--din", "2", "--dout", "2"])
+    captured = capsys.readouterr()
+    assert code == EXIT_SEMANTIC and captured.out == ""
+    assert captured.err == (
+        "error: the weights d_out * mu reach 2 * 1.5e+308, beyond the float range\n"
+    )
+
+
 def test_decompose_malformed_json_exits_2(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")
@@ -505,6 +518,64 @@ def test_estimate_records_beyond_the_float_range_exit_3(tmp_path, capsys):
     assert captured.err == (
         "error: the records lambda*alpha*beta reach 3 * 1e+308 * 1, beyond the float range\n"
     )
+
+
+def _raise_on_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@st.composite
+def _estimate_inputs(draw):
+    """(rho, A, B): matrices of side 1-4 (mostly one shared side) times 2^k,
+    k in [-1074, 1023] or 0. Each is a state, a Hermitian or a general
+    matrix; rho is mostly an unscaled state, A and B mostly Hermitian.
+    Entries past the largest float are written as JSON's Infinity, which the
+    reader refuses."""
+    side = draw(st.integers(1, 4))
+
+    def matrix(kinds, scaled):
+        n = draw(st.sampled_from([side] * 12 + [1, 2, 3, 4]))
+        kind = draw(st.sampled_from(kinds))
+        k = draw(st.integers(-1074, 1023)) if draw(scaled) else 0
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        m = {"state": g @ g.conj().T / np.trace(g @ g.conj().T).real,
+             "hermitian": (g + g.conj().T) / 2, "general": g}[kind]
+        with np.errstate(over="ignore"):
+            return np.ldexp(np.ascontiguousarray(m).view(float), k).view(complex)
+
+    return (matrix(["state"] * 7 + ["hermitian", "general"], st.sampled_from([1, 0, 0, 0])),
+            *(matrix(["hermitian"] * 7 + ["state", "general"], st.booleans()) for _ in "ab"))
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(inputs=_estimate_inputs(), shots=st.one_of(st.integers(2, 10**6), st.integers(-1, 2**64)),
+       split=st.one_of(st.floats(0, 1, exclude_min=True, exclude_max=True), st.floats()),
+       seed=st.integers(-1, 2**70))
+@example(inputs=(MIXED2, 1e308 * np.eye(2), 1e-10 * SX), shots=1000, split=0.5, seed=42)
+@example(inputs=(MIXED2, 1e308 * np.diag([1.0, -1.0]), SX), shots=1000, split=0.5, seed=42)
+@example(inputs=(MIXED2, 1e-320 * np.diag([1.0, -1.0]), SX), shots=1000, split=0.5, seed=42)
+def test_estimate_finishes_or_fails_with_its_exit_code(tmp_path_factory, inputs, shots, split,
+                                                       seed):
+    """Any MatrixFiles and flags: exit 0 with a report of finite numbers
+    only, or exit 2 or 3 with nothing on standard output, and no uncaught
+    exception or RuntimeWarning on the way (a RuntimeWarning is an error in
+    this suite)."""
+    tmp = tmp_path_factory.getbasetemp() / "estimate-property"
+    tmp.mkdir(exist_ok=True)
+    paths = []
+    for name, m in zip(("rho", "a", "b"), inputs):
+        (tmp / f"{name}.json").write_text(json.dumps(matrix_to_json(m)), encoding="utf-8")
+        paths.append(str(tmp / f"{name}.json"))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["estimate", *paths, f"--shots={shots}", f"--split={split!r}",
+                     f"--seed={seed}"])
+    assert code in (EXIT_OK, EXIT_PARSE, EXIT_SEMANTIC)
+    if code == EXIT_OK:
+        json.loads(out.getvalue(), parse_constant=_raise_on_constant)
+    else:
+        assert out.getvalue() == ""
 
 
 def test_estimate_help_mentions_default_seed(capsys):

@@ -305,11 +305,15 @@ def test_builder_orthogonality(d):
 
 
 def test_apply_choi_consistency_with_applies():
+    """The parts' stacks act as the Hermitian part (X + X^dag)/2 and the
+    imaginary part i (X - X^dag)/2 of the dense reference X = S (1 (x) rho)."""
     rng = np.random.default_rng(30)
-    fam = CorrelatorFamily(2)
-    rho = rand_state(rng, 2)
-    assert np.linalg.norm(apply_choi(fam.j_real, rho) - real_part_apply(fam, rho)) <= 1e-11
-    assert np.linalg.norm(apply_choi(fam.j_imag, rho) - imag_part_apply(fam, rho)) <= 1e-11
+    for d in (2, 3, 4, 5):
+        fam = CorrelatorFamily(d)
+        rho = rand_state(rng, d)
+        x = ideal_correlator_apply(fam, rho)
+        assert np.linalg.norm(apply_choi(fam.j_real, rho) - (x + x.conj().T) / 2) <= 1e-11
+        assert np.linalg.norm(apply_choi(fam.j_imag, rho) - 0.5j * (x - x.conj().T)) <= 1e-11
 
 
 # --- exact two-point values -----------------------------------------------------------

@@ -9,6 +9,7 @@ from twopoint.choi import (
     apply_choi,
     is_completely_positive,
     is_trace_preserving,
+    kraus_from_choi,
 )
 from twopoint.cli import _random_observable as rand_herm, _random_state as rand_state
 from twopoint.correlator import (
@@ -174,6 +175,28 @@ def test_decomposition_needs_paired_terms():
         StatisticalDecomposition(weights=(1.0, 2.0), effects=(effect,))
     with pytest.raises(ValueError, match="a decomposition needs at least one term"):
         StatisticalDecomposition(weights=(), effects=())
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_map_near_the_float_maximum_is_decomposed():
+    """J = 1.5e308 diag(1, -1, 0.5, 0) is finite and Hermitian: its weights,
+    Kraus operators and bound are finite, although J + J^dag overflows."""
+    j = ChoiOperator(1.5e308 * np.diag([1, -1, 0.5, 0]), d_in=4, d_out=1)
+    assert statistical_decompose(j).weights == (-1.5e308, 0.0, 0.75e308, 1.5e308)
+    assert error_lower_bound(j) == 0.0
+    cp = ChoiOperator(1.5e308 * np.diag([1, 0, 0.5, 0.25]), d_in=4, d_out=1)
+    assert sorted(np.abs(k).max() ** 2 for k in kraus_from_choi(cp)) == pytest.approx(
+        [0.375e308, 0.75e308, 1.5e308], rel=1e-15)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_weights_or_bound_beyond_the_float_range_are_refused():
+    """d_out mu = 2 * 1.5e308 and Tr_out |J| = 3e308 have no float: each is
+    refused with a ValueError that names it."""
+    with pytest.raises(ValueError, match=r"weights d_out \* mu reach 2 \* 1.5e\+308, beyond"):
+        statistical_decompose(ChoiOperator(1.5e308 * np.diag([1, -1, 0.5, 0]), d_in=2, d_out=2))
+    with pytest.raises(ValueError, match="bound .* is beyond the float range"):
+        error_lower_bound(ChoiOperator(1.5e308 * np.eye(4), d_in=2, d_out=2))
 
 
 def test_bound_values_qubit():

@@ -10,6 +10,7 @@ from twopoint.correlator import (
 from twopoint.linalg import (
     _canonical_eigenbasis,
     _hermitian,
+    _hermitian_part,
     check_density_matrix,
     check_observable,
     eigenvalue_clusters,
@@ -372,3 +373,16 @@ def test_hermitian_part_holds_near_the_float_maximum():
     a = 1e308 * np.array([[1, 0.5 - 0.25j], [0.5 + 0.25j, -1]])
     m, h = _hermitian(a, "observable")
     assert np.array_equal(m, a) and np.array_equal(h, a)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-320, 1e154, 1.5e308])
+def test_hermitian_part_keeps_in_range_bits(scale):
+    """``_hermitian_part`` is (m + m^dag)/2 bit for bit wherever that sum
+    cannot overflow, and is finite and exact for a Hermitian m near the float
+    maximum, where the plain sum overflows."""
+    g = np.random.default_rng(7).uniform(-1, 1, size=(4, 8)).view(complex)
+    m = scale * g
+    if scale < 1e300:
+        assert np.array_equal(_hermitian_part(m), (m + m.conj().T) / 2)
+    h = scale * ((g + g.conj().T) / 4)
+    assert np.array_equal(_hermitian_part(h), h)

@@ -657,10 +657,28 @@ def test_standard_error_survives_extreme_observable_scales(scale):
 ], ids=["1e308-sz-sx", "1e300-sz-1e300-sz"])
 def test_records_beyond_the_float_range_are_refused(a, b, reach):
     """(d + 1) max|alpha| max|beta| is beyond the largest float: the estimate
-    is refused, naming that range, before any record is formed (no overflow,
-    no NaN estimate)."""
+    is refused, naming that range (no overflow warning, no NaN estimate)."""
     with pytest.raises(ValueError, match=re.escape(f"records lambda*alpha*beta reach {reach} beyond")):
         estimate_two_point(MIXED2, a, b, n_shots=1000)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_degenerate_observable_near_the_float_maximum_is_estimated():
+    """A = 1e308 1: the cluster sum 2e308 overflows, and so does lambda alpha
+    = 3e308, though the records, 3e298 at most, are floats. Both are taken
+    at a power-of-two scale, so the estimate is 10 times that at 1e307."""
+    b = 1e-10 * SX
+    big, small = (estimate_two_point(MIXED2, s * np.eye(2), b, n_shots=1000) for s in (1e308, 1e307))
+    assert abs(big.estimate / 10 - small.estimate) <= 1e-15 * abs(small.estimate)
+    assert big.exact == 0 and big.std_error == pytest.approx(np.multiply(10, small.std_error))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_observable_eigenvalues_beyond_the_float_range_are_refused():
+    """1.5e308 [[1, 1], [1, 1]] is finite and Hermitian, but its eigenvalue
+    3e308 is not a float."""
+    with pytest.raises(ValueError, match="eigenvalue beyond the float range"):
+        estimate_two_point(MIXED2, 1.5e308 * np.ones((2, 2)), SX, n_shots=1000)
 
 
 def test_split_shifts_budget():
