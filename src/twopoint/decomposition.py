@@ -31,6 +31,8 @@ from .linalg import (
     _hermitian_part,
     _unit_scaled,
     check_density_matrix,
+    cluster_means,
+    eigenvalue_clusters,
     hermitian_eigendecomposition,
     is_hermitian,
     operator_absolute_value,
@@ -80,26 +82,36 @@ class CostReport:
 
 
 def statistical_decompose(j: ChoiOperator, tol: float = HERM_TOL) -> StatisticalDecomposition:
-    """Split a hermiticity-preserving map into weighted instrument branches.
+    """Split a hermiticity-preserving map into weighted instrument branches,
+    one per distinct eigenvalue of J.
 
-    Eigendecomposes J = sum_i mu_i |v_i><v_i| keeping zero-eigenvalue
-    directions, and returns weights lambda_i = d_out * mu_i with effects
-    |v_i><v_i| / d_out. The effects are rank-1 CP maps summing to the map
-    represented by 1/d_out, which is trace-preserving, so the instrument is
-    complete by construction. Each effect carries its one Kraus operator,
-    v_i reshaped to d_out x d_in and divided by sqrt(d_out). Raises
-    ``ValueError`` unless ||J - J^dag||_F <= tol ||J||_F, or if a weight is
-    beyond the float range.
+    Eigendecomposes J = sum_k mu_k |v_k><v_k| keeping zero-eigenvalue
+    directions, and joins the eigenvalues into ``eigenvalue_clusters``:
+    neighbouring eigenvalues whose gap is at most DEGENERACY_TOL max|mu| are
+    one eigenvalue. Cluster i gives the weight lambda_i = d_out times its
+    ``cluster_means`` and the effect P_i / d_out, P_i its eigenprojector,
+    carried by its m_i Kraus operators v_k reshaped to d_out x d_in and
+    divided by sqrt(d_out). The effects sum to the map represented by
+    1/d_out, which is trace-preserving, so the instrument is complete by
+    construction. Each mu_k moves to its cluster's mean, at most m_i - 1
+    gaps away, so the terms recombine the Hermitian part of J within
+    DEGENERACY_TOL max|mu| sqrt(sum_i m_i (m_i - 1)^2) in Frobenius norm,
+    plus rounding (within rounding if no two eigenvalues join). Raises
+    ``ValueError`` unless ||J - J^dag||_F <= tol ||J||_F, or if an
+    eigenvalue or a weight is beyond the float range.
     """
     if not is_hermitian(j._compressed, tol):
         raise ValueError("map is not hermiticity-preserving within tolerance")
     w, v = hermitian_eigendecomposition(_hermitian_part(j.matrix))
-    weights = tuple(j.d_out * mu for mu in w.tolist())  # Python floats: inf, no warning
+    starts, sizes = eigenvalue_clusters(w)
+    means = cluster_means(w, starts, sizes)
+    weights = tuple(j.d_out * mu for mu in means.tolist())  # Python floats: inf, no warning
     if not all(map(math.isfinite, weights)):
         raise ValueError(f"the weights d_out * mu reach {j.d_out} * {max(-w[0], w[-1]):g}, "
                          "beyond the float range")
-    kraus = (v.T / np.sqrt(j.d_out)).reshape(w.size, 1, j.d_out, j.d_in)
-    effects = tuple(ChoiOperator(None, d_in=j.d_in, d_out=j.d_out, kraus=k) for k in kraus)
+    kraus = (v.T / np.sqrt(j.d_out)).reshape(w.size, j.d_out, j.d_in)
+    effects = tuple(ChoiOperator(None, d_in=j.d_in, d_out=j.d_out, kraus=kraus[s:s + m])
+                    for s, m in zip(starts.tolist(), sizes.tolist()))
     return StatisticalDecomposition(weights, effects)
 
 

@@ -52,11 +52,25 @@ def eigenvalue_clusters(w: np.ndarray):
     # len(w). max|w| of an ascending w is -w[0] or w[-1]. A gap beyond the
     # float range is inf, above the bound as it should be.
     edges = np.ones(len(w) + 1, dtype=bool)
-    if len(w) > 1:
-        with np.errstate(over="ignore"):
+    if len(w) > 1:  # inf - inf is NaN, not above the bound: infinities join
+        with np.errstate(over="ignore", invalid="ignore"):
             edges[1:-1] = w[1:] - w[:-1] > DEGENERACY_TOL * max(-w[0], w[-1])
     edges = edges.nonzero()[0]
     return edges[:-1], edges[1:] - edges[:-1]
+
+
+def cluster_means(w: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The mean of each cluster (``eigenvalue_clusters``) of the ascending
+    eigenvalues ``w``; where a cluster sum could overflow, that of w 2^-k
+    (2^k from max|w|), scaled back. Raises ``ValueError`` if an eigenvalue
+    is not finite."""
+    top = max(-float(w[0]), float(w[-1]))
+    if top * len(w) < math.inf:  # Python floats: no cluster sum overflows
+        return np.add.reduceat(w, starts) / sizes
+    if not np.isfinite(w).all():
+        raise ValueError("a matrix has an eigenvalue beyond the float range")
+    k = math.frexp(top)[1]
+    return np.ldexp(np.add.reduceat(np.ldexp(w, -k), starts) / sizes, k)
 
 
 def _canonical_eigenbasis(w: np.ndarray, v: np.ndarray):

@@ -46,7 +46,7 @@ from .choi import _kraus_stack
 from .correlator import two_point_exact, universal_branches
 from .decomposition import StatisticalDecomposition
 from .linalg import (BRANCH_FLOOR, INSTRUMENT_TOL, _hermitian, check_density_matrix,
-                     eigenvalue_clusters)
+                     cluster_means, eigenvalue_clusters)
 
 # Documented default seed for reproducible-by-default runs.
 DEFAULT_SEED = 0x2A
@@ -70,28 +70,16 @@ class EstimationReport:
     seed: int
 
 
-def _cluster_means(w, starts, sizes):
-    """The mean of each cluster of the ascending eigenvalues ``w``; where a
-    cluster sum could overflow, that of w 2^-k (2^k from max|w|), scaled back."""
-    top = max(-float(w[0]), float(w[-1]))
-    if top * len(w) < math.inf:  # Python floats: no cluster sum overflows
-        return np.add.reduceat(w, starts) / sizes
-    if not np.isfinite(w).all():
-        raise ValueError("an observable has an eigenvalue beyond the float range")
-    k = math.frexp(top)[1]
-    return np.ldexp(np.add.reduceat(np.ldexp(w, -k), starts) / sizes, k)
-
-
 def _outcomes(*hs):
     """Yields ``(eigenvectors, starts, sizes, values)`` of each Hermitian
     matrix in ``hs`` (all of one shape) from one batched ``eigh``: the
     ``eigenvalue_clusters`` of its eigenvalues and each cluster's outcome
-    value, its ``_cluster_means``. Cluster sums do not depend on the basis
+    value, its ``cluster_means``. Cluster sums do not depend on the basis
     chosen inside a cluster, so the basis is not canonicalised."""
     ws, us = np.linalg.eigh(np.array(hs))
     for w, u in zip(ws, us):
         starts, sizes = eigenvalue_clusters(w)
-        yield u, starts, sizes, _cluster_means(w, starts, sizes)
+        yield u, starts, sizes, cluster_means(w, starts, sizes)
 
 
 def _plan(cells, lams, avals, bvals):

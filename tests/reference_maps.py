@@ -6,7 +6,9 @@ that compares the two checks one construction against another. The check
 suite of ``twopoint verify`` has a dense counterpart here too, which works on
 d^3-sided process matrices where the package works on their factors, and
 the sampler's plan has one that measures the dense conditional two-copy state
-of each branch with dense spectral projectors. The optical bench has one
+of each branch with dense spectral projectors. The terms of
+``statistical_decompose`` are compared with the eigenprojectors of a process
+matrix, interpolated from its distinct eigenvalues. The optical bench has one
 that propagates sparse Fock-space vectors through each beamsplitter, where
 the package uses one fixed Kraus operator per coincidence pattern. The random
 inputs that only the tests use (pure and rank-two states, two-valued
@@ -345,6 +347,22 @@ def two_valued_observable(rng, d):
     """A random observable with the two degenerate eigenvalues -1 and +1."""
     u, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
     return u @ np.diag([1.0] * (d // 2) + [-1.0] * (d - d // 2)) @ u.conj().T
+
+
+def eigenprojectors(m: np.ndarray, values) -> list[np.ndarray]:
+    """The eigenprojectors of a Hermitian matrix ``m`` whose distinct
+    eigenvalues are exactly ``values``, by Lagrange interpolation:
+    P_i = prod_{j != i} (m - mu_j 1) / (mu_i - mu_j), one per value in the
+    given order. No eigenvector is formed, so no basis or phase is chosen."""
+    one = np.eye(len(m))
+    projs = []
+    for i, mu_i in enumerate(values):
+        p = one
+        for j, mu_j in enumerate(values):
+            if j != i:
+                p = p @ (m - mu_j * one) / (mu_i - mu_j)
+        projs.append(p)
+    return projs
 
 
 def spectral_projectors(obs: np.ndarray):

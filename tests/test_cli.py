@@ -29,9 +29,10 @@ from twopoint.cli import (
 )
 from twopoint.correlator import CorrelatorFamily, choi_builders
 from twopoint.decomposition import StatisticalDecomposition, error_lower_bound
+from twopoint.linalg import DEGENERACY_TOL
 from twopoint.sampler import DEFAULT_SEED
 
-from reference_maps import dense_verify_values
+from reference_maps import dense_verify_values, eigenprojectors
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]])
@@ -271,6 +272,8 @@ def test_decompose_failure_writes_no_report(tmp_path, capsys, case):
 
 
 def test_decompose_identity_channel(tmp_path, capsys):
+    """J = sum_ij |ii><jj| has the eigenvalues 0 (three times) and 2: two
+    terms, each effect the eigenprojector / d_out."""
     j_id = np.zeros((4, 4), dtype=complex)
     for i in range(2):
         for j in range(2):
@@ -280,27 +283,31 @@ def test_decompose_identity_channel(tmp_path, capsys):
     assert code == EXIT_OK
     report = json.loads(out)
     lams = [t["lambda"] for t in report["terms"]]
-    assert np.allclose(lams, [0.0, 0.0, 0.0, 4.0], atol=1e-9)
+    assert np.allclose(lams, [0.0, 4.0], atol=1e-9)
     assert report["bound"] == pytest.approx(1.0, abs=1e-9)
-    assert report["is_cp_flags"] == [True] * 4
-    top = json_to_matrix(report["terms"][-1]["effect"])
-    phi = j_id / 2.0
-    assert np.allclose(top, phi / 2.0, atol=1e-9)  # projector / d_out
+    assert report["is_cp_flags"] == [True] * 2
+    for term, proj in zip(report["terms"], eigenprojectors(j_id, (0, 2))):
+        assert np.abs(json_to_matrix(term["effect"]) - proj / 2).max() <= 1e-12
 
 
 def test_decompose_dumped_family_matrix(tmp_path, capsys):
-    """decompose takes the process matrix that a dumped map's stacks build."""
+    """decompose takes the process matrix that a dumped map's stacks build:
+    the d = 2 real part's eigenvalues -1/2, 0 and 3/2 give three terms."""
     dump = tmp_path / "dump"
     code, _ = _run(capsys, ["verify", "2", "--dump", str(dump)])
     assert code == EXIT_OK
     left, right = _read_stacks(dump / "choi_real_d2.json", 2)
-    path = _write(tmp_path, "real.json", ChoiOperator(None, 2, 4, kraus=left, right=right).matrix)
+    jm = ChoiOperator(None, 2, 4, kraus=left, right=right).matrix
+    path = _write(tmp_path, "real.json", jm)
     code, out = _run(capsys, ["decompose", path, "--din", "2", "--dout", "4"])
     assert code == EXIT_OK
     report = json.loads(out)
     lams = [t["lambda"] for t in report["terms"]]
-    assert np.allclose(lams, [-2, -2, 0, 0, 0, 0, 6, 6], atol=1e-8)
+    assert np.allclose(lams, [-2, 0, 6], atol=1e-8)
     assert report["bound"] == pytest.approx(2.0, abs=1e-9)
+    assert report["is_cp_flags"] == [True] * 3
+    for term, proj in zip(report["terms"], eigenprojectors(jm, (-0.5, 0, 1.5))):
+        assert np.abs(json_to_matrix(term["effect"]) - proj / 4).max() <= 1e-12
 
 
 def test_decompose_tol_reaches_the_bound(tmp_path, capsys):
@@ -576,6 +583,82 @@ def test_estimate_finishes_or_fails_with_its_exit_code(tmp_path_factory, inputs,
         json.loads(out.getvalue(), parse_constant=_raise_on_constant)
     else:
         assert out.getvalue() == ""
+
+
+@st.composite
+def _decompose_inputs(draw):
+    """(matrix, d_in, d_out): a process matrix whose side factors as
+    d_out d_in <= 16, times 2^k: k is 0, in [-1074, 1023], or near either
+    end of that range. It is a random Hermitian matrix, one with a few
+    repeated eigenvalues (on a random eigenbasis or on the diagonal), a
+    scaled identity or a general matrix."""
+    d_in = draw(st.integers(1, 4))
+    d_out = draw(st.integers(1, 16 // d_in))
+    n = d_in * d_out
+    kind = draw(st.sampled_from(["hermitian", "repeated", "diagonal", "identity", "general"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    if kind in ("repeated", "diagonal"):
+        w = rng.choice(rng.normal(size=draw(st.integers(1, 3))), size=n)
+        u = np.linalg.qr(g)[0] if kind == "repeated" else np.eye(n)
+        m = (u * w) @ u.conj().T
+    else:
+        m = {"hermitian": (g + g.conj().T) / 2, "identity": g[0, 0].real * np.eye(n),
+             "general": g}[kind]
+    k = draw(st.one_of(st.just(0), st.integers(-1074, 1023), st.integers(-1074, -1000),
+                       st.integers(960, 1023)))
+    with np.errstate(over="ignore"):
+        m = np.ldexp(np.ascontiguousarray(m, dtype=complex).view(float), k).view(complex)
+    return m, d_in, d_out
+
+
+def _recombination_error(m, d_out, terms):
+    """||sum_i lambda_i E_i - (m + m^dag)/2||_F over the bound of
+    ``statistical_decompose``: DEGENERACY_TOL max|mu| sqrt(sum_i m_i (m_i - 1)^2)
+    for clusters of m_i = d_out Tr E_i eigenvalues, plus 1e-12 ||J||_F and
+    the subnormal grid, 2^-1074 for each of 4 n entries, for rounding. Both
+    are taken at the exact scaling of m by 2^-k that brings its largest
+    entry to [1/2, 1), so neither overflows nor underflows."""
+    m = np.asarray(m, dtype=complex)
+    k = math.frexp(np.abs(m).max())[1]
+    m = np.ldexp(m.view(float), -k).view(complex)
+    lams = [math.ldexp(t["lambda"], -k) for t in terms]
+    effects = [json_to_matrix(t["effect"]) for t in terms]
+    h = (m + m.conj().T) / 2
+    residual = np.linalg.norm(sum(lam * e for lam, e in zip(lams, effects)) - h)
+    sizes = [round(d_out * np.trace(e).real) for e in effects]
+    bound = (DEGENERACY_TOL * max(map(abs, lams)) / d_out * math.sqrt(
+        sum(s * (s - 1) ** 2 for s in sizes)) + 1e-12 * np.linalg.norm(h)
+        + math.ldexp(4 * len(m), -1074 - k))
+    return residual / bound
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(inputs=_decompose_inputs(),
+       tol=st.one_of(st.sampled_from([None, None, "0", "1e-13", "1e-6"]), st.floats().map(repr)))
+@example(inputs=(1.5e308 * np.eye(4), 4, 1), tol=None)
+@example(inputs=(5e-324 * np.diag([1.0, 1.0, 2.0, 2.0]), 2, 2), tol=None)
+@example(inputs=(1.5e308 * np.kron(np.eye(2), np.ones((2, 2))), 2, 2), tol=None)
+def test_decompose_finishes_or_fails_with_its_exit_code(tmp_path_factory, inputs, tol):
+    """Any process matrix of side d_out d_in <= 16, at any scale and --tol:
+    exit 0 with a report of finite numbers only whose terms recombine the
+    Hermitian part of the input within the bound of
+    ``statistical_decompose``, or exit 2 or 3 with nothing on standard
+    output, and no uncaught exception or RuntimeWarning on the way."""
+    m, d_in, d_out = inputs
+    path = tmp_path_factory.getbasetemp() / "decompose-property.json"
+    path.write_text(json.dumps(matrix_to_json(m)), encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["decompose", str(path), f"--din={d_in}", f"--dout={d_out}",
+                     *([] if tol is None else [f"--tol={tol}"])])
+    assert code in (EXIT_OK, EXIT_PARSE, EXIT_SEMANTIC)
+    if code != EXIT_OK:
+        assert out.getvalue() == ""
+        return
+    report = json.loads(out.getvalue(), parse_constant=_raise_on_constant)
+    assert len(report["is_cp_flags"]) == len(report["terms"])
+    assert _recombination_error(m, d_out, report["terms"]) <= 1
 
 
 def test_estimate_help_mentions_default_seed(capsys):

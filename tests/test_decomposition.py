@@ -28,9 +28,14 @@ from twopoint.decomposition import (
     statistical_decompose,
     stinespring_dilation,
 )
-from twopoint.linalg import hermitian_eigendecomposition
+from twopoint.linalg import DEGENERACY_TOL
 
-from reference_maps import choi_of_action, maximally_entangled_projector, partial_trace
+from reference_maps import (
+    choi_of_action,
+    eigenprojectors,
+    maximally_entangled_projector,
+    partial_trace,
+)
 
 
 def _rand_hp_choi(rng, d_in, d_out):
@@ -50,14 +55,15 @@ def _rand_channel_choi(rng, d):
 
 
 def test_decompose_identity_channel():
-    """The identity channel splits into one weight-4 branch plus three
-    zero-weight completions making the instrument exactly trace preserving."""
+    """The identity channel's J = 2 Phi has the eigenvalues 0 (three times)
+    and 2: a zero-weight completion and a weight-4 branch, each effect its
+    eigenprojector / d_out, make the instrument exactly trace preserving."""
     j = ChoiOperator(2 * maximally_entangled_projector(2), d_in=2, d_out=2)
     dec = statistical_decompose(j)
-    assert len(dec.weights) == 4
-    assert np.allclose(sorted(dec.weights), [0, 0, 0, 4], atol=1e-12)
-    top = dec.effects[int(np.argmax(dec.weights))]
-    assert np.allclose(top.matrix, maximally_entangled_projector(2) / 2, atol=1e-10)
+    assert dec.weights == pytest.approx((0, 4), abs=1e-12)
+    assert [len(eff.kraus) for eff in dec.effects] == [3, 1]
+    for eff, proj in zip(dec.effects, eigenprojectors(j.matrix, (0, 2))):
+        assert np.abs(eff.matrix - proj / 2).max() <= 1e-12
     assert np.linalg.norm(recombine(dec).matrix - j.matrix) <= 1e-10
     assert abs(error_lower_bound(j) - 1) <= 1e-10
 
@@ -74,17 +80,22 @@ def test_decompose_real_part_family():
     assert is_trace_preserving(unweighted)
 
 
-def test_decompose_effects_carry_one_kraus_operator():
-    """Effect k carries the single operator v_k reshaped to d_out x d_in and
-    divided by sqrt(d_out); its matrix is v_k v_k^dag / d_out."""
-    rng = np.random.default_rng(16)
-    for j in (_rand_hp_choi(rng, 2, 3), CorrelatorFamily(3).j_real):
-        _, v = hermitian_eigendecomposition(j.matrix)
+def test_decompose_effects_are_eigenprojectors():
+    """One term per distinct eigenvalue mu of J, of weight d_out mu: its
+    effect carries the m orthonormal eigenvectors v_k of mu as the Kraus
+    operators v_k / sqrt(d_out), and its matrix is the eigenprojector /
+    d_out. A generic map has a term per eigenvalue; the d = 3 family's real
+    part has the eigenvalues -1, 0 and 2."""
+    generic = _rand_hp_choi(np.random.default_rng(16), 2, 3)
+    for j, mus in ((generic, np.linalg.eigvalsh(generic.matrix)),
+                   (CorrelatorFamily(3).j_real, (-1, 0, 2))):
         dec = statistical_decompose(j)
-        for k, eff in enumerate(dec.effects):
-            assert eff.kraus.shape == (1, j.d_out, j.d_in)
-            want = np.outer(v[:, k], v[:, k].conj()) / j.d_out
-            assert np.abs(eff.matrix - want).max() <= 1e-14
+        assert dec.weights == pytest.approx(np.multiply(j.d_out, mus), abs=1e-12)
+        for mu, eff, proj in zip(mus, dec.effects, eigenprojectors(j.matrix, mus)):
+            vecs = eff.kraus.reshape(len(eff.kraus), -1) * np.sqrt(j.d_out)
+            assert np.abs(vecs.conj() @ vecs.T - np.eye(len(vecs))).max() <= 1e-12
+            assert np.abs(j.matrix @ vecs.T - mu * vecs.T).max() <= 1e-12
+            assert np.abs(eff.matrix - proj / j.d_out).max() <= 1e-12
 
 
 def test_decompose_channel_has_nonnegative_weights():
@@ -187,6 +198,38 @@ def test_a_map_near_the_float_maximum_is_decomposed():
     cp = ChoiOperator(1.5e308 * np.diag([1, 0, 0.5, 0.25]), d_in=4, d_out=1)
     assert sorted(np.abs(k).max() ** 2 for k in kraus_from_choi(cp)) == pytest.approx(
         [0.375e308, 0.75e308, 1.5e308], rel=1e-15)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_degenerate_maps_at_either_end_of_the_float_range_are_decomposed():
+    """1.5e308 1_4 is one eigenvalue, whose cluster sum 6e308 overflows: it
+    is taken at a power-of-two scale, so the one term has weight 1.5e308.
+    5e-324 diag(1, 1, 2, 2) keeps its two eigenvalues apart (the gap bound
+    1e-9 * 1e-323 is 0) and gives two terms."""
+    dec = statistical_decompose(ChoiOperator(1.5e308 * np.eye(4), d_in=4, d_out=1))
+    assert dec.weights == (1.5e308,)
+    assert np.array_equal(dec.effects[0].matrix, np.eye(4))
+    dec = statistical_decompose(ChoiOperator(5e-324 * np.diag([1, 1, 2, 2]), d_in=2, d_out=2))
+    assert dec.weights == (1e-323, 2e-323)
+    assert [len(eff.kraus) for eff in dec.effects] == [2, 2]
+
+
+def test_decompose_merges_eigenvalues_within_the_degeneracy_bound():
+    """A 2 -> 2 map with the eigenvalues 1, 1 + 1e-12, 3 and 3 + 1e-6: the
+    first gap is below DEGENERACY_TOL * 3, so that pair is one term of the
+    mean weight 2 (1 + 0.5e-12), and its recombination moves each eigenvalue
+    by 0.5e-12, within the docstring's DEGENERACY_TOL max|mu|
+    sqrt(sum_i m_i (m_i - 1)^2); the gap 1e-6 is above it, so the second
+    pair stays two terms."""
+    mus = np.array([1, 1 + 1e-12, 3, 3 + 1e-6])
+    u, _ = np.linalg.qr(np.random.default_rng(24).normal(size=(4, 8)).view(complex))
+    j = ChoiOperator((u * mus) @ u.conj().T, d_in=2, d_out=2)
+    dec = statistical_decompose(j)
+    assert [len(eff.kraus) for eff in dec.effects] == [2, 1, 1]
+    assert dec.weights == pytest.approx((2 + 1e-12, 6, 6 + 2e-6), rel=1e-12)
+    residual = np.linalg.norm(recombine(dec).matrix - j.matrix)
+    assert residual == pytest.approx(np.sqrt(2) * 0.5e-12, rel=1e-2)
+    assert residual <= DEGENERACY_TOL * mus.max() * np.sqrt(2 * 1**2)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

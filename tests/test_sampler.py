@@ -676,9 +676,13 @@ def test_degenerate_observable_near_the_float_maximum_is_estimated():
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_observable_eigenvalues_beyond_the_float_range_are_refused():
     """1.5e308 [[1, 1], [1, 1]] is finite and Hermitian, but its eigenvalue
-    3e308 is not a float."""
+    3e308 is not a float. Two such blocks give two infinite eigenvalues,
+    whose gap inf - inf is NaN: they join one cluster, with no warning."""
     with pytest.raises(ValueError, match="eigenvalue beyond the float range"):
         estimate_two_point(MIXED2, 1.5e308 * np.ones((2, 2)), SX, n_shots=1000)
+    with pytest.raises(ValueError, match="eigenvalue beyond the float range"):
+        estimate_two_point(np.eye(4) / 4, 1.5e308 * np.kron(I2, np.ones((2, 2))), np.eye(4),
+                           n_shots=1000)
 
 
 def test_split_shifts_budget():
