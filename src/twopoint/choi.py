@@ -47,6 +47,8 @@ class ChoiOperator:
     """
 
     def __init__(self, matrix, d_in: int, d_out: int, kraus=None, right=None):
+        if d_in < 1 or d_out < 1:
+            raise ValueError(f"dimensions must be positive, got d_in={d_in}, d_out={d_out}")
         self.d_in, self.d_out = d_in, d_out
         self._matrix = None
         if right is not None and kraus is None:

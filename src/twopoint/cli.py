@@ -244,8 +244,8 @@ def _random_observable(rng: np.random.Generator, d: int) -> np.ndarray:
 
 
 def _check_tol(tol: float) -> None:
-    if not tol >= 0:  # NaN fails the comparison too
-        raise ValueError(f"--tol must be a non-negative number, got {tol}")
+    if not 0 <= tol < math.inf:  # NaN fails the comparison too
+        raise ValueError(f"--tol must be a finite non-negative number, got {tol}")
 
 
 def cmd_decompose(args) -> int:

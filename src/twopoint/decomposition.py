@@ -31,9 +31,7 @@ from .linalg import (
     _hermitian_part,
     _unit_scaled,
     check_density_matrix,
-    cluster_means,
-    eigenvalue_clusters,
-    hermitian_eigendecomposition,
+    eigenspaces,
     is_hermitian,
     operator_absolute_value,
 )
@@ -86,30 +84,29 @@ def statistical_decompose(j: ChoiOperator, tol: float = HERM_TOL) -> Statistical
     one per distinct eigenvalue of J.
 
     Eigendecomposes J = sum_k mu_k |v_k><v_k| keeping zero-eigenvalue
-    directions, and joins the eigenvalues into ``eigenvalue_clusters``:
-    neighbouring eigenvalues whose gap is at most DEGENERACY_TOL max|mu| are
-    one eigenvalue. Cluster i gives the weight lambda_i = d_out times its
-    ``cluster_means`` and the effect P_i / d_out, P_i its eigenprojector,
-    carried by its m_i Kraus operators v_k reshaped to d_out x d_in and
-    divided by sqrt(d_out). The effects sum to the map represented by
-    1/d_out, which is trace-preserving, so the instrument is complete by
-    construction. Each mu_k moves to its cluster's mean, at most m_i - 1
-    gaps away, so the terms recombine the Hermitian part of J within
-    DEGENERACY_TOL max|mu| sqrt(sum_i m_i (m_i - 1)^2) in Frobenius norm,
-    plus rounding (within rounding if no two eigenvalues join). Raises
-    ``ValueError`` unless ||J - J^dag||_F <= tol ||J||_F, or if an
-    eigenvalue or a weight is beyond the float range.
+    directions, and joins the eigenvalues into eigenspaces with
+    ``linalg.eigenspaces``: neighbouring eigenvalues whose gap is at most
+    DEGENERACY_TOL max|mu| are one eigenvalue, valued at their mean.
+    Cluster i gives the weight lambda_i = d_out times that mean and the
+    effect P_i / d_out, P_i its eigenprojector, carried by its m_i Kraus
+    operators v_k reshaped to d_out x d_in and divided by sqrt(d_out). The
+    effects sum to the map represented by 1/d_out, which is
+    trace-preserving, so the instrument is complete by construction. Each
+    mu_k moves to its cluster's mean, at most m_i - 1 gaps away, so the
+    terms recombine the Hermitian part of J within DEGENERACY_TOL max|mu|
+    sqrt(sum_i m_i (m_i - 1)^2) in Frobenius norm, plus rounding (within
+    rounding if no two eigenvalues join). Raises ``ValueError`` unless
+    ||J - J^dag||_F <= tol ||J||_F, or if an eigenvalue or a weight is
+    beyond the float range.
     """
     if not is_hermitian(j._compressed, tol):
         raise ValueError("map is not hermiticity-preserving within tolerance")
-    w, v = hermitian_eigendecomposition(_hermitian_part(j.matrix))
-    starts, sizes = eigenvalue_clusters(w)
-    means = cluster_means(w, starts, sizes)
+    [(v, starts, sizes, means)] = eigenspaces(_hermitian_part(j.matrix))
     weights = tuple(j.d_out * mu for mu in means.tolist())  # Python floats: inf, no warning
     if not all(map(math.isfinite, weights)):
-        raise ValueError(f"the weights d_out * mu reach {j.d_out} * {max(-w[0], w[-1]):g}, "
+        raise ValueError(f"the weights d_out * mu reach {j.d_out} * {max(-means[0], means[-1]):g}, "
                          "beyond the float range")
-    kraus = (v.T / np.sqrt(j.d_out)).reshape(w.size, j.d_out, j.d_in)
+    kraus = (v.T / np.sqrt(j.d_out)).reshape(-1, j.d_out, j.d_in)
     effects = tuple(ChoiOperator(None, d_in=j.d_in, d_out=j.d_out, kraus=kraus[s:s + m])
                     for s, m in zip(starts.tolist(), sizes.tolist()))
     return StatisticalDecomposition(weights, effects)
@@ -194,7 +191,9 @@ def stinespring_dilation(decomp: StatisticalDecomposition) -> Dilation:
     d_in, d_out = decomp.d_in, decomp.d_out
     # V[(k, m), c] = K_m[k, c]: output index slowest, ancilla index fastest.
     v = np.stack(kraus).transpose(1, 0, 2).reshape(d_out * d_anc, d_in)
-    if np.linalg.norm(v.conj().T @ v - np.eye(d_in)) > INSTRUMENT_TOL:
+    with np.errstate(invalid="ignore"):  # a non-finite stack gives a NaN norm, which fails
+        defect = np.linalg.norm(v.conj().T @ v - np.eye(d_in))
+    if not defect <= INSTRUMENT_TOL:
         raise ValueError("effects do not sum to a trace-preserving map")
     z = np.diag(np.asarray(z_diag, dtype=complex))
     return Dilation(isometry=v, ancilla_observable=z, d_in=d_in, d_out=d_out, d_ancilla=d_anc)

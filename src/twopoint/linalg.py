@@ -5,10 +5,10 @@ every function returns a fresh array and never mutates its inputs. The global
 tensor index convention is row-major with subsystem 1 as the slowest index,
 i.e. ``np.kron(a, b)[i*db + k, j*db + l] == a[i, j] * b[k, l]``.
 
-Eigendecompositions order eigenvalues ascending; within a degenerate cluster
-the eigenvector columns are phase-canonicalized (largest-magnitude entry made
-real positive) and sorted lexicographically by their entries, so repeated runs
-produce identical output.
+Eigenvalues come ascending, and the eigenvectors of an eigenspace in the
+basis LAPACK returns. ``eigenspaces`` is the one routine that joins
+eigenvalues into eigenspaces: runs within ``DEGENERACY_TOL``, each valued at
+its mean.
 
 Every tolerance of the package is defined here. A bound on an operator is
 relative to a stated norm of it, so inputs of any scale are judged alike; one
@@ -73,22 +73,17 @@ def cluster_means(w: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.nd
     return np.ldexp(np.add.reduceat(np.ldexp(w, -k), starts) / sizes, k)
 
 
-def _canonical_eigenbasis(w: np.ndarray, v: np.ndarray):
-    """Phase-fix eigenvectors and order degenerate clusters deterministically.
-
-    Each column is a unit vector, so its largest-magnitude entry is nonzero;
-    ``np.hypot`` gives its modulus rounded as ``abs`` of one complex does."""
-    top = v[np.abs(v).argmax(axis=0), np.arange(v.shape[1])]
-    v = v / (top / np.hypot(top.real, top.imag))
-    # Lexicographic sort inside clusters of (numerically) equal eigenvalues,
-    # by the (real, imaginary) parts of each entry in turn, rounded to 9 places.
-    for start, size in zip(*eigenvalue_clusters(w)):
-        if size > 1:
-            block = v[:, start:start + size]
-            keys = np.stack([np.round(block.real, 9), np.round(block.imag, 9)], axis=1)
-            keys = keys.reshape(-1, size).T.tolist()
-            v[:, start:start + size] = block[:, sorted(range(size), key=keys.__getitem__)]
-    return w, v
+def eigenspaces(*hs):
+    """Yields ``(eigenvectors, starts, sizes, values)`` of each Hermitian
+    matrix in ``hs`` (all of one shape) from one batched ``eigh``: the
+    ``eigenvalue_clusters`` of its eigenvalues and each cluster's value, its
+    ``cluster_means``. The columns of a cluster span its eigenspace in
+    LAPACK's basis; what is read off a cluster as a whole does not depend on
+    that basis."""
+    ws, us = np.linalg.eigh(np.array(hs))
+    for w, u in zip(ws, us):
+        starts, sizes = eigenvalue_clusters(w)
+        yield u, starts, sizes, cluster_means(w, starts, sizes)
 
 
 _SQUARE = {"state": "state must be a square matrix", "observable": "observable must be square",
@@ -160,21 +155,16 @@ def hermitian_eigendecomposition(m: np.ndarray):
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues ascending and
     eigenvectors as orthonormal columns, such that
     ``m == eigenvectors @ diag(eigenvalues) @ eigenvectors.conj().T`` up to
-    rounding. Raises ``ValueError`` if ``m`` is not Hermitian within
+    rounding. Inside an eigenspace the columns come in LAPACK's phase and
+    order. Raises ``ValueError`` if ``m`` is not Hermitian within
     ``HERM_TOL`` (relative Frobenius).
     """
-    w, v = np.linalg.eigh(_hermitian(m, "matrix")[1])
-    return _canonical_eigenbasis(w, v)
+    return np.linalg.eigh(_hermitian(m, "matrix")[1])
 
 
 def operator_absolute_value(m: np.ndarray) -> np.ndarray:
-    """Return |m| = sum_i |mu_i| |v_i><v_i| for Hermitian m (a PSD matrix).
-
-    |m| does not depend on the choice of eigenbasis, so this skips the
-    deterministic basis canonicalization (which is slow on the large
-    degenerate clusters these operators tend to have).
-    """
-    w, v = np.linalg.eigh(_hermitian(m, "matrix")[1])
+    """Return |m| = sum_i |mu_i| |v_i><v_i| for Hermitian m (a PSD matrix)."""
+    w, v = hermitian_eigendecomposition(m)
     return (v * np.abs(w)) @ v.conj().T
 
 

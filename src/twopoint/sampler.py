@@ -45,8 +45,7 @@ import numpy as np
 from .choi import _kraus_stack
 from .correlator import two_point_exact, universal_branches
 from .decomposition import StatisticalDecomposition
-from .linalg import (BRANCH_FLOOR, INSTRUMENT_TOL, _hermitian, check_density_matrix,
-                     cluster_means, eigenvalue_clusters)
+from .linalg import BRANCH_FLOOR, INSTRUMENT_TOL, _hermitian, check_density_matrix, eigenspaces
 
 # Documented default seed for reproducible-by-default runs.
 DEFAULT_SEED = 0x2A
@@ -68,18 +67,6 @@ class EstimationReport:
     n_shots: int
     exact: complex
     seed: int
-
-
-def _outcomes(*hs):
-    """Yields ``(eigenvectors, starts, sizes, values)`` of each Hermitian
-    matrix in ``hs`` (all of one shape) from one batched ``eigh``: the
-    ``eigenvalue_clusters`` of its eigenvalues and each cluster's outcome
-    value, its ``cluster_means``. Cluster sums do not depend on the basis
-    chosen inside a cluster, so the basis is not canonicalised."""
-    ws, us = np.linalg.eigh(np.array(hs))
-    for w, u in zip(ws, us):
-        starts, sizes = eigenvalue_clusters(w)
-        yield u, starts, sizes, cluster_means(w, starts, sizes)
 
 
 def _plan(cells, lams, avals, bvals):
@@ -128,7 +115,7 @@ def _component_plan(decomp, rho, a, b):
     """
     rho = check_density_matrix(rho)
     [(ua, sa, _, avals)], [(ub, sb, _, bvals)] = (
-        _outcomes(_hermitian(x, "observable")[1]) for x in (a, b)
+        eigenspaces(_hermitian(x, "observable")[1]) for x in (a, b)
     )
     da, db, d_in = len(ua), len(ub), len(rho)
     cells = np.empty((len(decomp.effects), len(avals) * len(bvals)))
@@ -158,7 +145,7 @@ def _kirkwood_dirac_plans(rho, ha, hb):
     come from one broadcast over their (c, z) in ``universal_branches``,
     whose first pair is the real part's.
     """
-    (ua, sa, ra, avals), (ub, sb, rb, bvals) = _outcomes(ha, hb)
+    (ua, sa, ra, avals), (ub, sb, rb, bvals) = eigenspaces(ha, hb)
     ua_dag = ua.conj().T
     kd = (ua_dag @ rho @ ub) * (ua_dag @ ub).conj()
     kd = np.add.reduceat(np.add.reduceat(kd, sa, axis=0), sb, axis=1)

@@ -48,6 +48,12 @@ def test_choi_operator_requires_square():
         ChoiOperator(np.ones((4, 2)), d_in=2, d_out=2)
 
 
+@pytest.mark.parametrize("d_in,d_out", [(0, 3), (3, 0), (0, 0), (-1, 2)])
+def test_choi_operator_rejects_a_dimension_below_one(d_in, d_out):
+    with pytest.raises(ValueError, match="dimensions must be positive"):
+        ChoiOperator(np.zeros((0, 0)), d_in=d_in, d_out=d_out)
+
+
 def test_choi_operator_validates_kraus_stack():
     with pytest.raises(ValueError, match="Kraus"):
         ChoiOperator(None, d_in=2, d_out=4, kraus=np.ones((3, 2, 4)))

@@ -395,6 +395,7 @@ def test_decompose_boolean_dimensions_exits_2(tmp_path, capsys):
         (["--din", "2", "--dout", "0"], "--dout"),
         (["--din", "2", "--dout", "2", "--tol", "-1"], "--tol"),
         (["--din", "2", "--dout", "2", "--tol", "nan"], "--tol"),
+        (["--din", "2", "--dout", "2", "--tol", "inf"], "--tol"),
     ],
 )
 def test_decompose_bad_flags_exit_3(tmp_path, capsys, flags, named):
@@ -531,6 +532,32 @@ def _raise_on_constant(name):
     raise ValueError(f"{name} is not JSON")
 
 
+def _main_report(argv):
+    """main(argv)'s exit code and report. Exit 0 or 1 writes a report of
+    finite numbers only, strict JSON; exit 2 or 3 writes nothing to standard
+    output. No uncaught exception or RuntimeWarning may escape on the way (a
+    RuntimeWarning is an error in this suite)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_VERIFY_FAILED, EXIT_PARSE, EXIT_SEMANTIC)
+    if code in (EXIT_PARSE, EXIT_SEMANTIC):
+        assert out.getvalue() == ""
+        return code, None
+    return code, json.loads(out.getvalue(), parse_constant=_raise_on_constant)
+
+
+def _scaled_matrix(seed, n, kind, k):
+    """A random n x n "state", "hermitian" or "general" matrix times 2^k;
+    entries past the largest float are inf."""
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    m = {"state": g @ g.conj().T / np.trace(g @ g.conj().T).real,
+         "hermitian": (g + g.conj().T) / 2, "general": g}[kind]
+    with np.errstate(over="ignore"):
+        return np.ldexp(np.ascontiguousarray(m).view(float), k).view(complex)
+
+
 @st.composite
 def _estimate_inputs(draw):
     """(rho, A, B): matrices of side 1-4 (mostly one shared side) times 2^k,
@@ -544,12 +571,7 @@ def _estimate_inputs(draw):
         n = draw(st.sampled_from([side] * 12 + [1, 2, 3, 4]))
         kind = draw(st.sampled_from(kinds))
         k = draw(st.integers(-1074, 1023)) if draw(scaled) else 0
-        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-        g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        m = {"state": g @ g.conj().T / np.trace(g @ g.conj().T).real,
-             "hermitian": (g + g.conj().T) / 2, "general": g}[kind]
-        with np.errstate(over="ignore"):
-            return np.ldexp(np.ascontiguousarray(m).view(float), k).view(complex)
+        return _scaled_matrix(draw(st.integers(0, 2**32 - 1)), n, kind, k)
 
     return (matrix(["state"] * 7 + ["hermitian", "general"], st.sampled_from([1, 0, 0, 0])),
             *(matrix(["hermitian"] * 7 + ["state", "general"], st.booleans()) for _ in "ab"))
@@ -565,24 +587,16 @@ def _estimate_inputs(draw):
 def test_estimate_finishes_or_fails_with_its_exit_code(tmp_path_factory, inputs, shots, split,
                                                        seed):
     """Any MatrixFiles and flags: exit 0 with a report of finite numbers
-    only, or exit 2 or 3 with nothing on standard output, and no uncaught
-    exception or RuntimeWarning on the way (a RuntimeWarning is an error in
-    this suite)."""
+    only, or exit 2 or 3 with nothing on standard output (``_main_report``)."""
     tmp = tmp_path_factory.getbasetemp() / "estimate-property"
     tmp.mkdir(exist_ok=True)
     paths = []
     for name, m in zip(("rho", "a", "b"), inputs):
         (tmp / f"{name}.json").write_text(json.dumps(matrix_to_json(m)), encoding="utf-8")
         paths.append(str(tmp / f"{name}.json"))
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = main(["estimate", *paths, f"--shots={shots}", f"--split={split!r}",
-                     f"--seed={seed}"])
-    assert code in (EXIT_OK, EXIT_PARSE, EXIT_SEMANTIC)
-    if code == EXIT_OK:
-        json.loads(out.getvalue(), parse_constant=_raise_on_constant)
-    else:
-        assert out.getvalue() == ""
+    code, _ = _main_report(["estimate", *paths, f"--shots={shots}", f"--split={split!r}",
+                            f"--seed={seed}"])
+    assert code != EXIT_VERIFY_FAILED
 
 
 @st.composite
@@ -644,19 +658,15 @@ def test_decompose_finishes_or_fails_with_its_exit_code(tmp_path_factory, inputs
     exit 0 with a report of finite numbers only whose terms recombine the
     Hermitian part of the input within the bound of
     ``statistical_decompose``, or exit 2 or 3 with nothing on standard
-    output, and no uncaught exception or RuntimeWarning on the way."""
+    output (``_main_report``)."""
     m, d_in, d_out = inputs
     path = tmp_path_factory.getbasetemp() / "decompose-property.json"
     path.write_text(json.dumps(matrix_to_json(m)), encoding="utf-8")
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = main(["decompose", str(path), f"--din={d_in}", f"--dout={d_out}",
-                     *([] if tol is None else [f"--tol={tol}"])])
-    assert code in (EXIT_OK, EXIT_PARSE, EXIT_SEMANTIC)
+    code, report = _main_report(["decompose", str(path), f"--din={d_in}", f"--dout={d_out}",
+                                 *([] if tol is None else [f"--tol={tol}"])])
+    assert code != EXIT_VERIFY_FAILED
     if code != EXIT_OK:
-        assert out.getvalue() == ""
         return
-    report = json.loads(out.getvalue(), parse_constant=_raise_on_constant)
     assert len(report["is_cp_flags"]) == len(report["terms"])
     assert _recombination_error(m, d_out, report["terms"]) <= 1
 
@@ -791,11 +801,30 @@ def test_verify_impossible_tolerance_exits_1(capsys):
     assert json.loads(out)["passed"] is False
 
 
-@pytest.mark.parametrize("tol", ["-1", "nan"])
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
 def test_verify_bad_tolerance_exits_3(capsys, tol):
-    code, out = _run(capsys, ["verify", "2", "--tol", tol])
+    code = main(["verify", "2", "--tol", tol])
+    captured = capsys.readouterr()
     assert code == EXIT_SEMANTIC
-    assert out == ""
+    assert captured.out == ""
+    assert captured.err.startswith("error: --tol must be")
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(d=st.one_of(st.integers(2, 5), st.integers(-2**70, 2**70)),
+       tol=st.one_of(st.none(), st.floats(0).map(repr), st.floats().map(repr)),
+       seed=st.one_of(st.integers(0, 2**70), st.integers(-2**70, 2**70)))
+@example(d=2, tol="inf", seed=42)
+@example(d=16, tol="1e308", seed=2**64)
+def test_verify_finishes_or_fails_with_its_exit_code(d, tol, seed):
+    """Any dimension, --tol and --seed: exit 0 or 1 with a report of finite
+    numbers only, or exit 2 or 3 with nothing on standard output
+    (``_main_report``). Dimensions in range are kept to d <= 5 for speed."""
+    code, report = _main_report(["verify", str(d), f"--seed={seed}",
+                                 *([] if tol is None else [f"--tol={tol}"])])
+    if code in (EXIT_OK, EXIT_VERIFY_FAILED):
+        assert report["passed"] is (code == EXIT_OK)
+        assert 2 <= d <= 16 and seed >= 0
 
 
 def _read_stacks(path, d):
@@ -891,6 +920,29 @@ def test_experiment_rejects_non_qubit(tmp_path, capsys):
     code = main(["experiment", rho])
     capsys.readouterr()
     assert code == EXIT_SEMANTIC
+
+
+@st.composite
+def _experiment_states(draw):
+    """A MatrixFile of side 1-3 (mostly 2) times 2^k, k in [-1074, 1023] or
+    0: a state, a Hermitian or a general matrix, mostly an unscaled state."""
+    n = draw(st.sampled_from([2] * 4 + [1, 3]))
+    kind = draw(st.sampled_from(["state"] * 3 + ["hermitian", "general"]))
+    k = draw(st.sampled_from([0, 0, 0, 1]) | st.integers(-1074, 1023))
+    return _scaled_matrix(draw(st.integers(0, 2**32 - 1)), n, kind, k)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(rho=_experiment_states())
+def test_experiment_finishes_or_fails_with_its_exit_code(tmp_path_factory, rho):
+    """Any MatrixFile: exit 0 with a report of finite numbers only, or exit 2
+    or 3 with nothing on standard output (``_main_report``)."""
+    path = tmp_path_factory.getbasetemp() / "experiment-property.json"
+    path.write_text(json.dumps(matrix_to_json(rho)), encoding="utf-8")
+    code, report = _main_report(["experiment", str(path)])
+    assert code != EXIT_VERIFY_FAILED
+    if code == EXIT_OK:
+        assert abs(report["p_sym"] - 3 / 16) <= 1e-12 and abs(report["p_anti"] - 1 / 16) <= 1e-12
 
 
 # --- top-level dispatch ---------------------------------------------------------------

@@ -454,3 +454,13 @@ def test_dilation_rejects_non_instrument():
     bad = StatisticalDecomposition(weights=(3.0,), effects=(dec.effects[0],))
     with pytest.raises(ValueError, match="trace-preserving"):
         stinespring_dilation(bad)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_dilation_rejects_a_non_finite_kraus_stack(bad):
+    # ||V^dag V - 1||_F is NaN: it must fail the bound, not slip past it
+    kraus = np.full((1, 2, 2), bad, dtype=complex)
+    dec = StatisticalDecomposition(weights=(1.0,), effects=(
+        ChoiOperator(None, d_in=2, d_out=2, kraus=kraus),))
+    with pytest.raises(ValueError, match="trace-preserving"):
+        stinespring_dilation(dec)

@@ -8,11 +8,11 @@ from twopoint.correlator import (
     universal_real_decomposition,
 )
 from twopoint.linalg import (
-    _canonical_eigenbasis,
     _hermitian,
     _hermitian_part,
     check_density_matrix,
     check_observable,
+    eigenspaces,
     eigenvalue_clusters,
     hermitian_eigendecomposition,
     operator_absolute_value,
@@ -117,40 +117,19 @@ def test_eigenvalue_clusters_are_relative_to_the_largest_modulus():
     assert [a.tolist() for a in eigenvalue_clusters(np.zeros(3))] == [[0], [3]]
 
 
-def _canonical_reference(w, v):
-    """The canonical eigenbasis one column at a time: divide each column by
-    the phase of its largest-magnitude entry, then sort the columns of each
-    cluster by their entries' (real, imaginary) parts rounded to 9 places."""
-    v = v.copy()
-    for k in range(v.shape[1]):
-        col = v[:, k]
-        pivot = int(np.argmax(np.abs(col)))
-        v[:, k] = col / (col[pivot] / abs(col[pivot]))
-    for start, size in zip(*eigenvalue_clusters(w)):
-        cols = sorted(
-            range(start, start + size),
-            key=lambda k: tuple((round(x.real, 9), round(x.imag, 9)) for x in v[:, k]),
-        )
-        v[:, start:start + size] = v[:, cols]
-    return v
-
-
-def test_canonical_eigenbasis_matches_the_per_column_reference():
-    """Bit for bit, on process matrices with large degenerate clusters and on
-    random observables with and without degenerate eigenvalues."""
-    from twopoint.correlator import CorrelatorFamily
-
-    mats = []
-    for d in (2, 3):
-        fam = CorrelatorFamily(d)
-        mats += [fam.j_real.matrix, fam.j_imag.matrix, fam.j_sym.matrix]
-    rng = np.random.default_rng(15)
-    for n in (2, 5, 8):
-        u, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
-        mats += [rand_herm(rng, n), (u * rng.integers(-1, 2, size=n)) @ u.conj().T]
-    for m in mats:
-        w, v = np.linalg.eigh((m + m.conj().T) / 2)
-        assert _canonical_eigenbasis(w, v)[1].tobytes() == _canonical_reference(w, v).tobytes()
+def test_eigenspaces_of_a_batch():
+    """One batched eigh: each matrix's clusters, their means, and columns
+    whose cluster projectors are the eigenprojectors, in any basis."""
+    rng = np.random.default_rng(25)
+    u, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    w = np.array([-1.0, 2.0, 2.0 + 1e-12, 2.0])
+    got = list(eigenspaces((u * w) @ u.conj().T, np.diag([0.0, 0.0, 0.0, 5.0])))
+    assert [(s.tolist(), m.tolist()) for _, s, m, _ in got] == [([0, 1], [1, 3]), ([0, 3], [3, 1])]
+    np.testing.assert_allclose(got[0][3], [-1.0, 2.0 + 1e-12 / 3], rtol=0, atol=1e-14)
+    assert got[1][3].tolist() == [0.0, 5.0]
+    v = got[0][0][:, 1:]
+    want = u[:, 1:] @ u[:, 1:].conj().T
+    assert np.abs(v @ v.conj().T - want).max() <= 1e-12
 
 
 # --- operator_absolute_value ----------------------------------------------
