@@ -11,8 +11,8 @@ of each branch with dense spectral projectors. The terms of
 matrix, interpolated from its distinct eigenvalues. The optical bench has one
 that propagates sparse Fock-space vectors through each beamsplitter, where
 the package uses one fixed Kraus operator per coincidence pattern. The random
-inputs that only the tests use (pure and rank-two states, two-valued
-observables) live here too.
+inputs that only the tests use (full-rank, pure and rank-two states,
+Hermitian and two-valued observables) live here too.
 """
 
 import itertools
@@ -22,7 +22,6 @@ from math import factorial, sqrt
 import numpy as np
 
 from twopoint.choi import ChoiOperator, apply_choi
-from twopoint.cli import _random_observable, _random_state
 from twopoint.correlator import (
     CorrelatorFamily,
     universal_imag_decomposition,
@@ -265,13 +264,14 @@ def ideal_part_matrix(d, c):
     return m
 
 
-def dense_verify_values(d, seed):
+def dense_verify_values(d):
     """The residual of every ``twopoint verify d`` check, computed on dense
     process matrices: eigendecompositions of d^3-sided matrices, partial
     traces and matrix sums. The real and imaginary parts are placed index by
-    index; the branches and effects are the matrices of their Kraus stacks,
-    and the branch probabilities are the partial traces of the effects'
-    matrices."""
+    index, and so is the process matrix of the two-point map T read off
+    Tr[E_lk rho E_nm] = rho_kn delta_ml; the branches and effects are the
+    matrices of their Kraus stacks, and the branch probabilities are the
+    partial traces of the effects' matrices."""
     fam = CorrelatorFamily(d)
     real, imag = ideal_part_matrix(d, 0.5), ideal_part_matrix(d, 0.5j)
     branches = [getattr(fam, f"j_{k}").matrix for k in ("sym", "anti", "phase_plus", "phase_minus")]
@@ -321,14 +321,25 @@ def dense_verify_values(d, seed):
     flags = flags and np.linalg.norm(total - total.conj().T) > HERM_TOL * np.linalg.norm(total)
     flags = flags and not tp(imag)
     values["cp_tp_flags"] = 0.0 if flags else 1.0
-    rng = np.random.default_rng(seed)
-    two_point_dev = 0.0
-    for _ in range(5):
-        rho, a, b = _random_state(rng, d), _random_observable(rng, d), _random_observable(rng, d)
-        got = np.trace(ideal_correlator_apply(fam, rho) @ np.kron(a, b))
-        two_point_dev = max(two_point_dev, abs(got - np.trace(a @ rho @ b)))
-    values["two_point_identity"] = two_point_dev
+    # J_T[(k,m,i),(l,n,j)] = delta_ki delta_nj delta_ml
+    one = np.eye(d)
+    j_t = np.einsum("ki,nj,ml->kmilnj", one, one, one).reshape(d**3, d**3)
+    values["two_point_identity"] = np.linalg.norm(real - 1j * imag - j_t)
     return values
+
+
+def random_state(rng: np.random.Generator, d: int) -> np.ndarray:
+    """Full-rank density matrix G G^dag / Tr[G G^dag] from a complex Gaussian
+    G (real parts drawn first, then imaginary parts)."""
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+def random_observable(rng: np.random.Generator, d: int) -> np.ndarray:
+    """Hermitian observable (G + G^dag) / 2, G drawn as in random_state."""
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return (g + g.conj().T) / 2
 
 
 def pure_state(rng, d):

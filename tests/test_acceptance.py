@@ -14,7 +14,6 @@ from twopoint.choi import (
     is_hermiticity_preserving,
     is_trace_preserving,
 )
-from twopoint.cli import _random_observable as rand_herm, _random_state as rand_state
 from twopoint.correlator import (
     CorrelatorFamily,
     imag_part_apply,
@@ -33,6 +32,8 @@ from twopoint.decomposition import (
 )
 from twopoint.photonics import recombine_coincidences, simulate_optics
 from twopoint.sampler import estimate_two_point
+
+from reference_maps import random_observable as rand_herm, random_state as rand_state
 
 DIMS_FULL = range(2, 9)
 

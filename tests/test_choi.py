@@ -13,7 +13,6 @@ from twopoint.choi import (
     orthonormal_compression,
     trace_product,
 )
-from twopoint.cli import _random_observable as rand_herm, _random_state as rand_state
 from twopoint.correlator import (
     CorrelatorFamily,
     universal_imag_decomposition,
@@ -22,7 +21,13 @@ from twopoint.correlator import (
 from twopoint.decomposition import error_lower_bound, recombine
 from twopoint.linalg import swap_operator
 
-from reference_maps import choi_of_action, cloner_apply, maximally_entangled_projector
+from reference_maps import (
+    choi_of_action,
+    cloner_apply,
+    maximally_entangled_projector,
+    random_observable as rand_herm,
+    random_state as rand_state,
+)
 
 
 def _rand_channel_choi(rng, d, n_kraus):

@@ -20,7 +20,6 @@ from twopoint.cli import (
     EXIT_VERIFY_FAILED,
     MatrixFileError,
     _decode_pairs,
-    _random_observable,
     _verify_checks,
     _write_json,
     json_to_matrix,
@@ -30,9 +29,8 @@ from twopoint.cli import (
 from twopoint.correlator import CorrelatorFamily, choi_builders
 from twopoint.decomposition import StatisticalDecomposition, error_lower_bound
 from twopoint.linalg import DEGENERACY_TOL
-from twopoint.sampler import DEFAULT_SEED
 
-from reference_maps import dense_verify_values, eigenprojectors
+from reference_maps import dense_verify_values, eigenprojectors, random_observable
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]])
@@ -232,7 +230,7 @@ def test_writer_formats_array_blocks_as_json_dumps_formats_lists(n):
 def test_decompose_output_matches_json_dumps(tmp_path, capsys):
     """A d_in = 4, d_out = 16 map: 64 effects of 4,096 [re, im] pairs each."""
     rng = np.random.default_rng(416)
-    path = _write(tmp_path, "map.json", _random_observable(rng, 64))
+    path = _write(tmp_path, "map.json", random_observable(rng, 64))
     code, out = _run(capsys, ["decompose", path, "--din", "4", "--dout", "16"])
     assert code == EXIT_OK
     want = _reference_dumps(json.loads(out))
@@ -246,7 +244,7 @@ def test_decompose_streams_its_report(tmp_path):
     held whole, so the peak is about one term (about 84 MB when the report
     was built before writing), and the file is json.dumps' text."""
     rng = np.random.default_rng(416)
-    path = _write(tmp_path, "map.json", _random_observable(rng, 64))
+    path = _write(tmp_path, "map.json", random_observable(rng, 64))
     out = tmp_path / "report.json"
     code, peak = _traced(["decompose", path, "--din", "4", "--dout", "16", "--out", str(out)])
     assert code == EXIT_OK
@@ -701,7 +699,7 @@ def test_verify_d8(capsys):
 
 @pytest.mark.parametrize("d", range(2, 17))
 def test_verify_checks_pass_at_default_thresholds(d):
-    checks, _ = _verify_checks(d, DEFAULT_SEED, None)
+    checks, _ = _verify_checks(d, None)
     assert [c["name"] for c in checks if not c["passed"]] == []
 
 
@@ -709,8 +707,8 @@ def test_verify_checks_pass_at_default_thresholds(d):
 def test_verify_checks_match_dense_reference(d):
     """Every residual, bound and flag equals the dense computation's; above
     d = 8 the d^3-sided eigendecompositions of the reference take seconds."""
-    checks, _ = _verify_checks(d, DEFAULT_SEED, None)
-    want = dense_verify_values(d, DEFAULT_SEED)
+    checks, _ = _verify_checks(d, None)
+    want = dense_verify_values(d)
     assert [c["name"] for c in checks] == list(want)
     for c in checks:
         assert abs(c["residual"] - want[c["name"]]) <= 1e-12, c["name"]
@@ -725,7 +723,7 @@ def test_verify_eigendecompositions_are_at_most_d_squared(monkeypatch):
             return _eig(m, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, recorded)
-    checks, _ = _verify_checks(8, DEFAULT_SEED, None)
+    checks, _ = _verify_checks(8, None)
     assert all(c["passed"] for c in checks)
     assert sides and max(sides) <= 8 * 8
 
@@ -736,7 +734,7 @@ def test_verify_keeps_only_compressed_matrices_in_memory():
     whole suite at d = 12 is about 10 MB (24 MB when every map cached Q)."""
     tracemalloc.start()
     try:
-        checks, _ = _verify_checks(12, 42, None)
+        checks, _ = _verify_checks(12, None)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -758,9 +756,20 @@ def test_verify_fails_real_identity_on_a_flipped_factor(monkeypatch):
         return ChoiOperator(None, d_in=d, d_out=d * d, kraus=left, right=right)
 
     monkeypatch.setattr(correlator, "_ideal_part", flipped)
-    checks = {c["name"]: c for c in _verify_checks(3, DEFAULT_SEED, None)[0]}
+    checks = {c["name"]: c for c in _verify_checks(3, None)[0]}
     assert checks["real_identity"]["residual"] > 0.1
     assert not checks["real_identity"]["passed"]
+
+
+def test_verify_fails_two_point_identity_on_a_conjugated_imaginary_part(monkeypatch):
+    """An imaginary part built with -i/2 for i/2 gives R + iI = T^dag, whose
+    pairing with A (x) B is Tr[B rho A], not Tr[A rho B]; its distance from
+    T is 3.5 at d = 2 and 90 at d = 16."""
+    ideal_part = correlator._ideal_part
+    monkeypatch.setattr(correlator, "_ideal_part", lambda d, c: ideal_part(d, np.conj(c)))
+    checks = {c["name"]: c for c in _verify_checks(3, None)[0]}
+    assert checks["two_point_identity"]["residual"] > 1
+    assert not checks["two_point_identity"]["passed"]
 
 
 def test_verify_catches_branch_probabilities_off_at_some_states_only(monkeypatch):
@@ -782,10 +791,35 @@ def test_verify_catches_branch_probabilities_off_at_some_states_only(monkeypatch
         return StatisticalDecomposition(dec.weights, (bent,) + dec.effects[1:])
 
     monkeypatch.setattr(cli, "universal_real_decomposition", perturbed)
-    checks = {c["name"]: c for c in _verify_checks(d, DEFAULT_SEED, None)[0]}
+    checks = {c["name"]: c for c in _verify_checks(d, None)[0]}
     assert checks["branch_probabilities"]["residual"] == pytest.approx(eps, rel=1e-4)
     assert not checks["branch_probabilities"]["passed"]
     assert not checks["real_saturation"]["passed"]
+
+
+def test_verify_report_does_not_depend_on_seed(capsys):
+    """Every check is exact over all inputs, so --seed changes only the
+    report's seed field."""
+    reports = []
+    for seed in (0, 12345):
+        code, out = _run(capsys, ["verify", "3", "--seed", str(seed)])
+        assert code == EXIT_OK
+        report = json.loads(out)
+        assert report.pop("seed") == seed
+        reports.append(report)
+    assert reports[0] == reports[1]
+
+
+def test_verify_negative_seed_exits_3(capsys, monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("checks ran before the seed was checked")
+
+    monkeypatch.setattr(cli, "_verify_checks", must_not_run)
+    code = main(["verify", "2", "--seed", "-1"])
+    captured = capsys.readouterr()
+    assert code == EXIT_SEMANTIC
+    assert captured.out == ""
+    assert captured.err == "error: --seed must be non-negative, got -1\n"
 
 
 @pytest.mark.parametrize("d", ["1", "17"])
@@ -873,13 +907,15 @@ def test_verify_dump_builds_no_process_matrix_at_any_dimension(tmp_path, capsys,
 
 
 def test_experiment_probabilities(tmp_path, capsys):
-    rho = _write(tmp_path, "rho.json", KET0)
-    code, out = _run(capsys, ["experiment", rho])
-    assert code == EXIT_OK
-    payload = json.loads(out)
-    assert abs(payload["p_sym"] - 3 / 16) <= 1e-10
-    assert abs(payload["p_anti"] - 1 / 16) <= 1e-10
-    assert payload["recombination_residual"] <= 1e-9
+    """A pure and a mixed qubit state: both coincidence patterns keep their
+    state-independent probabilities 3/16 and 1/16."""
+    for rho in (KET0, np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]])):
+        code, out = _run(capsys, ["experiment", _write(tmp_path, "rho.json", rho)])
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert abs(payload["p_sym"] - 3 / 16) <= 1e-12
+        assert abs(payload["p_anti"] - 1 / 16) <= 1e-12
+        assert payload["recombination_residual"] <= 1e-10
 
 
 def test_experiment_maximally_mixed(tmp_path, capsys):
@@ -896,7 +932,7 @@ def test_experiment_residual_bounds_every_unit_observable_pair(tmp_path, capsys,
     residual as its root-sum-square over the 16 Pauli pairs, which bounds
     the error of every pair of observables of operator norm <= 1."""
     rng = np.random.default_rng(5)
-    delta = 1e-6 * _random_observable(rng, 4)
+    delta = 1e-6 * random_observable(rng, 4)
     recombine = cli.recombine_coincidences
 
     def error(a, b):
@@ -911,7 +947,7 @@ def test_experiment_residual_bounds_every_unit_observable_pair(tmp_path, capsys,
     assert residual == pytest.approx(np.hypot.reduce([error(p, q) for p in paulis for q in paulis]))
     for _ in range(100):
         a, b = (h / np.abs(np.linalg.eigvalsh(h)).max() for h in
-                (_random_observable(rng, 2), _random_observable(rng, 2)))
+                (random_observable(rng, 2), random_observable(rng, 2)))
         assert abs(error(a, b)) <= residual
 
 
@@ -984,7 +1020,7 @@ def test_out_at_an_existing_directory_exits_3(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "target",
-    ["out-in-missing-dir", "dump-on-a-file", "decompose-out-in-missing-dir"],
+    ["out-in-missing-dir", "empty-out", "dump-on-a-file", "decompose-out-in-missing-dir"],
 )
 def test_unwritable_output_exits_3(tmp_path, capsys, monkeypatch, target):
     """An unwritable --out or --dump fails before any check or decomposition
@@ -998,6 +1034,8 @@ def test_unwritable_output_exits_3(tmp_path, capsys, monkeypatch, target):
     missing = str(tmp_path / "missing" / "report.json")
     if target == "out-in-missing-dir":
         argv = ["verify", "2", "--out", missing]
+    elif target == "empty-out":
+        argv = ["verify", "2", "--out", ""]
     elif target == "dump-on-a-file":
         blocker = tmp_path / "taken"
         blocker.write_text("", encoding="utf-8")

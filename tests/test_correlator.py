@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from twopoint.choi import apply_choi, is_trace_preserving
-from twopoint.cli import _random_observable as rand_herm, _random_state as rand_state
 from twopoint.correlator import (
     CorrelatorFamily,
     choi_builders,
@@ -23,6 +22,8 @@ from reference_maps import (
     cloner_apply,
     ideal_correlator_apply,
     partial_trace,
+    random_observable as rand_herm,
+    random_state as rand_state,
     rootswap_apply,
     sector_projector,
 )

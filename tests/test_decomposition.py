@@ -11,7 +11,6 @@ from twopoint.choi import (
     is_trace_preserving,
     kraus_from_choi,
 )
-from twopoint.cli import _random_observable as rand_herm, _random_state as rand_state
 from twopoint.correlator import (
     CorrelatorFamily,
     imag_part_apply,
@@ -35,6 +34,8 @@ from reference_maps import (
     eigenprojectors,
     maximally_entangled_projector,
     partial_trace,
+    random_observable as rand_herm,
+    random_state as rand_state,
 )
 
 

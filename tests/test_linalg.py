@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from twopoint.cli import _random_observable as rand_herm, _random_state as rand_state
 from twopoint.correlator import (
     universal_branches,
     universal_imag_decomposition,
@@ -19,7 +18,12 @@ from twopoint.linalg import (
     swap_operator,
 )
 
-from reference_maps import maximally_entangled_projector, partial_trace
+from reference_maps import (
+    maximally_entangled_projector,
+    partial_trace,
+    random_observable as rand_herm,
+    random_state as rand_state,
+)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]])

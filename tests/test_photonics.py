@@ -3,7 +3,6 @@ import warnings
 import numpy as np
 import pytest
 
-from twopoint.cli import _random_observable as rand_herm, _random_state as rand_state
 from twopoint.choi import ChoiOperator, combine, frobenius_norm
 from twopoint.correlator import CorrelatorFamily, real_part_apply
 from twopoint.photonics import (
@@ -21,6 +20,8 @@ from reference_maps import (
     fock_post_selected,
     partial_trace,
     pattern_probabilities,
+    random_observable as rand_herm,
+    random_state as rand_state,
 )
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)

@@ -13,7 +13,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twopoint.choi import apply_choi, combine, is_completely_positive, is_hermiticity_preserving
-from twopoint.cli import _random_observable as rand_herm, _random_state as rand_state
 from twopoint.correlator import (
     CorrelatorFamily,
     imag_part_apply,
@@ -25,7 +24,13 @@ from twopoint.correlator import (
 from twopoint.decomposition import decomposition_cost
 from twopoint.sampler import _kirkwood_dirac_plans, estimate_two_point
 
-from reference_maps import assert_plans_agree, reference_plan, two_valued_observable
+from reference_maps import (
+    assert_plans_agree,
+    random_observable as rand_herm,
+    random_state as rand_state,
+    reference_plan,
+    two_valued_observable,
+)
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=25)
 DIMS = st.integers(min_value=2, max_value=16)

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twopoint.cli import _random_observable as rand_herm, _random_state as rand_state
 from twopoint.correlator import (
     CorrelatorFamily,
     two_point_exact,
@@ -33,6 +32,8 @@ from reference_maps import (
     assert_plans_agree,
     partial_trace,
     pure_state,
+    random_observable as rand_herm,
+    random_state as rand_state,
     rank_two_state,
     reference_plan,
     spectral_projectors,
