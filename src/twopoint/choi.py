@@ -18,7 +18,7 @@ when something asks for it. With [vec L | vec R] = Q T (thin QR), J is
 Q C Q^dag for the small matrix C = T_L T_R^dag; for a map given as J,
 [1 | J^dag] is already triangular and LAPACK's QR keeps it: Q = 1 and C = J,
 bit for bit. Norms, hermiticity and complete positivity read C alone; the map
-caches C and never Q, which only ``error_lower_bound`` builds. The input
+caches C and never Q, which only ``decomposition._jordan`` builds. The input
 marginal and ``trace_product`` contract the stacks directly, so a map of rank
 r costs QR and eigendecompositions of 2r-sided matrices, not of J.
 """

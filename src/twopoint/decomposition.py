@@ -6,6 +6,9 @@ sum is trace-preserving — a quantum instrument. The branch probabilities
 p(i) = Tr[E_i(rho)] weight the classical post-processing, whose error
 amplification sum_i |lambda_i| p(i) is bounded below, for every input state,
 by the smallest eigenvalue of the input-side reduction of |J(L)|.
+``statistical_decompose`` splits any such map along the positive and
+negative parts of J (its Jordan form): at most three branches, whose largest
+|lambda_i| is the largest eigenvalue of that reduction.
 
 The same decomposition also yields a physical single-circuit realization: an
 isometry into (output (x) ancilla) plus an ancilla observable whose partial
@@ -28,12 +31,11 @@ from .choi import (
 from .linalg import (
     HERM_TOL,
     INSTRUMENT_TOL,
+    KRAUS_RTOL,
     _hermitian_part,
     _unit_scaled,
     check_density_matrix,
-    eigenspaces,
     is_hermitian,
-    operator_absolute_value,
 )
 
 
@@ -79,37 +81,72 @@ class CostReport:
     probabilities: tuple[float, ...]
 
 
-def statistical_decompose(j: ChoiOperator, tol: float = HERM_TOL) -> StatisticalDecomposition:
-    """Split a hermiticity-preserving map into weighted instrument branches,
-    one per distinct eigenvalue of J.
+def _jordan(j: ChoiOperator, tol: float):
+    """``(mu, q, w, m, k)``: J's Jordan data from one ``eigh`` of the compressed C.
 
-    Eigendecomposes J = sum_k mu_k |v_k><v_k| keeping zero-eigenvalue
-    directions, and joins the eigenvalues into eigenspaces with
-    ``linalg.eigenspaces``: neighbouring eigenvalues whose gap is at most
-    DEGENERACY_TOL max|mu| are one eigenvalue, valued at their mean.
-    Cluster i gives the weight lambda_i = d_out times that mean and the
-    effect P_i / d_out, P_i its eigenprojector, carried by its m_i Kraus
-    operators v_k reshaped to d_out x d_in and divided by sqrt(d_out). The
-    effects sum to the map represented by 1/d_out, which is
-    trace-preserving, so the instrument is complete by construction. Each
-    mu_k moves to its cluster's mean, at most m_i - 1 gaps away, so the
-    terms recombine the Hermitian part of J within DEGENERACY_TOL max|mu|
-    sqrt(sum_i m_i (m_i - 1)^2) in Frobenius norm, plus rounding (within
-    rounding if no two eigenvalues join). Raises ``ValueError`` unless
-    ||J - J^dag||_F <= tol ||J||_F, or if an eigenvalue or a weight is
-    beyond the float range.
-    """
+    With J = Q C Q^dag (``orthonormal_compression``) and C's ``_unit_scaled``
+    form C 2^-k, the Hermitian part of C 2^-k is W diag(mu) W^dag, so J's
+    Hermitian part is (QW) diag(mu 2^k) (QW)^dag, and m = Tr_out[Q |C 2^-k|
+    Q^dag] is M = Tr_out |J| scaled by 2^-k. Raises ``ValueError`` unless
+    ||J - J^dag||_F <= tol ||J||_F."""
     if not is_hermitian(j._compressed, tol):
         raise ValueError("map is not hermiticity-preserving within tolerance")
-    [(v, starts, sizes, means)] = eigenspaces(_hermitian_part(j.matrix))
-    weights = tuple(j.d_out * mu for mu in means.tolist())  # Python floats: inf, no warning
-    if not all(map(math.isfinite, weights)):
-        raise ValueError(f"the weights d_out * mu reach {j.d_out} * {max(-means[0], means[-1]):g}, "
-                         "beyond the float range")
-    kraus = (v.T / np.sqrt(j.d_out)).reshape(-1, j.d_out, j.d_in)
-    effects = tuple(ChoiOperator(None, d_in=j.d_in, d_out=j.d_out, kraus=kraus[s:s + m])
-                    for s, m in zip(starts.tolist(), sizes.tolist()))
-    return StatisticalDecomposition(weights, effects)
+    q, c = orthonormal_compression(j)
+    u, _, k = _unit_scaled(c)
+    mu, w = np.linalg.eigh(_hermitian_part(u))
+    # Tr_out[q |C| q^dag], without building the product
+    qx = (q @ ((w * np.abs(mu)) @ w.conj().T)).reshape(j.d_out, j.d_in, -1)
+    return mu, q, w, np.einsum("oil,ojl->ij", qx, q.conj().reshape(qx.shape)), k
+
+
+def statistical_decompose(j: ChoiOperator, tol: float = HERM_TOL) -> StatisticalDecomposition:
+    """Split a hermiticity-preserving map into its Jordan form: at most three
+    weighted instrument branches.
+
+    With J = sum_k mu_k |x_k><x_k| and M = Tr_out |J|, let c = lambda_max(M).
+    The terms are (+c, J_+/c) and (-c, J_-/c), J_+ and J_- the positive and
+    negative parts of J, carried by the Kraus operators sqrt(|mu_k|/c) x_k
+    reshaped to d_out x d_in, then (0, completion): at most d_in rank-1
+    Kraus operators into the output state |0>, whose input marginal is
+    1 - M/c.
+    The effects sum to a trace-preserving map, and the cost sum_i |lambda_i|
+    p(i) at a state rho is Tr[M rho^T], as for any split along J_+ and J_-;
+    max|lambda| is c <= d_out max|mu|. Everything is read off one ``eigh`` of
+    the compressed C (``_jordan``), never off J.
+
+    A term whose effect is empty is left out: the eigenvalues within
+    n eps max|mu| of 0 (n the side of C, eps the float epsilon) give no
+    Kraus operator, nor do the completion's directions of weight at most
+    ``KRAUS_RTOL``. The terms recombine the Hermitian part of J within
+    rounding: the left-out eigenvalues move it by at most
+    n^(3/2) eps max|mu| in Frobenius norm. The zero map is one term of
+    weight 0. Raises ``ValueError`` unless ||J - J^dag||_F <= tol ||J||_F,
+    or if c is beyond the float range.
+    """
+    mu, q, w, m, k = _jordan(j, tol)
+    top, basis = np.linalg.eigh(m)
+    c = float(top[-1])
+    try:
+        weight = math.ldexp(c, k)
+    except OverflowError:
+        raise ValueError(f"the weight c = {c!r} * 2^{k} is beyond the float range") from None
+    weights, effects = [], []
+    cutoff = len(mu) * np.finfo(float).eps * np.abs(mu).max(initial=0.0)
+    for sign in (1, -1):
+        keep = sign * mu > cutoff
+        if keep.any():
+            x = q @ (w[:, keep] * np.sqrt(sign * mu[keep] / c))
+            weights.append(sign * weight)
+            effects.append(x.T.reshape(-1, j.d_out, j.d_in))
+    nu = 1 - top / c if c > 0 else np.ones(j.d_in)
+    keep = nu > KRAUS_RTOL
+    if keep.any():
+        kraus = np.zeros((keep.sum(), j.d_out, j.d_in), dtype=complex)
+        kraus[:, 0] = (basis[:, keep] * np.sqrt(nu[keep])).T
+        weights.append(0.0)
+        effects.append(kraus)
+    return StatisticalDecomposition(tuple(weights), tuple(
+        ChoiOperator(None, d_in=j.d_in, d_out=j.d_out, kraus=e) for e in effects))
 
 
 def recombine(decomp: StatisticalDecomposition) -> ChoiOperator:
@@ -122,25 +159,16 @@ def error_lower_bound(j: ChoiOperator, tol: float = HERM_TOL) -> float:
     """Smallest achievable error-amplification factor over all decompositions.
 
     Equals min over states sigma of Tr[|J| (1 (x) sigma)], which reduces to
-    the minimum eigenvalue of the input-side partial trace of |J| (the trace
-    against sigma of a fixed PSD operator is minimized by its ground-state
-    projector). With J = Q C Q^dag, |J| = Q |C| Q^dag for a Hermitian C; Q
-    comes from a thin QR of the map's stacks, taken here and not kept. Where
-    ``_unit_scaled`` scales C down by 2^k, the bound is that of C 2^-k, scaled
-    back. Raises ``ValueError`` unless ||J - J^dag||_F <= tol ||J||_F, or if
-    the bound is beyond the float range.
+    the minimum eigenvalue of M = Tr_out |J| (the trace against sigma of a
+    fixed PSD operator is minimized by its ground-state projector), read off
+    ``_jordan``: the bound of C 2^-k, scaled back. Raises ``ValueError``
+    unless ||J - J^dag||_F <= tol ||J||_F, or if the bound is beyond the
+    float range.
     """
-    if not is_hermitian(j._compressed, tol):
-        raise ValueError("map is not hermiticity-preserving within tolerance")
-    q, c = orthonormal_compression(j)
-    u, _, k = _unit_scaled(c)
-    absj = operator_absolute_value(_hermitian_part(u if k > 0 else c))
-    # Tr_out[q |C| q^dag], without building the product
-    qx = (q @ absj).reshape(j.d_out, j.d_in, -1)
-    reduced = np.einsum("oil,ojl->ij", qx, q.conj().reshape(qx.shape))
-    bound = float(np.linalg.eigvalsh(reduced).min())
+    *_, m, k = _jordan(j, tol)
+    bound = float(np.linalg.eigvalsh(m).min())
     try:
-        return math.ldexp(bound, max(k, 0))
+        return math.ldexp(bound, k)
     except OverflowError:
         raise ValueError(f"the bound {bound!r} * 2^{k} is beyond the float range") from None
 

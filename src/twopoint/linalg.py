@@ -18,10 +18,12 @@ exact scaling by a power of two (``_unit_scaled``).
 
 ==============  =====  ====================================================================
 HERM_TOL        1e-10  ||m - m^dag||_F <= HERM_TOL ||m||_F: states, observables, maps' J
-DEGENERACY_TOL  1e-9   ascending eigenvalues w cluster across gaps <= DEGENERACY_TOL max|w|
+DEGENERACY_TOL  1e-9   an observable's ascending eigenvalues w (the sampler's outcomes)
+                       cluster across gaps <= DEGENERACY_TOL max|w|
 PSD_TOL         1e-10  a CP map's J has least eigenvalue >= -PSD_TOL ||J||_F
 TP_TOL          1e-10  ||Tr_out J - 1||_F <= TP_TOL ||1||_F = TP_TOL sqrt(d_in)
-KRAUS_RTOL      1e-12  eigenvalues of J <= KRAUS_RTOL max(w) give no Kraus operator
+KRAUS_RTOL      1e-12  eigenvalues of J <= KRAUS_RTOL max(w) give no Kraus operator, nor
+                       directions of weight <= KRAUS_RTOL to a Jordan form's completion
 STATE_TOL       1e-9   |Tr rho - 1| <= STATE_TOL, least eigenvalue of rho >= -STATE_TOL
 BRANCH_FLOOR    1e-15  a sampler branch of probability <= BRANCH_FLOOR is not drawn
 INSTRUMENT_TOL  1e-8   |sum_i p(i) - 1| of a plan, ||V^dag V - 1||_F of a dilation
@@ -160,12 +162,6 @@ def hermitian_eigendecomposition(m: np.ndarray):
     ``HERM_TOL`` (relative Frobenius).
     """
     return np.linalg.eigh(_hermitian(m, "matrix")[1])
-
-
-def operator_absolute_value(m: np.ndarray) -> np.ndarray:
-    """Return |m| = sum_i |mu_i| |v_i><v_i| for Hermitian m (a PSD matrix)."""
-    w, v = hermitian_eigendecomposition(m)
-    return (v * np.abs(w)) @ v.conj().T
 
 
 def swap_operator(d: int) -> np.ndarray:

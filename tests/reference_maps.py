@@ -7,8 +7,8 @@ suite of ``twopoint verify`` has a dense counterpart here too, which works on
 d^3-sided process matrices where the package works on their factors, and
 the sampler's plan has one that measures the dense conditional two-copy state
 of each branch with dense spectral projectors. The terms of
-``statistical_decompose`` are compared with the eigenprojectors of a process
-matrix, interpolated from its distinct eigenvalues. The optical bench has one
+``statistical_decompose`` are compared with the positive and negative parts of
+a dense process matrix. The optical bench has one
 that propagates sparse Fock-space vectors through each beamsplitter, where
 the package uses one fixed Kraus operator per coincidence pattern. The random
 inputs that only the tests use (full-rank, pure and rank-two states,
@@ -360,20 +360,18 @@ def two_valued_observable(rng, d):
     return u @ np.diag([1.0] * (d // 2) + [-1.0] * (d - d // 2)) @ u.conj().T
 
 
-def eigenprojectors(m: np.ndarray, values) -> list[np.ndarray]:
-    """The eigenprojectors of a Hermitian matrix ``m`` whose distinct
-    eigenvalues are exactly ``values``, by Lagrange interpolation:
-    P_i = prod_{j != i} (m - mu_j 1) / (mu_i - mu_j), one per value in the
-    given order. No eigenvector is formed, so no basis or phase is chosen."""
-    one = np.eye(len(m))
-    projs = []
-    for i, mu_i in enumerate(values):
-        p = one
-        for j, mu_j in enumerate(values):
-            if j != i:
-                p = p @ (m - mu_j * one) / (mu_i - mu_j)
-        projs.append(p)
-    return projs
+def operator_absolute_value(m: np.ndarray) -> np.ndarray:
+    """|m| = sum_i |mu_i| |v_i><v_i| of a Hermitian matrix m (a PSD matrix)."""
+    w, v = hermitian_eigendecomposition(m)
+    return (v * np.abs(w)) @ v.conj().T
+
+
+def jordan_parts(m: np.ndarray, d_in: int, d_out: int):
+    """(J_+, J_-, M) of a Hermitian process matrix m: its positive and
+    negative parts (|m| + m)/2 and (|m| - m)/2, and M = Tr_out |m|, from a
+    dense eigendecomposition of m."""
+    absm = operator_absolute_value(m)
+    return (absm + m) / 2, (absm - m) / 2, partial_trace(absm, 1, [d_out, d_in])
 
 
 def spectral_projectors(obs: np.ndarray):

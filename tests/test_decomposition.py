@@ -7,6 +7,7 @@ import pytest
 from twopoint.choi import (
     ChoiOperator,
     apply_choi,
+    combine,
     is_completely_positive,
     is_trace_preserving,
     kraus_from_choi,
@@ -15,6 +16,7 @@ from twopoint.correlator import (
     CorrelatorFamily,
     imag_part_apply,
     real_part_apply,
+    two_point_exact,
     universal_imag_decomposition,
     universal_real_decomposition,
 )
@@ -27,12 +29,13 @@ from twopoint.decomposition import (
     statistical_decompose,
     stinespring_dilation,
 )
-from twopoint.linalg import DEGENERACY_TOL
+from twopoint.sampler import estimate_component
 
 from reference_maps import (
     choi_of_action,
-    eigenprojectors,
+    jordan_parts,
     maximally_entangled_projector,
+    operator_absolute_value,
     partial_trace,
     random_observable as rand_herm,
     random_state as rand_state,
@@ -56,15 +59,14 @@ def _rand_channel_choi(rng, d):
 
 
 def test_decompose_identity_channel():
-    """The identity channel's J = 2 Phi has the eigenvalues 0 (three times)
-    and 2: a zero-weight completion and a weight-4 branch, each effect its
-    eigenprojector / d_out, make the instrument exactly trace preserving."""
+    """The identity channel's J = 2 Phi is PSD with Tr_out J = 1, so c = 1:
+    its Jordan form is the one term (1, J), carried by one Kraus operator,
+    with no negative part and no completion."""
     j = ChoiOperator(2 * maximally_entangled_projector(2), d_in=2, d_out=2)
     dec = statistical_decompose(j)
-    assert dec.weights == pytest.approx((0, 4), abs=1e-12)
-    assert [len(eff.kraus) for eff in dec.effects] == [3, 1]
-    for eff, proj in zip(dec.effects, eigenprojectors(j.matrix, (0, 2))):
-        assert np.abs(eff.matrix - proj / 2).max() <= 1e-12
+    assert dec.weights == pytest.approx((1,), rel=1e-15)
+    assert len(dec.effects[0].kraus) == 1
+    assert np.abs(dec.effects[0].matrix - j.matrix).max() <= 1e-12
     assert np.linalg.norm(recombine(dec).matrix - j.matrix) <= 1e-10
     assert abs(error_lower_bound(j) - 1) <= 1e-10
 
@@ -81,22 +83,25 @@ def test_decompose_real_part_family():
     assert is_trace_preserving(unweighted)
 
 
-def test_decompose_effects_are_eigenprojectors():
-    """One term per distinct eigenvalue mu of J, of weight d_out mu: its
-    effect carries the m orthonormal eigenvectors v_k of mu as the Kraus
-    operators v_k / sqrt(d_out), and its matrix is the eigenprojector /
-    d_out. A generic map has a term per eigenvalue; the d = 3 family's real
-    part has the eigenvalues -1, 0 and 2."""
+def test_decompose_effects_are_the_jordan_parts():
+    """With M = Tr_out |J| and c = lambda_max(M), the terms are (c, J_+/c),
+    (-c, J_-/c) and a weight-0 completion of input marginal 1 - M/c, made of
+    rank-1 Kraus operators into |0>. A generic map has all three; the d = 3
+    family's real part, whose M is 3 1, has no completion."""
     generic = _rand_hp_choi(np.random.default_rng(16), 2, 3)
-    for j, mus in ((generic, np.linalg.eigvalsh(generic.matrix)),
-                   (CorrelatorFamily(3).j_real, (-1, 0, 2))):
+    for j, n_terms in ((generic, 3), (CorrelatorFamily(3).j_real, 2)):
         dec = statistical_decompose(j)
-        assert dec.weights == pytest.approx(np.multiply(j.d_out, mus), abs=1e-12)
-        for mu, eff, proj in zip(mus, dec.effects, eigenprojectors(j.matrix, mus)):
-            vecs = eff.kraus.reshape(len(eff.kraus), -1) * np.sqrt(j.d_out)
-            assert np.abs(vecs.conj() @ vecs.T - np.eye(len(vecs))).max() <= 1e-12
-            assert np.abs(j.matrix @ vecs.T - mu * vecs.T).max() <= 1e-12
-            assert np.abs(eff.matrix - proj / j.d_out).max() <= 1e-12
+        pos, neg, marginal = jordan_parts(j.matrix, j.d_in, j.d_out)
+        c = np.linalg.eigvalsh(marginal).max()
+        assert dec.weights == pytest.approx((c, -c, 0)[:n_terms], rel=1e-12)
+        for eff, part in zip(dec.effects, (pos, neg)):
+            assert np.abs(eff.matrix - part / c).max() <= 1e-12
+    completion = statistical_decompose(generic).effects[2].kraus
+    marginal = jordan_parts(generic.matrix, 2, 3)[2]
+    want = np.eye(2) - marginal / np.linalg.eigvalsh(marginal).max()
+    assert np.abs(np.einsum("aoi,aoj->ij", completion, completion.conj()) - want).max() <= 1e-12
+    assert not completion[:, 1:].any()
+    assert all(np.linalg.matrix_rank(k) == 1 for k in completion)
 
 
 def test_decompose_channel_has_nonnegative_weights():
@@ -191,10 +196,15 @@ def test_decomposition_needs_paired_terms():
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_a_map_near_the_float_maximum_is_decomposed():
-    """J = 1.5e308 diag(1, -1, 0.5, 0) is finite and Hermitian: its weights,
-    Kraus operators and bound are finite, although J + J^dag overflows."""
+    """J = 1.5e308 diag(1, -1, 0.5, 0), 4 -> 1, is finite and Hermitian,
+    although J + J^dag overflows: M = |J|, so c = 1.5e308, and the terms are
+    (c, diag(1, 0, 0.5, 0)), (-c, diag(0, 1, 0, 0)) and the completion
+    diag(0, 0, 0.5, 1), all with finite Kraus operators; the bound is 0."""
     j = ChoiOperator(1.5e308 * np.diag([1, -1, 0.5, 0]), d_in=4, d_out=1)
-    assert statistical_decompose(j).weights == (-1.5e308, 0.0, 0.75e308, 1.5e308)
+    dec = statistical_decompose(j)
+    assert dec.weights == (1.5e308, -1.5e308, 0.0)
+    for eff, want in zip(dec.effects, ([1, 0, 0.5, 0], [0, 1, 0, 0], [0, 0, 0.5, 1])):
+        assert np.abs(eff.matrix - np.diag(want)).max() <= 1e-15
     assert error_lower_bound(j) == 0.0
     cp = ChoiOperator(1.5e308 * np.diag([1, 0, 0.5, 0.25]), d_in=4, d_out=1)
     assert sorted(np.abs(k).max() ** 2 for k in kraus_from_choi(cp)) == pytest.approx(
@@ -203,44 +213,117 @@ def test_a_map_near_the_float_maximum_is_decomposed():
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_degenerate_maps_at_either_end_of_the_float_range_are_decomposed():
-    """1.5e308 1_4 is one eigenvalue, whose cluster sum 6e308 overflows: it
-    is taken at a power-of-two scale, so the one term has weight 1.5e308.
-    5e-324 diag(1, 1, 2, 2) keeps its two eigenvalues apart (the gap bound
-    1e-9 * 1e-323 is 0) and gives two terms."""
+    """1.5e308 1_4, 4 -> 1, has M = 1.5e308 1, whose trace overflows: it is
+    taken at a power-of-two scale, so the one term is (1.5e308, 1). 5e-324
+    diag(1, 1, 2, 2), 2 -> 2, has M = 1.5e-323 1: one term of weight
+    c = 3 * 5e-324 whose effect J/c is diag(1, 1, 2, 2)/3, and no
+    completion."""
     dec = statistical_decompose(ChoiOperator(1.5e308 * np.eye(4), d_in=4, d_out=1))
     assert dec.weights == (1.5e308,)
     assert np.array_equal(dec.effects[0].matrix, np.eye(4))
     dec = statistical_decompose(ChoiOperator(5e-324 * np.diag([1, 1, 2, 2]), d_in=2, d_out=2))
-    assert dec.weights == (1e-323, 2e-323)
-    assert [len(eff.kraus) for eff in dec.effects] == [2, 2]
+    assert dec.weights == (1.5e-323,)
+    assert np.abs(dec.effects[0].matrix - np.diag([1, 1, 2, 2]) / 3).max() <= 1e-15
 
 
-def test_decompose_merges_eigenvalues_within_the_degeneracy_bound():
-    """A 2 -> 2 map with the eigenvalues 1, 1 + 1e-12, 3 and 3 + 1e-6: the
-    first gap is below DEGENERACY_TOL * 3, so that pair is one term of the
-    mean weight 2 (1 + 0.5e-12), and its recombination moves each eigenvalue
-    by 0.5e-12, within the docstring's DEGENERACY_TOL max|mu|
-    sqrt(sum_i m_i (m_i - 1)^2); the gap 1e-6 is above it, so the second
-    pair stays two terms."""
-    mus = np.array([1, 1 + 1e-12, 3, 3 + 1e-6])
-    u, _ = np.linalg.qr(np.random.default_rng(24).normal(size=(4, 8)).view(complex))
-    j = ChoiOperator((u * mus) @ u.conj().T, d_in=2, d_out=2)
-    dec = statistical_decompose(j)
-    assert [len(eff.kraus) for eff in dec.effects] == [2, 1, 1]
-    assert dec.weights == pytest.approx((2 + 1e-12, 6, 6 + 2e-6), rel=1e-12)
-    residual = np.linalg.norm(recombine(dec).matrix - j.matrix)
-    assert residual == pytest.approx(np.sqrt(2) * 0.5e-12, rel=1e-2)
-    assert residual <= DEGENERACY_TOL * mus.max() * np.sqrt(2 * 1**2)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_the_zero_map_is_one_completion():
+    """J = 0 has c = 0: one weight-0 term, d_in rank-1 Kraus operators into
+    |0> that sum to a trace-preserving map, with no division by c."""
+    dec = statistical_decompose(ChoiOperator(np.zeros((6, 6)), d_in=3, d_out=2))
+    assert dec.weights == (0.0,)
+    assert len(dec.effects[0].kraus) == 3
+    assert is_trace_preserving(dec.effects[0]) and is_completely_positive(dec.effects[0])
+    assert not recombine(dec).matrix.any()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_weights_or_bound_beyond_the_float_range_are_refused():
-    """d_out mu = 2 * 1.5e308 and Tr_out |J| = 3e308 have no float: each is
-    refused with a ValueError that names it."""
-    with pytest.raises(ValueError, match=r"weights d_out \* mu reach 2 \* 1.5e\+308, beyond"):
+    """J = 1.5e308 diag(1, -1, 0.5, 0), 2 -> 2, has M = Tr_out |J| =
+    1.5e308 diag(1.5, 1), so c = 2.25e308; 1.5e308 1_4, 2 -> 2, has the
+    bound 3e308. Neither has a float, and each is refused with a ValueError
+    that names it."""
+    with pytest.raises(ValueError, match=r"the weight c = 1\.2516\d* \* 2\^1024 is beyond the float"):
         statistical_decompose(ChoiOperator(1.5e308 * np.diag([1, -1, 0.5, 0]), d_in=2, d_out=2))
     with pytest.raises(ValueError, match="bound .* is beyond the float range"):
         error_lower_bound(ChoiOperator(1.5e308 * np.eye(4), d_in=2, d_out=2))
+
+
+def _assert_jordan_form(j, dec):
+    """The gates of a Jordan form, against a dense M = Tr_out |J|: at most
+    three terms, weighted c, -c and 0 in that order, with c = lambda_max(M)
+    <= d_out max|mu|; the cost operator sum_i |lambda_i| M_i equals M within
+    1e-12 relative, so the cost is Tr[M rho^T] at every state rho; each
+    effect CP and their sum trace-preserving; the terms recombine J within
+    rounding."""
+    marginal = jordan_parts(j.matrix, j.d_in, j.d_out)[2]
+    c = abs(dec.weights[0])
+    assert dec.weights in {(c,), (-c,), (c, -c), (c, 0.0), (-c, 0.0), (c, -c, 0.0)}
+    assert c == pytest.approx(np.linalg.eigvalsh(marginal).max(), rel=1e-12)
+    assert c <= j.d_out * np.abs(np.linalg.eigvalsh(j.matrix)).max() * (1 + 1e-12)
+    cost = sum(abs(lam) * eff._input_marginal for lam, eff in zip(dec.weights, dec.effects))
+    assert np.abs(cost - marginal).max() <= 1e-12 * np.abs(marginal).max()
+    assert all(is_completely_positive(eff) for eff in dec.effects)
+    assert is_trace_preserving(combine([1] * len(dec.effects), dec.effects))
+    assert np.linalg.norm(recombine(dec).matrix - j.matrix) <= 1e-12 * np.linalg.norm(j.matrix)
+
+
+@pytest.mark.parametrize("d_in, d_out", [(1, 1), (1, 4), (2, 2), (2, 3), (3, 2), (4, 4), (4, 16)])
+def test_jordan_form_of_random_maps(d_in, d_out):
+    """A random Hermitian J, and a rank-2 map given by the two-sided stack
+    [L, R] / [R, L] (J = vec L vec R^dag + vec R vec L^dag), whose J is read
+    from a 4-sided C."""
+    rng = np.random.default_rng(100 * d_in + d_out)
+    left, right = rng.normal(size=(2, 1, d_out, 2 * d_in)).view(complex)
+    for j in (_rand_hp_choi(rng, d_in, d_out),
+              ChoiOperator(None, d_in, d_out, kraus=np.concatenate([left, right]),
+                           right=np.concatenate([right, left]))):
+        _assert_jordan_form(j, statistical_decompose(j))
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_jordan_form_of_the_family(d):
+    """The family's parts have M = bound 1: two terms, weights +-d and
+    +-sqrt(d^2 - 1), with c equal to ``error_lower_bound``."""
+    fam = CorrelatorFamily(d)
+    for j, bound in ((fam.j_real, d), (fam.j_imag, np.sqrt(d * d - 1))):
+        dec = statistical_decompose(j)
+        _assert_jordan_form(j, dec)
+        assert dec.weights == pytest.approx((bound, -bound), rel=1e-12)
+        assert dec.weights[0] == pytest.approx(error_lower_bound(j), rel=1e-12)
+
+
+def test_decompose_the_family_from_its_stacks():
+    """At d = 16 J would be 4096-sided (256 MiB): each part is read from its
+    4d-sided C and gives two terms, in a small fraction of that memory."""
+    d = 16
+    fam = CorrelatorFamily(d)
+    tracemalloc.start()
+    try:
+        decs = [statistical_decompose(j) for j in (fam.j_real, fam.j_imag)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert decs[0].weights == pytest.approx((d, -d), rel=1e-12)
+    assert decs[1].weights == pytest.approx((np.sqrt(d * d - 1), -np.sqrt(d * d - 1)), rel=1e-12)
+
+
+def test_estimates_from_a_jordan_form_are_unbiased():
+    """The Jordan forms of a random 2 -> 4 map and of the d = 2 family's
+    parts, sampled with A and B on the output's two qubits, land within 5 SE
+    of Tr[(A (x) B) L(rho)]: Re and -Im of Tr[A rho B] for the parts."""
+    rng = np.random.default_rng(27)
+    rho, a, b = rand_state(rng, 2), rand_herm(rng, 2), rand_herm(rng, 2)
+    random_map = _rand_hp_choi(rng, 2, 4)
+    exact = two_point_exact(rho, a, b)
+    fam = CorrelatorFamily(2)
+    for k, (j, want) in enumerate((
+            (random_map, np.trace(np.kron(a, b) @ apply_choi(random_map, rho)).real),
+            (fam.j_real, exact.real), (fam.j_imag, -exact.imag))):
+        mean, se = estimate_component(statistical_decompose(j), rho, a, b, 200_000,
+                                      np.random.SeedSequence(k))
+        assert abs(mean - want) <= 5 * se
 
 
 def test_bound_values_qubit():
@@ -265,8 +348,6 @@ def test_bound_reduction_matches_direct_minimization(case):
     else:
         j = _rand_hp_choi(rng, 2, 3)
     value = error_lower_bound(j)
-    from twopoint.linalg import operator_absolute_value
-
     aj = operator_absolute_value(j.matrix)
     best = np.inf
     for _ in range(1000):

@@ -14,12 +14,12 @@ from twopoint.linalg import (
     eigenspaces,
     eigenvalue_clusters,
     hermitian_eigendecomposition,
-    operator_absolute_value,
     swap_operator,
 )
 
 from reference_maps import (
     maximally_entangled_projector,
+    operator_absolute_value,
     partial_trace,
     random_observable as rand_herm,
     random_state as rand_state,
@@ -136,7 +136,7 @@ def test_eigenspaces_of_a_batch():
     assert np.abs(v @ v.conj().T - want).max() <= 1e-12
 
 
-# --- operator_absolute_value ----------------------------------------------
+# --- operator_absolute_value, the decomposition tests' reference |m| -------
 
 
 def test_absolute_value_pauli():
