@@ -7,7 +7,8 @@ represented canonically by the matrix
 
 on the (output (x) input) space, with the output factor as the slowest tensor
 index. Complete positivity, hermiticity preservation and trace preservation
-are predicates on J, and Kraus operators come out of its eigendecomposition.
+are predicates on J, and Kraus operators are its eigenvectors, scaled by the
+roots of their eigenvalues.
 
 Every map is carried by a two-sided stack of d_out x d_in operators
 (L_a, R_a): it acts as m -> sum_a L_a m R_a^dag, and its matrix is
@@ -18,9 +19,11 @@ when something asks for it. With [vec L | vec R] = Q T (thin QR), J is
 Q C Q^dag for the small matrix C = T_L T_R^dag; for a map given as J,
 [1 | J^dag] is already triangular and LAPACK's QR keeps it: Q = 1 and C = J,
 bit for bit. Norms, hermiticity and complete positivity read C alone; the map
-caches C and never Q, which only ``decomposition._jordan`` builds. The input
-marginal and ``trace_product`` contract the stacks directly, so a map of rank
-r costs QR and eigendecompositions of 2r-sided matrices, not of J.
+caches C and never Q. ``_jordan`` builds Q and is the one routine that
+eigendecomposes a map: J's eigenpairs are read off one ``eigh`` of C, for
+Kraus operators, Jordan forms and error bounds alike. The input marginal and
+``trace_product`` contract the stacks directly, so a map of rank r costs QR
+and eigendecompositions of 2r-sided matrices, not of J.
 """
 
 from __future__ import annotations
@@ -30,8 +33,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import (KRAUS_RTOL, PSD_TOL, TP_TOL, _hermitian_part, _unit_scaled,
-                     hermitian_eigendecomposition, is_hermitian)
+from .linalg import (HERM_TOL, KRAUS_RTOL, PSD_TOL, TP_TOL, _hermitian_part, _unit_scaled,
+                     is_hermitian)
 
 
 class ChoiOperator:
@@ -102,7 +105,8 @@ class ChoiOperator:
         t = qr([t; block]) (tall-skinny QR), so neither that matrix nor Q is
         ever formed. It runs on each stack's ``_unit_scaled`` form L 2^-k_L,
         R 2^-k_R; a power-of-two column scaling scales T exactly, so C is
-        scaled back by 2^(k_L + k_R)."""
+        scaled back by 2^(k_L + k_R): inf where J is beyond the float range,
+        which the predicates then judge as they judge a non-finite J."""
         (left, _, kl), (right, _, kr) = (_unit_scaled(s) for s in (self._left, self._right))
         n = len(left)
         step = max(1, max(4 * n, 2**10 // n) // self.d_in)
@@ -110,9 +114,9 @@ class ChoiOperator:
         for o in range(0, self.d_out, step):
             block = np.concatenate([left[:, o:o + step], right[:, o:o + step]])
             t = np.linalg.qr(np.concatenate([t, block.reshape(2 * n, -1).T]), mode="r")
-        with np.errstate(invalid="ignore"):  # a non-finite stack gives a non-finite C
+        with np.errstate(invalid="ignore", over="ignore"):  # a non-finite stack or J: C too
             c = t[:, :n] @ t[:, n:].conj().T
-        return c if kl == kr == 0 else np.ldexp(c.view(float), kl + kr).view(complex)
+            return c if kl == kr == 0 else np.ldexp(c.view(float), kl + kr).view(complex)
 
     @cached_property
     def _input_marginal(self) -> np.ndarray:
@@ -152,6 +156,27 @@ def orthonormal_compression(j: ChoiOperator) -> tuple[np.ndarray, np.ndarray]:
     return q, t[:, :n] @ t[:, n:].conj().T
 
 
+def _jordan(j: ChoiOperator, tol: float = HERM_TOL):
+    """``(mu, q, w, m, k)``: J's eigenpairs and M = Tr_out |J| from one ``eigh``.
+
+    The ``orthonormal_compression`` of the stacks' ``_unit_scaled`` forms
+    L 2^-k_L and R 2^-k_R gives J 2^-(k_L + k_R) = Q C Q^dag. With k the sum
+    of k_L, k_R and C's own ``_unit_scaled`` exponent, the Hermitian part of
+    C 2^(k_L + k_R - k) is W diag(mu) W^dag (mu ascending), so J's Hermitian
+    part is (QW) diag(mu 2^k) (QW)^dag and m = Tr_out[QW |diag(mu)| (QW)^dag]
+    is M 2^-k: only k grows with the map's scale. Raises ``ValueError``
+    unless ||J - J^dag||_F <= tol ||J||_F."""
+    if not is_hermitian(j._compressed, tol):
+        raise ValueError("map is not hermiticity-preserving within tolerance")
+    (left, _, kl), (right, _, kr) = (_unit_scaled(s) for s in j.stacks)
+    q, c = orthonormal_compression(ChoiOperator(None, j.d_in, j.d_out, kraus=left, right=right))
+    u, _, k = _unit_scaled(c)
+    mu, w = np.linalg.eigh(_hermitian_part(u))
+    # Tr_out[q |C| q^dag], without building the product
+    qx = (q @ ((w * np.abs(mu)) @ w.conj().T)).reshape(j.d_out, j.d_in, -1)
+    return mu, q, w, np.einsum("oil,ojl->ij", qx, q.conj().reshape(qx.shape)), k + kl + kr
+
+
 def apply_choi(j: ChoiOperator, m: np.ndarray) -> np.ndarray:
     """Act with the map represented by ``j`` on the matrix ``m``:
     sum_a L_a m R_a^dag, linear in both arguments."""
@@ -187,18 +212,20 @@ def is_trace_preserving(j: ChoiOperator) -> bool:
 def kraus_from_choi(j: ChoiOperator) -> list[np.ndarray]:
     """Extract Kraus operators K_a with sum_a K_a m K_a^dag = apply_choi(j, m).
 
-    Requires ``j`` completely positive. Eigenvectors are scaled
-    by sqrt(eigenvalue); eigenvalues below ``KRAUS_RTOL`` times the largest are
-    dropped. Each eigenvector reshapes to a (d_out, d_in) operator because the
-    output index is the slowest.
+    Requires ``j`` completely positive. The K_a are J's eigenvectors scaled
+    by sqrt(eigenvalue), largest eigenvalue first, read off ``_jordan``, so J
+    is never built; eigenvalues below ``KRAUS_RTOL`` times the largest are
+    dropped. Each eigenvector reshapes to a (d_out, d_in) operator because
+    the output index is the slowest.
     """
     if not is_completely_positive(j):
         raise ValueError("map is not completely positive within tolerance")
-    w, v = hermitian_eigendecomposition(_hermitian_part(j.matrix))
-    cutoff = KRAUS_RTOL * max(w.max(), 0.0)
-    # largest eigenvalue first
-    return [np.sqrt(w[k]) * v[:, k].reshape(j.d_out, j.d_in) for k in range(w.size - 1, -1, -1)
-            if w[k] > cutoff]
+    mu, q, w, _, k = _jordan(j)
+    keep = mu > KRAUS_RTOL * max(mu.max(), 0.0)
+    # sqrt(mu 2^k) = sqrt(mu 2^(k mod 2)) 2^(k // 2): exact scalings, whatever k's parity
+    x = q @ (w[:, keep] * np.sqrt(np.ldexp(mu[keep], k % 2)))
+    x = np.ldexp(x.view(float), k // 2).view(complex)
+    return list(x.T[::-1].reshape(-1, j.d_out, j.d_in))
 
 
 def _kraus_stack(j: ChoiOperator) -> np.ndarray:

@@ -22,21 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .choi import (
-    ChoiOperator,
-    _kraus_stack,
-    combine,
-    orthonormal_compression,
-)
-from .linalg import (
-    HERM_TOL,
-    INSTRUMENT_TOL,
-    KRAUS_RTOL,
-    _hermitian_part,
-    _unit_scaled,
-    check_density_matrix,
-    is_hermitian,
-)
+from .choi import ChoiOperator, _jordan, _kraus_stack, combine
+from .linalg import HERM_TOL, INSTRUMENT_TOL, KRAUS_RTOL, check_density_matrix
 
 
 @dataclass(frozen=True)
@@ -81,24 +68,6 @@ class CostReport:
     probabilities: tuple[float, ...]
 
 
-def _jordan(j: ChoiOperator, tol: float):
-    """``(mu, q, w, m, k)``: J's Jordan data from one ``eigh`` of the compressed C.
-
-    With J = Q C Q^dag (``orthonormal_compression``) and C's ``_unit_scaled``
-    form C 2^-k, the Hermitian part of C 2^-k is W diag(mu) W^dag, so J's
-    Hermitian part is (QW) diag(mu 2^k) (QW)^dag, and m = Tr_out[Q |C 2^-k|
-    Q^dag] is M = Tr_out |J| scaled by 2^-k. Raises ``ValueError`` unless
-    ||J - J^dag||_F <= tol ||J||_F."""
-    if not is_hermitian(j._compressed, tol):
-        raise ValueError("map is not hermiticity-preserving within tolerance")
-    q, c = orthonormal_compression(j)
-    u, _, k = _unit_scaled(c)
-    mu, w = np.linalg.eigh(_hermitian_part(u))
-    # Tr_out[q |C| q^dag], without building the product
-    qx = (q @ ((w * np.abs(mu)) @ w.conj().T)).reshape(j.d_out, j.d_in, -1)
-    return mu, q, w, np.einsum("oil,ojl->ij", qx, q.conj().reshape(qx.shape)), k
-
-
 def statistical_decompose(j: ChoiOperator, tol: float = HERM_TOL) -> StatisticalDecomposition:
     """Split a hermiticity-preserving map into its Jordan form: at most three
     weighted instrument branches.
@@ -112,7 +81,7 @@ def statistical_decompose(j: ChoiOperator, tol: float = HERM_TOL) -> Statistical
     The effects sum to a trace-preserving map, and the cost sum_i |lambda_i|
     p(i) at a state rho is Tr[M rho^T], as for any split along J_+ and J_-;
     max|lambda| is c <= d_out max|mu|. Everything is read off one ``eigh`` of
-    the compressed C (``_jordan``), never off J.
+    the compressed C (``choi._jordan``), never off J.
 
     A term whose effect is empty is left out: the eigenvalues within
     n eps max|mu| of 0 (n the side of C, eps the float epsilon) give no
@@ -161,7 +130,7 @@ def error_lower_bound(j: ChoiOperator, tol: float = HERM_TOL) -> float:
     Equals min over states sigma of Tr[|J| (1 (x) sigma)], which reduces to
     the minimum eigenvalue of M = Tr_out |J| (the trace against sigma of a
     fixed PSD operator is minimized by its ground-state projector), read off
-    ``_jordan``: the bound of C 2^-k, scaled back. Raises ``ValueError``
+    ``choi._jordan``: the bound of M 2^-k, scaled back. Raises ``ValueError``
     unless ||J - J^dag||_F <= tol ||J||_F, or if the bound is beyond the
     float range.
     """

@@ -12,15 +12,22 @@ a dense process matrix. The optical bench has one
 that propagates sparse Fock-space vectors through each beamsplitter, where
 the package uses one fixed Kraus operator per coincidence pattern. The random
 inputs that only the tests use (full-rank, pure and rank-two states,
-Hermitian and two-valued observables) live here too.
+Hermitian and two-valued observables) live here too, and so does the
+launcher that runs a script in its own interpreter to read the process's
+peak resident memory.
 """
 
 import itertools
+import os
+import subprocess
+import sys
 from collections import Counter
 from math import factorial, sqrt
 
 import numpy as np
+import pytest
 
+import twopoint
 from twopoint.choi import ChoiOperator, apply_choi
 from twopoint.correlator import (
     CorrelatorFamily,
@@ -448,3 +455,34 @@ def reference_plan(decomp, rho, a, b):
             values.append([lam * av * bv for av, bv in pairs])
     total = sum(probs)
     return np.concatenate([p / total * q for p, q in zip(probs, born)]), np.array(values)
+
+
+# Runs the Python statements given as its first argument, with the rest as
+# sys.argv[1:], then writes the process's peak resident memory (VmHWM, kB)
+# as the last line of standard error, as perfbench/workloads.CLI_LAUNCHER
+# reads it.
+PEAK_LAUNCHER = """
+import sys
+try:
+    exec(sys.argv.pop(1))
+finally:
+    with open("/proc/self/status") as fh:
+        kb = int(next(line.split()[1] for line in fh if line.startswith("VmHWM")))
+    print(kb, file=sys.stderr)
+"""
+
+# The console script's entry point, for PEAK_LAUNCHER: its exit code is the process's.
+CLI_SCRIPT = "from twopoint.cli import main\nsys.exit(main(sys.argv[1:]))"
+
+needs_vmhwm = pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                                 reason="reads VmHWM from /proc")
+
+
+def run_with_peak(script: str, *args: str):
+    """``(exit code, standard output, VmHWM in kB)`` of ``script`` run by
+    ``PEAK_LAUNCHER`` on ``args`` in a new interpreter, with this package on
+    its path."""
+    src = os.path.dirname(os.path.dirname(twopoint.__file__))
+    p = subprocess.run([sys.executable, "-c", PEAK_LAUNCHER, script, *args], capture_output=True,
+                       text=True, env={**os.environ, "PYTHONPATH": src}, check=False)
+    return p.returncode, p.stdout, int(p.stderr.split()[-1])

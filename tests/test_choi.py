@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from twopoint.correlator import (
     universal_imag_decomposition,
     universal_real_decomposition,
 )
-from twopoint.decomposition import error_lower_bound, recombine
+from twopoint.decomposition import error_lower_bound, recombine, statistical_decompose
 from twopoint.linalg import swap_operator
 
 from reference_maps import (
@@ -299,6 +301,22 @@ def test_a_non_finite_matrix_is_no_hermitian_map(bad):
         error_lower_bound(j)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_map_beyond_the_float_range_is_judged_as_a_non_finite_one():
+    """1e155 times the d = 2 cloner's Kraus operators: the stacks are finite,
+    but J, of order 1e310, is not. C is infinite where J is, so the map is
+    judged as a non-finite matrix is: no predicate holds, the norm is inf,
+    and the bound and the decomposition are refused, with no RuntimeWarning
+    on the way."""
+    j = ChoiOperator(None, 2, 4, kraus=1e155 * CorrelatorFamily(2).j_sym.kraus)
+    for predicate in (is_hermiticity_preserving, is_completely_positive, is_trace_preserving):
+        assert not predicate(j)
+    assert frobenius_norm(j) == np.inf
+    for split in (error_lower_bound, statistical_decompose):
+        with pytest.raises(ValueError, match="hermiticity"):
+            split(j)
+
+
 # --- apply_choi ---------------------------------------------------------------
 
 
@@ -482,6 +500,37 @@ def test_kraus_rejects_non_cp():
     fam = CorrelatorFamily(2)
     with pytest.raises(ValueError, match="positive"):
         kraus_from_choi(fam.j_real)
+
+
+def test_kraus_come_largest_eigenvalue_first():
+    """J = diag(0.25, 1, 0, 0.5), 2 -> 2: three operators, of squared norms
+    1, 0.5 and 0.25 in that order; the zero eigenvalue gives none."""
+    ops = kraus_from_choi(ChoiOperator(np.diag([0.25, 1, 0, 0.5]), d_in=2, d_out=2))
+    assert [np.linalg.norm(k) ** 2 for k in ops] == pytest.approx([1, 0.5, 0.25], rel=1e-15)
+
+
+def test_kraus_of_the_d16_cloner_builds_no_process_matrix(monkeypatch):
+    """At d = 16 the cloner's J would be 4096-sided (256 MiB): its 16 Kraus
+    operators are read off the 32-sided C, never off J, in a small fraction
+    of that memory, and they reproduce the map."""
+    d = 16
+    j = CorrelatorFamily(d).j_sym
+
+    def must_not_build(self):
+        raise AssertionError("a process matrix was built")
+
+    monkeypatch.setattr(ChoiOperator, "matrix", property(must_not_build))
+    tracemalloc.start()
+    try:
+        ops = kraus_from_choi(j)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert len(ops) == d
+    rho = rand_state(np.random.default_rng(16), d)
+    got = sum(k @ rho @ k.conj().T for k in ops)
+    assert np.linalg.norm(got - apply_choi(j, rho)) <= 1e-12
 
 
 @pytest.mark.parametrize("d,n_kraus", [(2, 2), (2, 4), (3, 3)])

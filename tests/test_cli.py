@@ -3,8 +3,6 @@ import io
 import json
 import math
 import os
-import subprocess
-import sys
 import tracemalloc
 
 import numpy as np
@@ -31,7 +29,14 @@ from twopoint.cli import (
 from twopoint.correlator import CorrelatorFamily, choi_builders
 from twopoint.decomposition import StatisticalDecomposition, error_lower_bound
 
-from reference_maps import dense_verify_values, jordan_parts, random_observable
+from reference_maps import (
+    CLI_SCRIPT,
+    dense_verify_values,
+    jordan_parts,
+    needs_vmhwm,
+    random_observable,
+    run_with_peak,
+)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]])
@@ -241,9 +246,10 @@ def test_decompose_output_matches_json_dumps(tmp_path, capsys):
 
 
 def test_decompose_streams_its_report(tmp_path):
-    """The same map written with --out: the report (1 MB of text) is never
-    held whole, so the peak is about one term, and the file is json.dumps'
-    text."""
+    """The same map written with --out: the whole run, reading, decomposing
+    and writing, peaks under 12 MB, and the file is json.dumps' text. The
+    report is 1 MB, so this peak cannot show whether the writer streams;
+    ``test_verify_dump_streams_each_file`` gates that."""
     rng = np.random.default_rng(416)
     path = _write(tmp_path, "map.json", random_observable(rng, 64))
     out = tmp_path / "report.json"
@@ -326,34 +332,27 @@ def test_decompose_dumped_d4_real_part_in_under_1_mb(tmp_path, capsys):
     assert report["is_cp_flags"] == [True] * 2
 
 
-# The console script's entry point, then the process's peak resident memory
-# (VmHWM), as perfbench/workloads.CLI_LAUNCHER reads it.
-_PEAK_LAUNCHER = """
-import sys
-from twopoint.cli import main
-
-code = main(sys.argv[1:])
-with open("/proc/self/status") as fh:
-    kb = int(next(line.split()[1] for line in fh if line.startswith("VmHWM")))
-print(code, kb, file=sys.stderr)
-"""
-
-
-@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
+@needs_vmhwm
 def test_decompose_a_4x16_map_in_bounded_memory(tmp_path):
     """A generic d_in = 4, d_out = 16 map in its own process: at most 3
     terms, each with its CP flag, and a peak under 64 MB."""
     g = np.random.default_rng(416).normal(size=(64, 128)).view(complex)
     path = _write(tmp_path, "map.json", (g + g.conj().T) / 2)
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    p = subprocess.run(
-        [sys.executable, "-c", _PEAK_LAUNCHER, "decompose", path, "--din", "4", "--dout", "16"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, check=True)
-    code, kb = map(int, p.stderr.split())
+    code, out, kb = run_with_peak(CLI_SCRIPT, "decompose", path, "--din", "4", "--dout", "16")
     assert code == EXIT_OK and kb < 64 * 1024, (code, kb)
-    report = json.loads(p.stdout)
+    report = json.loads(out)
     assert 1 <= len(report["terms"]) <= 3
     assert len(report["is_cp_flags"]) == len(report["terms"])
+
+
+@needs_vmhwm
+def test_verify_16_in_bounded_memory():
+    """verify 16 in its own process passes, and every check reads the maps'
+    compressed matrices, never a d^3-sided basis: the process peaks near
+    76 MB, under 100 MB (130 MB when each map cached one)."""
+    code, out, kb = run_with_peak(CLI_SCRIPT, "verify", "16")
+    assert code == EXIT_OK and kb < 100 * 1024, (code, kb)
+    assert json.loads(out)["passed"] is True
 
 
 def test_decompose_tol_reaches_the_bound(tmp_path, capsys):
@@ -914,22 +913,34 @@ def _read_stacks(path, d):
 
 def test_verify_dump_round_trips_family(tmp_path, capsys):
     """verify 6 --dump: each file holds its map's stacks, which rebuild its
-    process matrix bit for bit, and the dump adds less to the peak than the
-    text of one file. The run without --dump goes first, so that neither
-    peak holds the imports of a first run."""
-    _, checks_only = _traced(["verify", "6"])
+    process matrix bit for bit."""
     dump = tmp_path / "mats"
-    code, peak = _traced(["verify", "6", "--dump", str(dump)])
+    code, _ = _run(capsys, ["verify", "6", "--dump", str(dump)])
     assert code == EXIT_OK
-    capsys.readouterr()
-    fam = CorrelatorFamily(6)
-    chois = choi_builders(fam)
-    for name, j in chois.items():
-        path = dump / f"choi_{name}_d6.json"
-        left, right = _read_stacks(path, 6)
+    for name, j in choi_builders(CorrelatorFamily(6)).items():
+        left, right = _read_stacks(dump / f"choi_{name}_d6.json", 6)
         rebuilt = ChoiOperator(None, d_in=6, d_out=36, kraus=left, right=right)
         assert np.array_equal(rebuilt.matrix, j.matrix)
-        assert peak - checks_only < len(path.read_text(encoding="utf-8"))
+
+
+def test_verify_dump_streams_each_file(tmp_path):
+    """A dump file is written as it is formatted: the d = 12 real part's
+    stacks, as verify --dump passes them, are 3.5 MB of text, and writing
+    them peaks near 0.9 MB, under half of that. A writer that formats the
+    whole file before writing it would hold all its text (7 MB)."""
+    d, path = 12, tmp_path / "choi_real_d12.json"
+    j = choi_builders(CorrelatorFamily(d))["real"]
+    files = {side: {"rows": len(s) * s.shape[1], "cols": d, "data": s}
+             for side, s in zip(("left", "right"), j.stacks)}
+    tracemalloc.start()
+    try:
+        cli._write_report(files, str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size / 2, (peak, path.stat().st_size)
+    left, right = _read_stacks(path, d)
+    assert np.array_equal(left, j.stacks[0]) and np.array_equal(right, j.stacks[1])
 
 
 def test_verify_dump_builds_no_process_matrix_at_any_dimension(tmp_path, capsys, monkeypatch):

@@ -35,10 +35,12 @@ from reference_maps import (
     choi_of_action,
     jordan_parts,
     maximally_entangled_projector,
+    needs_vmhwm,
     operator_absolute_value,
     partial_trace,
     random_observable as rand_herm,
     random_state as rand_state,
+    run_with_peak,
 )
 
 
@@ -224,6 +226,24 @@ def test_degenerate_maps_at_either_end_of_the_float_range_are_decomposed():
     dec = statistical_decompose(ChoiOperator(5e-324 * np.diag([1, 1, 2, 2]), d_in=2, d_out=2))
     assert dec.weights == (1.5e-323,)
     assert np.abs(dec.effects[0].matrix - np.diag([1, 1, 2, 2]) / 3).max() <= 1e-15
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_stacked_map_near_the_float_maximum_is_bounded_and_decomposed():
+    """1e308 times the d = 2 cloner, carried by the stacks [1e308 L] / [L]:
+    ||J||_F = 1.41e308 is finite, but a QR of the stacks as they are would
+    overflow. It is taken at the stacks' unit scale, so the bound and the
+    weights are those of the cloner times 1e308, and the Kraus operators,
+    divided by 1e154, reproduce the cloner."""
+    unit = CorrelatorFamily(2).j_sym
+    j = combine((1e308,), (unit,))
+    assert error_lower_bound(j) == pytest.approx(1e308 * error_lower_bound(unit), rel=1e-12)
+    assert statistical_decompose(j).weights == pytest.approx(
+        [1e308 * w for w in statistical_decompose(unit).weights], rel=1e-12)
+    rho = rand_state(np.random.default_rng(308), 2)
+    ops = [k / 1e154 for k in kraus_from_choi(j)]
+    assert len(ops) == len(kraus_from_choi(unit))
+    assert np.linalg.norm(sum(k @ rho @ k.conj().T for k in ops) - apply_choi(unit, rho)) <= 1e-12
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -460,6 +480,33 @@ def test_dilation_stacks_stored_kraus_operators():
     assert np.linalg.norm(v.conj().T @ v - np.eye(d)) <= 1e-10
     weights = np.diag(dil.ancilla_observable)
     np.testing.assert_allclose(weights, [dec.weights[0]] * d + [dec.weights[1]] * d)
+
+
+# The d = 16 real part's dilation read out at a random state: the largest
+# entry of its difference from real_part_apply.
+_D16_READOUT = """
+import numpy as np
+from twopoint import (CorrelatorFamily, partial_expectation, real_part_apply,
+                      stinespring_dilation, universal_real_decomposition)
+
+d = 16
+g = np.random.default_rng(16).normal(size=(d, 2 * d)).view(complex)
+rho = g @ g.conj().T
+rho /= np.trace(rho).real
+got = partial_expectation(stinespring_dilation(universal_real_decomposition(d)), rho)
+print(np.abs(got - real_part_apply(CorrelatorFamily(d), rho)).max())
+"""
+
+
+@needs_vmhwm
+def test_dilation_reads_out_the_d16_real_part_in_bounded_memory():
+    """partial_expectation contracts the isometry's Kraus blocks, so at d = 16
+    the dilated state V rho V^dag (8192-sided, 1 GiB per array) is never
+    formed: in its own process the readout matches real_part_apply within
+    1e-12 and peaks near 50 MB, under 100 MB."""
+    code, out, kb = run_with_peak(_D16_READOUT)
+    assert code == 0 and kb < 100 * 1024, (code, kb)
+    assert float(out) <= 1e-12
 
 
 def test_dilation_isometry_for_random_hp_maps():
