@@ -18,8 +18,10 @@ vec(L_a) = e_a against R_a = conj(J[a]) and keeps J; any other builds J only
 when something asks for it. With [vec L | vec R] = Q T (thin QR), J is
 Q C Q^dag for the small matrix C = T_L T_R^dag; for a map given as J,
 [1 | J^dag] is already triangular and LAPACK's QR keeps it: Q = 1 and C = J,
-bit for bit. Norms, hermiticity and complete positivity read C alone; the map
-caches C and never Q. ``_jordan`` builds Q and is the one routine that
+bit for bit. Each question factors the stacks once, at their own power-of-two
+scale, so a J beyond the float range is still judged by its structure. Norms,
+hermiticity and complete positivity read C alone; the map caches C and never
+Q. ``_jordan`` takes the one thin QR, with Q, and is the one routine that
 eigendecomposes a map: J's eigenpairs are read off one ``eigh`` of C, for
 Kraus operators, Jordan forms and error bounds alike. The input marginal and
 ``trace_product`` contract the stacks directly, so a map of rank r costs QR
@@ -33,8 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import (HERM_TOL, KRAUS_RTOL, PSD_TOL, TP_TOL, _hermitian_part, _unit_scaled,
-                     is_hermitian)
+from .linalg import HERM_TOL, KRAUS_RTOL, PSD_TOL, TP_TOL, _unit_scaled, is_hermitian
 
 
 class ChoiOperator:
@@ -96,17 +97,16 @@ class ChoiOperator:
         return self._matrix
 
     @cached_property
-    def _compressed(self) -> np.ndarray:
+    def _compressed(self):
         """C with J = Q C Q^dag for orthonormal columns Q (J itself for a map
-        given as a matrix). C = T_L T_R^dag from the triangular factor T of
-        the QR of the d_out*d_in x k matrix [vec L | vec R], k = 2r. T is
-        accumulated over blocks of whole output rows read straight from the
-        stacks, about max(2k, 2^11 / k) rows of that matrix each,
-        t = qr([t; block]) (tall-skinny QR), so neither that matrix nor Q is
-        ever formed. It runs on each stack's ``_unit_scaled`` form L 2^-k_L,
-        R 2^-k_R; a power-of-two column scaling scales T exactly, so C is
-        scaled back by 2^(k_L + k_R): inf where J is beyond the float range,
-        which the predicates then judge as they judge a non-finite J."""
+        given as a matrix), as the ``_unit_scaled`` triple (u, ||u||_F, k),
+        C = u 2^k. C = T_L T_R^dag from the triangular factor T of the QR of
+        the d_out*d_in x 2r matrix [vec L | vec R], accumulated over blocks of
+        whole output rows read straight from the stacks, about max(4r, 2^10/r)
+        rows of that matrix each, t = qr([t; block]) (tall-skinny QR), so
+        neither that matrix nor Q is ever formed. It runs on the stacks'
+        ``_unit_scaled`` forms L 2^-k_L, R 2^-k_R, and k includes k_L + k_R:
+        C is never scaled back. A non-finite stack gives a non-finite C."""
         (left, _, kl), (right, _, kr) = (_unit_scaled(s) for s in (self._left, self._right))
         n = len(left)
         step = max(1, max(4 * n, 2**10 // n) // self.d_in)
@@ -114,9 +114,9 @@ class ChoiOperator:
         for o in range(0, self.d_out, step):
             block = np.concatenate([left[:, o:o + step], right[:, o:o + step]])
             t = np.linalg.qr(np.concatenate([t, block.reshape(2 * n, -1).T]), mode="r")
-        with np.errstate(invalid="ignore", over="ignore"):  # a non-finite stack or J: C too
-            c = t[:, :n] @ t[:, n:].conj().T
-            return c if kl == kr == 0 else np.ldexp(c.view(float), kl + kr).view(complex)
+        with np.errstate(invalid="ignore"):  # a non-finite stack: C too
+            u, scale, k = _unit_scaled(t[:, :n] @ t[:, n:].conj().T)
+        return u, scale, k + kl + kr
 
     @cached_property
     def _input_marginal(self) -> np.ndarray:
@@ -133,9 +133,9 @@ def combine(coeffs, maps) -> ChoiOperator:
 
 
 def frobenius_norm(j: ChoiOperator) -> float:
-    """||J||_F = ||C||_F: that of C's ``_unit_scaled`` form, scaled back (inf
-    beyond the float range)."""
-    _, scale, k = _unit_scaled(j._compressed)
+    """||J||_F = ||C||_F, read off the ``_compressed`` triple (inf beyond the
+    float range)."""
+    _, scale, k = j._compressed
     with np.errstate(over="ignore"):
         return float(np.ldexp(scale, k))
 
@@ -147,34 +147,36 @@ def trace_product(j1: ChoiOperator, j2: ChoiOperator) -> complex:
     return complex(np.sum((r1.conj() @ l2.T) * (r2.conj() @ l1.T).T))
 
 
-def orthonormal_compression(j: ChoiOperator) -> tuple[np.ndarray, np.ndarray]:
-    """(Q, C) with J = Q C Q^dag: Q the d_out*d_in x min(2r, d_out*d_in)
-    orthonormal columns of a thin QR of [vec L | vec R], not cached; Q = 1 and
-    C = J for a map given as its matrix J (see the module docstring)."""
-    n = len(j.stacks[0])
-    q, t = np.linalg.qr(np.concatenate([s.reshape(n, -1) for s in j.stacks]).T)
-    return q, t[:, :n] @ t[:, n:].conj().T
-
-
 def _jordan(j: ChoiOperator, tol: float = HERM_TOL):
-    """``(mu, q, w, m, k)``: J's eigenpairs and M = Tr_out |J| from one ``eigh``.
+    """``(mu, q, w, m, k)``: J's eigenpairs and M = Tr_out |J| from the one
+    thin QR and one ``eigh``.
 
-    The ``orthonormal_compression`` of the stacks' ``_unit_scaled`` forms
-    L 2^-k_L and R 2^-k_R gives J 2^-(k_L + k_R) = Q C Q^dag. With k the sum
-    of k_L, k_R and C's own ``_unit_scaled`` exponent, the Hermitian part of
-    C 2^(k_L + k_R - k) is W diag(mu) W^dag (mu ascending), so J's Hermitian
-    part is (QW) diag(mu 2^k) (QW)^dag and m = Tr_out[QW |diag(mu)| (QW)^dag]
-    is M 2^-k: only k grows with the map's scale. Raises ``ValueError``
-    unless ||J - J^dag||_F <= tol ||J||_F."""
-    if not is_hermitian(j._compressed, tol):
+    The thin QR [vec L 2^-k_L | vec R 2^-k_R] = Q T of the stacks'
+    ``_unit_scaled`` forms gives J 2^-(k_L + k_R) = Q C Q^dag, C = T_L T_R^dag.
+    With k the sum of k_L, k_R and C's own ``_unit_scaled`` exponent, the
+    Hermitian part of C 2^(k_L + k_R - k) is W diag(mu) W^dag (mu ascending),
+    so J's Hermitian part is (QW) diag(mu 2^k) (QW)^dag and
+    m = Tr_out[QW |diag(mu)| (QW)^dag] is M 2^-k: only k grows with the map's
+    scale. Raises ``ValueError`` if a stack has a non-finite entry, or unless
+    ||J - J^dag||_F <= tol ||J||_F, judged on C."""
+    (left, sl, kl), (right, sr, kr) = (_unit_scaled(s) for s in j.stacks)
+    if math.inf in (sl, sr):
+        raise ValueError("an operator stack of the map has an entry that is not finite")
+    n = len(left)
+    q, t = np.linalg.qr(np.concatenate([left.reshape(n, -1), right.reshape(n, -1)]).T)
+    u, _, k = _unit_scaled(t[:, :n] @ t[:, n:].conj().T)
+    if not is_hermitian(u, tol):
         raise ValueError("map is not hermiticity-preserving within tolerance")
-    (left, _, kl), (right, _, kr) = (_unit_scaled(s) for s in j.stacks)
-    q, c = orthonormal_compression(ChoiOperator(None, j.d_in, j.d_out, kraus=left, right=right))
-    u, _, k = _unit_scaled(c)
-    mu, w = np.linalg.eigh(_hermitian_part(u))
+    mu, w = np.linalg.eigh((u + u.conj().T) / 2)  # u + u^dag cannot overflow
     # Tr_out[q |C| q^dag], without building the product
     qx = (q @ ((w * np.abs(mu)) @ w.conj().T)).reshape(j.d_out, j.d_in, -1)
     return mu, q, w, np.einsum("oil,ojl->ij", qx, q.conj().reshape(qx.shape)), k + kl + kr
+
+
+def _is_positive(mu: np.ndarray) -> bool:
+    """True iff the least of the eigenvalues ``mu`` of a ``_unit_scaled``
+    Hermitian h is >= -PSD_TOL ||h||_F = -PSD_TOL sqrt(sum mu^2)."""
+    return mu.min() >= -PSD_TOL * math.sqrt(np.dot(mu, mu))
 
 
 def apply_choi(j: ChoiOperator, m: np.ndarray) -> np.ndarray:
@@ -187,20 +189,19 @@ def apply_choi(j: ChoiOperator, m: np.ndarray) -> np.ndarray:
 
 
 def is_hermiticity_preserving(j: ChoiOperator) -> bool:
-    """True iff ||J - J^dag||_F <= HERM_TOL ||J||_F."""
-    return is_hermitian(j._compressed)
+    """True iff ||J - J^dag||_F <= HERM_TOL ||J||_F, judged on C."""
+    return is_hermitian(j._compressed[0])
 
 
 def is_completely_positive(j: ChoiOperator) -> bool:
-    """True iff J is Hermitian within ``HERM_TOL`` and the least eigenvalue
-    of its Hermitian part is >= -PSD_TOL ||J||_F (||J||_F = ||C||_F).
+    """True iff J is Hermitian within ``HERM_TOL`` and its Hermitian part h
+    passes ``_is_positive``, both judged on C.
 
     J is zero outside the span of [vec L | vec R]. Those zero eigenvalues are
     in C's spectrum too: C = T_L T_R^dag for a stack of r pairs has rank <= r,
-    and T has 2r rows unless 2r > d_out d_in, where C is as large as J. C
-    is judged as its ``_unit_scaled`` form."""
-    c, scale, _ = _unit_scaled(j._compressed)
-    return is_hermitian(c) and np.linalg.eigvalsh((c + c.conj().T) / 2).min() >= -PSD_TOL * scale
+    and T has 2r rows unless 2r > d_out d_in, where C is as large as J."""
+    c = j._compressed[0]
+    return is_hermitian(c) and _is_positive(np.linalg.eigvalsh((c + c.conj().T) / 2))
 
 
 def is_trace_preserving(j: ChoiOperator) -> bool:
@@ -212,15 +213,16 @@ def is_trace_preserving(j: ChoiOperator) -> bool:
 def kraus_from_choi(j: ChoiOperator) -> list[np.ndarray]:
     """Extract Kraus operators K_a with sum_a K_a m K_a^dag = apply_choi(j, m).
 
-    Requires ``j`` completely positive. The K_a are J's eigenvectors scaled
-    by sqrt(eigenvalue), largest eigenvalue first, read off ``_jordan``, so J
-    is never built; eigenvalues below ``KRAUS_RTOL`` times the largest are
-    dropped. Each eigenvector reshapes to a (d_out, d_in) operator because
-    the output index is the slowest.
+    Requires ``j`` completely positive, judged by ``_is_positive`` on the
+    eigenvalues of one ``_jordan``. The K_a are J's eigenvectors scaled by
+    sqrt(eigenvalue), largest eigenvalue first, so J is never built;
+    eigenvalues below ``KRAUS_RTOL`` times the largest are dropped. Each
+    eigenvector reshapes to a (d_out, d_in) operator because the output
+    index is the slowest. Raises ``ValueError`` if ``_jordan`` does.
     """
-    if not is_completely_positive(j):
-        raise ValueError("map is not completely positive within tolerance")
     mu, q, w, _, k = _jordan(j)
+    if not _is_positive(mu):
+        raise ValueError("map is not completely positive within tolerance")
     keep = mu > KRAUS_RTOL * max(mu.max(), 0.0)
     # sqrt(mu 2^k) = sqrt(mu 2^(k mod 2)) 2^(k // 2): exact scalings, whatever k's parity
     x = q @ (w[:, keep] * np.sqrt(np.ldexp(mu[keep], k % 2)))

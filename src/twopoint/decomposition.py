@@ -80,8 +80,8 @@ def statistical_decompose(j: ChoiOperator, tol: float = HERM_TOL) -> Statistical
     1 - M/c.
     The effects sum to a trace-preserving map, and the cost sum_i |lambda_i|
     p(i) at a state rho is Tr[M rho^T], as for any split along J_+ and J_-;
-    max|lambda| is c <= d_out max|mu|. Everything is read off one ``eigh`` of
-    the compressed C (``choi._jordan``), never off J.
+    max|lambda| is c <= d_out max|mu|. Everything is read off one thin QR and
+    one ``eigh`` of the compressed C (``choi._jordan``), never off J.
 
     A term whose effect is empty is left out: the eigenvalues within
     n eps max|mu| of 0 (n the side of C, eps the float epsilon) give no
@@ -89,8 +89,8 @@ def statistical_decompose(j: ChoiOperator, tol: float = HERM_TOL) -> Statistical
     ``KRAUS_RTOL``. The terms recombine the Hermitian part of J within
     rounding: the left-out eigenvalues move it by at most
     n^(3/2) eps max|mu| in Frobenius norm. The zero map is one term of
-    weight 0. Raises ``ValueError`` unless ||J - J^dag||_F <= tol ||J||_F,
-    or if c is beyond the float range.
+    weight 0. Raises ``ValueError`` if a stack has a non-finite entry, unless
+    ||J - J^dag||_F <= tol ||J||_F, or if c (not J) is beyond the float range.
     """
     mu, q, w, m, k = _jordan(j, tol)
     top, basis = np.linalg.eigh(m)
@@ -131,8 +131,8 @@ def error_lower_bound(j: ChoiOperator, tol: float = HERM_TOL) -> float:
     the minimum eigenvalue of M = Tr_out |J| (the trace against sigma of a
     fixed PSD operator is minimized by its ground-state projector), read off
     ``choi._jordan``: the bound of M 2^-k, scaled back. Raises ``ValueError``
-    unless ||J - J^dag||_F <= tol ||J||_F, or if the bound is beyond the
-    float range.
+    if a stack has a non-finite entry, unless ||J - J^dag||_F <= tol ||J||_F,
+    or if the bound is beyond the float range.
     """
     *_, m, k = _jordan(j, tol)
     bound = float(np.linalg.eigvalsh(m).min())

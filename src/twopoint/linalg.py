@@ -20,7 +20,8 @@ exact scaling by a power of two (``_unit_scaled``).
 HERM_TOL        1e-10  ||m - m^dag||_F <= HERM_TOL ||m||_F: states, observables, maps' J
 DEGENERACY_TOL  1e-9   an observable's ascending eigenvalues w (the sampler's outcomes)
                        cluster across gaps <= DEGENERACY_TOL max|w|
-PSD_TOL         1e-10  a CP map's J has least eigenvalue >= -PSD_TOL ||J||_F
+PSD_TOL         1e-10  the Hermitian part h of a CP map's J has least eigenvalue
+                       >= -PSD_TOL ||h||_F
 TP_TOL          1e-10  ||Tr_out J - 1||_F <= TP_TOL ||1||_F = TP_TOL sqrt(d_in)
 KRAUS_RTOL      1e-12  eigenvalues of J <= KRAUS_RTOL max(w) give no Kraus operator, nor
                        directions of weight <= KRAUS_RTOL to a Jordan form's completion

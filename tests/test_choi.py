@@ -11,8 +11,8 @@ from twopoint.choi import (
     is_completely_positive,
     is_hermiticity_preserving,
     is_trace_preserving,
+    _jordan,
     kraus_from_choi,
-    orthonormal_compression,
     trace_product,
 )
 from twopoint.correlator import (
@@ -267,8 +267,9 @@ _MATRIX_SHAPES = [(2, 2), (3, 9), (4, 16), (8, 64), (2, 5)]
 def test_matrix_given_map_is_its_unit_stack(d_in, d_out):
     """A map given as its matrix J is carried by the unit operators against
     J's rows conjugated, and [1 | J^dag] is already upper triangular: the QR
-    leaves it as it is, so C = J and Q = 1 bit for bit, and ``matrix`` is the
-    array given."""
+    leaves it as it is, so C = J bit for bit, and ``matrix`` is the array
+    given. ``_jordan``'s thin QR gives Q = 1 bit for bit for a Hermitian J
+    (it refuses any other)."""
     side = d_in * d_out
     rng = np.random.default_rng(side)
     g = rng.normal(size=(side, 2 * side)).view(complex)
@@ -281,9 +282,9 @@ def test_matrix_given_map_is_its_unit_stack(d_in, d_out):
         left, right = j.stacks
         assert np.array_equal(left.reshape(side, side), np.eye(side))
         assert np.array_equal(right.reshape(side, side), m.conj())
-        assert np.array_equal(j._compressed, m)
-        q, c = orthonormal_compression(j)
-        assert np.array_equal(q, np.eye(side)) and np.array_equal(c, m)
+        assert np.array_equal(j._compressed[0], m)
+        if np.array_equal(m, m.conj().T):
+            assert np.array_equal(_jordan(j)[1], np.eye(side))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -291,30 +292,52 @@ def test_matrix_given_map_is_its_unit_stack(d_in, d_out):
 def test_a_non_finite_matrix_is_no_hermitian_map(bad):
     """A non-finite entry of J reaches the QR of [1 | J^dag]: C is not
     finite, so the map is neither hermiticity-preserving nor completely
-    positive, and no RuntimeWarning is raised on the way."""
+    positive, the bound is refused before any QR as not finite, and no
+    RuntimeWarning is raised on the way."""
     m = np.eye(4, dtype=complex)
     m[0, 1] = bad
     j = ChoiOperator(m, 2, 2)
     assert not is_hermiticity_preserving(j) and not is_completely_positive(j)
     assert frobenius_norm(j) == np.inf
-    with pytest.raises(ValueError, match="hermiticity"):
+    with pytest.raises(ValueError, match="not finite"):
         error_lower_bound(j)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_a_map_beyond_the_float_range_is_judged_as_a_non_finite_one():
+def test_a_map_beyond_the_float_range_is_judged_by_its_structure():
     """1e155 times the d = 2 cloner's Kraus operators: the stacks are finite,
-    but J, of order 1e310, is not. C is infinite where J is, so the map is
-    judged as a non-finite matrix is: no predicate holds, the norm is inf,
-    and the bound and the decomposition are refused, with no RuntimeWarning
-    on the way."""
-    j = ChoiOperator(None, 2, 4, kraus=1e155 * CorrelatorFamily(2).j_sym.kraus)
-    for predicate in (is_hermiticity_preserving, is_completely_positive, is_trace_preserving):
-        assert not predicate(j)
+    but J, of order 1e310, is not. C is kept at the stacks' scale, so the map
+    is hermiticity-preserving and completely positive (and not trace
+    preserving); only the numbers that would have to be printed, the norm,
+    the bound and the weights, are beyond the float range: the norm is inf,
+    the bound and the decomposition are refused as such. Its Kraus operators,
+    of order 1e155, are finite and give back the cloner's. No RuntimeWarning
+    is raised on the way."""
+    cloner = CorrelatorFamily(2).j_sym
+    j = ChoiOperator(None, 2, 4, kraus=1e155 * cloner.kraus)
+    assert is_hermiticity_preserving(j) and is_completely_positive(j)
+    assert not is_trace_preserving(j)
     assert frobenius_norm(j) == np.inf
     for split in (error_lower_bound, statistical_decompose):
-        with pytest.raises(ValueError, match="hermiticity"):
+        with pytest.raises(ValueError, match="beyond the float range"):
             split(j)
+    back = ChoiOperator(None, 2, 4, kraus=np.array(kraus_from_choi(j)) / 1e155)
+    assert np.abs(back.matrix - cloner.matrix).max() <= 1e-12
+
+
+def test_spectral_questions_take_their_own_qr(monkeypatch):
+    """The decomposition, the bound and the Kraus operators each read the one
+    thin QR of ``_jordan``, never the cached tall-skinny ``_compressed``."""
+    def refuse(self):
+        raise AssertionError("_compressed was read")
+
+    monkeypatch.setattr(ChoiOperator, "_compressed", property(refuse))
+    fam = CorrelatorFamily(3)
+    assert error_lower_bound(fam.j_real) == pytest.approx(3, rel=1e-12)
+    assert statistical_decompose(fam.j_imag).weights[0] == pytest.approx(np.sqrt(8), rel=1e-12)
+    assert len(kraus_from_choi(ChoiOperator(fam.j_sym.matrix, 3, 9))) == 3
+    with pytest.raises(ValueError, match="completely positive"):
+        kraus_from_choi(fam.j_real)
 
 
 # --- apply_choi ---------------------------------------------------------------
