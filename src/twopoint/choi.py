@@ -148,17 +148,15 @@ def trace_product(j1: ChoiOperator, j2: ChoiOperator) -> complex:
 
 
 def _jordan(j: ChoiOperator, tol: float = HERM_TOL):
-    """``(mu, q, w, m, k)``: J's eigenpairs and M = Tr_out |J| from the one
-    thin QR and one ``eigh``.
+    """``(mu, q, w, k)``: J's eigenpairs from the one thin QR and one ``eigh``.
 
     The thin QR [vec L 2^-k_L | vec R 2^-k_R] = Q T of the stacks'
     ``_unit_scaled`` forms gives J 2^-(k_L + k_R) = Q C Q^dag, C = T_L T_R^dag.
     With k the sum of k_L, k_R and C's own ``_unit_scaled`` exponent, the
     Hermitian part of C 2^(k_L + k_R - k) is W diag(mu) W^dag (mu ascending),
-    so J's Hermitian part is (QW) diag(mu 2^k) (QW)^dag and
-    m = Tr_out[QW |diag(mu)| (QW)^dag] is M 2^-k: only k grows with the map's
-    scale. Raises ``ValueError`` if a stack has a non-finite entry, or unless
-    ||J - J^dag||_F <= tol ||J||_F, judged on C."""
+    so J's Hermitian part is (QW) diag(mu 2^k) (QW)^dag: only k grows with
+    the map's scale. Raises ``ValueError`` if a stack has a non-finite entry,
+    or unless ||J - J^dag||_F <= tol ||J||_F, judged on C."""
     (left, sl, kl), (right, sr, kr) = (_unit_scaled(s) for s in j.stacks)
     if math.inf in (sl, sr):
         raise ValueError("an operator stack of the map has an entry that is not finite")
@@ -168,9 +166,14 @@ def _jordan(j: ChoiOperator, tol: float = HERM_TOL):
     if not is_hermitian(u, tol):
         raise ValueError("map is not hermiticity-preserving within tolerance")
     mu, w = np.linalg.eigh((u + u.conj().T) / 2)  # u + u^dag cannot overflow
-    # Tr_out[q |C| q^dag], without building the product
+    return mu, q, w, k + kl + kr
+
+
+def _abs_input_marginal(j: ChoiOperator, mu, q, w) -> np.ndarray:
+    """M 2^-k = Tr_out[QW |diag(mu)| (QW)^dag] from ``_jordan(j)``, where
+    M = Tr_out |J|, without building the product."""
     qx = (q @ ((w * np.abs(mu)) @ w.conj().T)).reshape(j.d_out, j.d_in, -1)
-    return mu, q, w, np.einsum("oil,ojl->ij", qx, q.conj().reshape(qx.shape)), k + kl + kr
+    return np.einsum("oil,ojl->ij", qx, q.conj().reshape(qx.shape))
 
 
 def _is_positive(mu: np.ndarray) -> bool:
@@ -220,7 +223,7 @@ def kraus_from_choi(j: ChoiOperator) -> list[np.ndarray]:
     eigenvector reshapes to a (d_out, d_in) operator because the output
     index is the slowest. Raises ``ValueError`` if ``_jordan`` does.
     """
-    mu, q, w, _, k = _jordan(j)
+    mu, q, w, k = _jordan(j)
     if not _is_positive(mu):
         raise ValueError("map is not completely positive within tolerance")
     keep = mu > KRAUS_RTOL * max(mu.max(), 0.0)

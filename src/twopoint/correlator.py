@@ -145,7 +145,7 @@ def two_point_exact(rho: np.ndarray, a: np.ndarray, b: np.ndarray) -> complex:
         raise ValueError(
             f"dimension mismatch: rho {rho.shape}, a {a.shape}, b {b.shape}"
         )
-    return complex(np.sum(a * (rho @ b).T))
+    return complex((a * (rho @ b).T).sum())
 
 
 def _check_dim(fam: CorrelatorFamily, rho: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .choi import ChoiOperator, _jordan, _kraus_stack, combine
+from .choi import ChoiOperator, _abs_input_marginal, _jordan, _kraus_stack, combine
 from .linalg import HERM_TOL, INSTRUMENT_TOL, KRAUS_RTOL, check_density_matrix
 
 
@@ -92,8 +92,8 @@ def statistical_decompose(j: ChoiOperator, tol: float = HERM_TOL) -> Statistical
     weight 0. Raises ``ValueError`` if a stack has a non-finite entry, unless
     ||J - J^dag||_F <= tol ||J||_F, or if c (not J) is beyond the float range.
     """
-    mu, q, w, m, k = _jordan(j, tol)
-    top, basis = np.linalg.eigh(m)
+    mu, q, w, k = _jordan(j, tol)
+    top, basis = np.linalg.eigh(_abs_input_marginal(j, mu, q, w))
     c = float(top[-1])
     try:
         weight = math.ldexp(c, k)
@@ -129,13 +129,14 @@ def error_lower_bound(j: ChoiOperator, tol: float = HERM_TOL) -> float:
 
     Equals min over states sigma of Tr[|J| (1 (x) sigma)], which reduces to
     the minimum eigenvalue of M = Tr_out |J| (the trace against sigma of a
-    fixed PSD operator is minimized by its ground-state projector), read off
-    ``choi._jordan``: the bound of M 2^-k, scaled back. Raises ``ValueError``
-    if a stack has a non-finite entry, unless ||J - J^dag||_F <= tol ||J||_F,
-    or if the bound is beyond the float range.
+    fixed PSD operator is minimized by its ground-state projector), formed
+    off ``choi._jordan`` (``_abs_input_marginal``): the bound of M 2^-k,
+    scaled back. Raises ``ValueError`` if a stack has a non-finite entry,
+    unless ||J - J^dag||_F <= tol ||J||_F, or if the bound is beyond the
+    float range.
     """
-    *_, m, k = _jordan(j, tol)
-    bound = float(np.linalg.eigvalsh(m).min())
+    mu, q, w, k = _jordan(j, tol)
+    bound = float(np.linalg.eigvalsh(_abs_input_marginal(j, mu, q, w)).min())
     try:
         return math.ldexp(bound, k)
     except OverflowError:

@@ -52,13 +52,13 @@ def eigenvalue_clusters(w: np.ndarray):
     eigenvalues ``w`` in which each neighbouring gap is
     <= DEGENERACY_TOL * max|w|."""
     # a run starts at 0 and after each gap above the bound; the last ends at
-    # len(w). max|w| of an ascending w is -w[0] or w[-1]. A gap beyond the
-    # float range is inf, above the bound as it should be.
-    edges = np.ones(len(w) + 1, dtype=bool)
-    if len(w) > 1:  # inf - inf is NaN, not above the bound: infinities join
-        with np.errstate(over="ignore", invalid="ignore"):
-            edges[1:-1] = w[1:] - w[:-1] > DEGENERACY_TOL * max(-w[0], w[-1])
-    edges = edges.nonzero()[0]
+    # len(w). max|w| of an ascending w is -w[0] or w[-1]. On Python floats a
+    # gap beyond the float range is inf, above the bound as it should be, and
+    # inf - inf is NaN, not above it: infinities join. Nothing warns.
+    w = w.tolist()
+    bound = DEGENERACY_TOL * max(-w[0], w[-1])
+    gaps = [i for i, (x, y) in enumerate(zip(w, w[1:]), 1) if y - x > bound]
+    edges = np.array([0, *gaps, len(w)])
     return edges[:-1], edges[1:] - edges[:-1]
 
 
@@ -143,13 +143,14 @@ def _hermitian(m: np.ndarray, name: str):
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{_SQUARE[name]}, got shape {m.shape}")
     u, scale, k = _unit_scaled(m)  # as is_hermitian judges m
-    if not (scale < math.inf and _frobenius(u - u.conj().T) <= HERM_TOL * scale):
+    u_dag = u.conj().T
+    if not (scale < math.inf and _frobenius(u - u_dag) <= HERM_TOL * scale):
         bad = np.argwhere(~np.isfinite(m))
         if len(bad):
             i, j = bad[0]
             raise ValueError(f"{name} entry [{i}, {j}] is not finite: {m[i, j]}")
         raise ValueError(f"{name} is not Hermitian within tolerance")
-    return m, _hermitian_part(m, (u, scale, k))
+    return m, (m + u_dag) / 2 if k == 0 else _hermitian_part(m, (u, scale, k))  # k = 0: u is m
 
 
 def hermitian_eigendecomposition(m: np.ndarray):
@@ -181,7 +182,7 @@ def check_density_matrix(rho: np.ndarray) -> np.ndarray:
     tr = rho.trace()
     if not abs(tr - 1.0) <= STATE_TOL:
         raise ValueError(f"state trace {tr.real} is not 1 within {STATE_TOL}")
-    wmin = np.linalg.eigvalsh(h).min()
+    wmin = np.linalg.eigvalsh(h)[0]  # ascending
     if not wmin >= -STATE_TOL:
         raise ValueError(f"state has negative eigenvalue {wmin}")
     return rho

@@ -7,6 +7,7 @@ from twopoint.correlator import (
     universal_real_decomposition,
 )
 from twopoint.linalg import (
+    DEGENERACY_TOL,
     _hermitian,
     _hermitian_part,
     check_density_matrix,
@@ -108,10 +109,19 @@ def test_eigendecomposition_rejects_non_hermitian():
         hermitian_eigendecomposition(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
+def _clusters(w):
+    return [a.tolist() for a in eigenvalue_clusters(np.array(w, dtype=float))]
+
+
 def test_eigenvalue_clusters_split_at_gaps_above_tol():
     w = np.array([-1.0, -1.0 + 1e-10, 0.5, 2.0, 2.0, 2.0 + 2e-10])
     assert [a.tolist() for a in eigenvalue_clusters(w)] == [[0, 2, 3], [2, 1, 3]]
     assert [a.tolist() for a in eigenvalue_clusters(np.array([3.0]))] == [[0], [1]]
+    assert _clusters([-2.5]) == [[0], [1]]
+    # a gap of exactly DEGENERACY_TOL max|w| joins; the next float above splits
+    assert 1e-9 - 0.0 == DEGENERACY_TOL * 1.0
+    assert _clusters([0.0, 1e-9, 1.0]) == [[0, 2], [2, 1]]
+    assert _clusters([0.0, np.nextafter(1e-9, 1.0), 1.0]) == [[0, 1, 2], [1, 1, 1]]
 
 
 def test_eigenvalue_clusters_are_relative_to_the_largest_modulus():
@@ -119,6 +129,15 @@ def test_eigenvalue_clusters_are_relative_to_the_largest_modulus():
     for scale in (1e-12, 1.0, 1e9):
         assert [a.tolist() for a in eigenvalue_clusters(scale * w)] == [[0, 2, 3], [2, 1, 3]]
     assert [a.tolist() for a in eigenvalue_clusters(np.zeros(3))] == [[0], [3]]
+    assert _clusters([0.7] * 5) == [[0], [5]]
+    # an infinite eigenvalue makes the bound infinite: one cluster, and no
+    # RuntimeWarning from inf - inf (the suite turns warnings into errors)
+    assert _clusters([-np.inf, 0.0, 1.0]) == [[0], [3]]
+    assert _clusters([-1.0, 0.0, np.inf]) == [[0], [3]]
+    assert _clusters([-np.inf, -np.inf, 0.0, np.inf, np.inf]) == [[0], [5]]
+    assert _clusters([np.inf]) == [[0], [1]]
+    # subnormal eigenvalues: the bound underflows to 0, so only equal ones join
+    assert _clusters([-1e-320, -1e-320, 0.0, 2e-320]) == [[0, 2, 3], [2, 1, 1]]
 
 
 def test_eigenspaces_of_a_batch():

@@ -562,6 +562,21 @@ def test_estimate_builds_no_process_matrix_at_d16():
     assert np.isfinite(report.estimate)
 
 
+def test_estimate_makes_one_eigvalsh_and_one_batched_eigh(monkeypatch):
+    """The fixed cost of a call: one eigvalsh (the state's PSD check) and one
+    eigh of A and B stacked, and no other eigendecomposition."""
+    rng = np.random.default_rng(26)
+    rho, a, b = rand_state(rng, 4), rand_herm(rng, 4), rand_herm(rng, 4)
+    calls = []
+    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+        def counted(m, *args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+            calls.append((_name, np.shape(m)))
+            return _fn(m, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    estimate_two_point(rho, a, b, n_shots=1000, seed=11)
+    assert calls == [("eigvalsh", (4, 4)), ("eigh", (2, 4, 4))]
+
+
 def _peak_bytes(fn):
     tracemalloc.start()
     try:
