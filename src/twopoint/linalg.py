@@ -62,31 +62,17 @@ def eigenvalue_clusters(w: np.ndarray):
     return edges[:-1], edges[1:] - edges[:-1]
 
 
-def cluster_means(w: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """The mean of each cluster (``eigenvalue_clusters``) of the ascending
-    eigenvalues ``w``; where a cluster sum could overflow, that of w 2^-k
-    (2^k from max|w|), scaled back. Raises ``ValueError`` if an eigenvalue
-    is not finite."""
-    top = max(-float(w[0]), float(w[-1]))
-    if top * len(w) < math.inf:  # Python floats: no cluster sum overflows
-        return np.add.reduceat(w, starts) / sizes
-    if not np.isfinite(w).all():
-        raise ValueError("a matrix has an eigenvalue beyond the float range")
-    k = math.frexp(top)[1]
-    return np.ldexp(np.add.reduceat(np.ldexp(w, -k), starts) / sizes, k)
-
-
 def eigenspaces(*hs):
     """Yields ``(eigenvectors, starts, sizes, values)`` of each Hermitian
     matrix in ``hs`` (all of one shape) from one batched ``eigh``: the
-    ``eigenvalue_clusters`` of its eigenvalues and each cluster's value, its
-    ``cluster_means``. The columns of a cluster span its eigenspace in
-    LAPACK's basis; what is read off a cluster as a whole does not depend on
-    that basis."""
+    ``eigenvalue_clusters`` of its eigenvalues and each cluster's mean. The
+    columns of a cluster span its eigenspace in LAPACK's basis; what is read
+    off a cluster as a whole does not depend on that basis. The estimators
+    pass matrices at unit scale, so no cluster sum overflows."""
     ws, us = np.linalg.eigh(np.array(hs))
     for w, u in zip(ws, us):
         starts, sizes = eigenvalue_clusters(w)
-        yield u, starts, sizes, cluster_means(w, starts, sizes)
+        yield u, starts, sizes, np.add.reduceat(w, starts) / sizes
 
 
 _SQUARE = {"state": "state must be a square matrix", "observable": "observable must be square",

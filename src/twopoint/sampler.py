@@ -35,6 +35,11 @@ of cells, not with the shot count, and so does the memory.
 The draw comes from a generator keyed with
 ``numpy.random.SeedSequence(seed, spawn_key=(tag,))``, one tag per pipeline,
 so the same (seed, pipeline tag, n) gives the same counts.
+
+Both estimators work on A, B (and the weights) times the power of two that
+brings their largest entry to [1/2, 1), and scale the report back on exit:
+exactly, so no record overflows and the report of (rho, 2^k A, B) is 2^k
+times that of (rho, A, B). Only a report beyond the float range is refused.
 """
 
 from __future__ import annotations
@@ -82,11 +87,8 @@ def _plans(cells, weights, avals, bvals):
     i and outcome pair j. ``cell_probs`` holds the cells in the order of
     ``values.ravel()``, with the branch probabilities normalised so that
     they sum to 1, within ``INSTRUMENT_TOL`` before. Branches of probability
-    at most ``BRANCH_FLOOR`` are dropped: they are never drawn. A
-    ``ValueError`` names the records' range, max|lambda| max|alpha|
-    max|beta|, if it is not a finite float.
+    at most ``BRANCH_FLOOR`` are dropped: they are never drawn.
     """
-    ab_tops = [max(map(abs, x.tolist())) for x in (avals, bvals)]  # Python floats: no warning
     plans = []
     for cell, lams, sums in zip(cells, weights, np.add.reduce(cells, axis=2).tolist()):
         kept = [p > BRANCH_FLOOR for p in sums]
@@ -98,17 +100,7 @@ def _plans(cells, weights, avals, bvals):
         total = sum(sums)
         if not abs(total - 1.0) <= INSTRUMENT_TOL:
             raise ValueError(f"branch probabilities sum to {total}, not 1: not an instrument")
-        tops = [max(map(abs, lams.tolist())), *ab_tops]
-        if math.isfinite(tops[0] * tops[1] * tops[2]):
-            values = (lams[:, None] * avals)[:, :, None] * bvals
-        else:  # lambda alpha, or the records, overflow: take each factor at 2^-k
-            ks = [math.frexp(t)[1] for t in tops]
-            lam2, a2, b2 = (np.ldexp(x, -k) for x, k in zip((lams, avals, bvals), ks))
-            with np.errstate(over="ignore"):
-                values = np.ldexp((lam2[:, None] * a2)[:, :, None] * b2, sum(ks))
-            if not np.isfinite(values).all():
-                raise ValueError("the records lambda*alpha*beta reach {:g} * {:g} * {:g}, "
-                                 "beyond the float range".format(*tops))
+        values = (lams[:, None] * avals)[:, :, None] * bvals
         plans.append((cell.ravel() / total, values.reshape(len(lams), -1)))
     return plans
 
@@ -183,20 +175,32 @@ def _cell_counts(cell_probs, n_shots, rng):
 
 def _sample(plan, n_shots, rng):
     """Mean and standard error of the records of ``n_shots`` shots drawn
-    over the cells of ``plan`` by ``_cell_counts``.
-
-    Both are computed on the records times 2^-k, 2^k from their largest
-    modulus, and scaled back: the scaling is exact, and squaring the scaled
-    records neither overflows nor underflows."""
+    over the cells of ``plan`` by ``_cell_counts``."""
     cell_probs, values = plan
     counts = _cell_counts(cell_probs, n_shots, rng)
-    scale = math.ldexp(1.0, math.frexp(np.abs(values).max())[1])
-    values = values.ravel() / scale
+    values = values.ravel()
     mean = float(counts @ values / n_shots)
     if n_shots == 1:
-        return mean * scale, 0.0
-    se = math.sqrt(counts @ (values - mean) ** 2 / (n_shots - 1) / n_shots)
-    return mean * scale, se * scale
+        return mean, 0.0
+    return mean, math.sqrt(counts @ (values - mean) ** 2 / (n_shots - 1) / n_shots)
+
+
+def _at_unit_scale(m):
+    """``(m 2^-k, k)`` with 2^k from m's largest real or imaginary part, as a
+    complex array; k = 0 if m is zero or not finite, so that a check names
+    the entry as given."""
+    parts = np.ascontiguousarray(m, dtype=complex).view(float)
+    k = math.frexp(np.abs(parts).max(initial=0.0))[1]
+    return np.ldexp(parts, -k).view(complex).reshape(np.shape(m)), k
+
+
+def _scaled_back(k, name, *xs):
+    """The numbers ``xs`` times 2^k; a ``ValueError`` names them if one is
+    beyond the float range."""
+    try:
+        return tuple(math.ldexp(x, k) for x in xs)
+    except OverflowError:
+        raise ValueError(f"the {name} {xs} * 2^{k} is beyond the float range") from None
 
 
 def _integer(x, name):
@@ -229,7 +233,12 @@ def estimate_component(
     n_shots = _integer(n_shots, "n_shots")
     if not 1 <= n_shots <= 2**63 - 1:  # cell counts are int64
         raise ValueError(f"need between 1 and 2**63 - 1 shots, got {n_shots}")
-    return _sample(_component_plan(decomp, rho, a, b), n_shots, rng)
+    (a, ka), (b, kb), (weights, kw) = map(_at_unit_scale, (a, b, decomp.weights))
+    if not np.isfinite(weights).all():
+        raise ValueError(f"weights must be finite, got {decomp.weights}")
+    decomp = StatisticalDecomposition(tuple(weights.real.tolist()), decomp.effects)
+    mean, se = _sample(_component_plan(decomp, rho, a, b), n_shots, rng)
+    return _scaled_back(ka + kb + kw, "mean and standard error", mean, se)
 
 
 def estimate_two_point(
@@ -243,12 +252,14 @@ def estimate_two_point(
     """Estimate Tr[A rho B] as real-pipeline mean minus i times imag-pipeline
     mean. ``split`` is the fraction of the budget spent on the real part
     (default even split; the real part gets the odd shot). ``n_shots`` may be
-    up to 2**63 - 1 at no extra cost, and the plan costs O(d^3)."""
+    up to 2**63 - 1 at no extra cost, and the plan costs O(d^3). A
+    ``ValueError`` names a number of the report beyond the float range."""
     n_shots = _integer(n_shots, "n_shots")
     seed = _integer(seed, "seed")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     rho = check_density_matrix(rho)
+    (a, ka), (b, kb) = map(_at_unit_scale, (a, b))
     a, ha = _hermitian(a, "observable")
     b, hb = _hermitian(b, "observable")
     d = rho.shape[0]
@@ -273,10 +284,11 @@ def estimate_two_point(
     im_mean, im_se = _sample(
         imag_plan, n_imag, np.random.SeedSequence(seed, spawn_key=(_IMAG_TAG,))
     )
+    exact = two_point_exact(rho, a, b)
     return EstimationReport(
-        estimate=complex(re_mean, -im_mean),
-        std_error=(re_se, im_se),
+        estimate=complex(*_scaled_back(ka + kb, "estimate", re_mean, -im_mean)),
+        std_error=_scaled_back(ka + kb, "standard error", re_se, im_se),
         n_shots=n_shots,
-        exact=two_point_exact(rho, a, b),
+        exact=complex(*_scaled_back(ka + kb, "exact value", exact.real, exact.imag)),
         seed=seed,
     )

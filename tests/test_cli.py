@@ -559,19 +559,35 @@ def test_estimate_takes_subnormal_observables(tmp_path, capsys, scale):
     assert all(np.isfinite(json.loads(out)["estimate"]))
 
 
-def test_estimate_records_beyond_the_float_range_exit_3(tmp_path, capsys):
+def test_estimate_near_the_float_maximum_is_the_scaled_report(tmp_path, capsys):
     """A = 1e308 sigma_z, B = sigma_x on 1/2: the records reach 3e308, beyond
-    the largest float. One error line, no report and no NaN."""
+    the largest float, but the report does not. Each of its numbers is 2^1024
+    times that of A 2^-1024, bit for bit."""
     rho = _write(tmp_path, "rho.json", MIXED2)
-    a = _write(tmp_path, "a.json", 1e308 * np.diag([1.0, -1.0]))
     b = _write(tmp_path, "b.json", SX)
-    code = main(["estimate", rho, a, b])
+    reports = []
+    for k in (0, 1024):
+        a = _write(tmp_path, "a.json", math.ldexp(1e308, -k) * np.diag([1.0, -1.0]))
+        code, out = _run(capsys, ["estimate", rho, a, b])
+        assert code == EXIT_OK
+        reports.append(json.loads(out))
+    big, unit = reports
+    for key in ("estimate", "std_error", "exact"):
+        assert big[key] == [math.ldexp(x, 1024) for x in unit[key]]
+
+
+def test_estimate_results_beyond_the_float_range_exit_3(tmp_path, capsys):
+    """A = B = 1e300 sigma_z on 1/2: Tr[A rho B] = 1e600 is beyond the largest
+    float. One error line naming the estimate, no report and no NaN."""
+    rho = _write(tmp_path, "rho.json", MIXED2)
+    a = _write(tmp_path, "a.json", 1e300 * np.diag([1.0, -1.0]))
+    code = main(["estimate", rho, a, a])
     captured = capsys.readouterr()
     assert code == EXIT_SEMANTIC
     assert captured.out == ""
-    assert captured.err == (
-        "error: the records lambda*alpha*beta reach 3 * 1e+308 * 1, beyond the float range\n"
-    )
+    assert captured.err.startswith("error: the estimate (0.")
+    assert captured.err.endswith(" * 2^1994 is beyond the float range\n")
+    assert captured.err.count("\n") == 1
 
 
 def _raise_on_constant(name):
@@ -629,6 +645,7 @@ def _estimate_inputs(draw):
        seed=st.integers(-1, 2**70))
 @example(inputs=(MIXED2, 1e308 * np.eye(2), 1e-10 * SX), shots=1000, split=0.5, seed=42)
 @example(inputs=(MIXED2, 1e308 * np.diag([1.0, -1.0]), SX), shots=1000, split=0.5, seed=42)
+@example(inputs=(MIXED2, 2.0**1022 * np.diag([1.0, -1.0]), SX), shots=1000, split=0.5, seed=42)
 @example(inputs=(MIXED2, 1e-320 * np.diag([1.0, -1.0]), SX), shots=1000, split=0.5, seed=42)
 def test_estimate_finishes_or_fails_with_its_exit_code(tmp_path_factory, inputs, shots, split,
                                                        seed):

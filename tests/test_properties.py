@@ -21,8 +21,8 @@ from twopoint.correlator import (
     universal_imag_decomposition,
     universal_real_decomposition,
 )
-from twopoint.decomposition import decomposition_cost
-from twopoint.sampler import _kirkwood_dirac_plans, estimate_two_point
+from twopoint.decomposition import StatisticalDecomposition, decomposition_cost
+from twopoint.sampler import _kirkwood_dirac_plans, estimate_component, estimate_two_point
 
 from reference_maps import (
     assert_plans_agree,
@@ -123,20 +123,52 @@ def test_map_predicates_do_not_depend_on_scale(d, scale):
         assert is_completely_positive(scaled) == is_completely_positive(j)
 
 
+@st.composite
+def _exponents(draw, n):
+    """n exponents in [-1000, 1000], each partial sum in that range too."""
+    ks = []
+    for _ in range(n):
+        total = sum(ks)
+        ks.append(draw(st.integers(max(-1000, -1000 - total), min(1000, 1000 - total))))
+    return ks
+
+
 @PROPERTY
-@given(d=DIMS, seed=SEEDS, ks=st.integers(-300, 300), kt=st.integers(-300, 300))
-@example(d=4, seed=4, ks=300, kt=300)
-@example(d=4, seed=4, ks=-300, kt=-300)
-@example(d=16, seed=16, ks=-300, kt=300)
-def test_estimate_is_exactly_scale_equivariant(d, seed, ks, kt):
-    """(rho, sA, tB) gives s t times the estimate and the error bar of
-    (rho, A, B), bit for bit, for s = 2^ks and t = 2^kt. LAPACK's eigh scales
-    exactly only while a matrix's largest entry stays within about 2^-404 to
-    2^484, so the exponents stay within +-300 of unit-scale observables."""
+@given(d=DIMS, seed=SEEDS, ks=_exponents(2))
+@example(d=4, seed=4, ks=[1000, 0])
+@example(d=4, seed=4, ks=[-1000, 0])
+@example(d=4, seed=4, ks=[500, 500])
+@example(d=16, seed=16, ks=[-1000, 1000])
+@example(d=16, seed=16, ks=[1000, -1000])
+def test_estimate_is_exactly_scale_equivariant(d, seed, ks):
+    """(rho, sA, tB) gives s t times the estimate, the error bar and the
+    exact value of (rho, A, B), bit for bit, for s = 2^ks[0] and t =
+    2^ks[1]: both are taken at unit scale on entry. The exponents keep the
+    inputs and the report normal."""
     rng = np.random.default_rng(seed)
     rho, a, b = rand_state(rng, d), rand_herm(rng, d), rand_herm(rng, d)
-    s, t = math.ldexp(1.0, ks), math.ldexp(1.0, kt)
+    s, t = (math.ldexp(1.0, k) for k in ks)
     unit = estimate_two_point(rho, a, b, n_shots=10**5, seed=seed)
     scaled = estimate_two_point(rho, s * a, t * b, n_shots=10**5, seed=seed)
     assert scaled.estimate == s * t * unit.estimate
     assert scaled.std_error == (s * t * unit.std_error[0], s * t * unit.std_error[1])
+    assert scaled.exact == s * t * unit.exact
+
+
+@PROPERTY
+@given(d=DIMS, seed=SEEDS, ks=_exponents(3), imag=st.booleans())
+@example(d=4, seed=4, ks=[1000, -1000, 1000], imag=False)
+@example(d=16, seed=16, ks=[-1000, 0, 1000], imag=True)
+def test_component_estimate_is_exactly_scale_equivariant(d, seed, ks, imag):
+    """The universal real or imaginary part with its weights times w, on
+    (rho, sA, tB), gives s t w times the mean and the error bar of the
+    unscaled one, bit for bit, for s, t, w = 2^ks."""
+    rng = np.random.default_rng(seed)
+    rho, a, b = rand_state(rng, d), rand_herm(rng, d), rand_herm(rng, d)
+    s, t, w = (math.ldexp(1.0, k) for k in ks)
+    dec = (universal_imag_decomposition if imag else universal_real_decomposition)(d)
+    heavy = StatisticalDecomposition(tuple(w * x for x in dec.weights), dec.effects)
+    key = np.random.SeedSequence(seed)
+    mean, se = estimate_component(dec, rho, a, b, 10**5, key)
+    assert estimate_component(heavy, rho, s * a, t * b, 10**5, key) == (s * t * w * mean,
+                                                                        s * t * w * se)

@@ -1,5 +1,5 @@
 import hashlib
-import re
+import math
 import tracemalloc
 import warnings
 
@@ -669,9 +669,10 @@ def test_error_scales_like_inverse_sqrt():
 
 @pytest.mark.parametrize("scale", [1e200, 1e-160, 1e-200])
 def test_standard_error_survives_extreme_observable_scales(scale):
-    """The records are squared at a power-of-two scale near their largest
-    modulus, so the error bar neither overflows to inf nor underflows to 0,
-    and it is the unit-scale one times the scale."""
+    """The observables are taken at the power of two that brings their
+    largest entry to [1/2, 1), so the records are squared near unit scale:
+    the error bar neither overflows to inf nor underflows to 0, and it is
+    the unit-scale one times the scale."""
     unit = estimate_two_point(MIXED2, SZ, SX, n_shots=10**6, seed=1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -681,38 +682,48 @@ def test_standard_error_survives_extreme_observable_scales(scale):
         assert abs(se / scale - se_unit) <= 1e-12 * se_unit
 
 
+def _report_fields(r):
+    return (r.estimate.real, r.estimate.imag, *r.std_error, r.exact.real, r.exact.imag)
+
+
+_BLOCKS = np.kron(I2, np.ones((2, 2)))
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("a, b, reach", [
-    (1e308 * SZ, SX, "3 * 1e+308 * 1,"), (1e300 * SZ, 1e300 * SZ, "3 * 1e+300 * 1e+300,"),
-], ids=["1e308-sz-sx", "1e300-sz-1e300-sz"])
-def test_records_beyond_the_float_range_are_refused(a, b, reach):
-    """(d + 1) max|alpha| max|beta| is beyond the largest float: the estimate
-    is refused, naming that range (no overflow warning, no NaN estimate)."""
-    with pytest.raises(ValueError, match=re.escape(f"records lambda*alpha*beta reach {reach} beyond")):
-        estimate_two_point(MIXED2, a, b, n_shots=1000)
+@pytest.mark.parametrize("rho, a, b, k", [
+    (MIXED2, 2.0**1022 * SZ, SX, 1022), (MIXED2, 1e308 * SZ, SX, 1024),
+    (MIXED2, 1.5e308 * np.ones((2, 2)), SX, 1024), (np.eye(4) / 4, 1.5e308 * _BLOCKS, np.eye(4), 1024),
+], ids=["2to1022-sz-sx", "1e308-sz-sx", "1.5e308-ones-sx", "1.5e308-blocks-1"])
+def test_results_in_the_float_range_are_estimated(rho, a, b, k):
+    """Records up to 3 * 1e308 and eigenvalues up to 3e308, beyond the
+    largest float, whose report is a float: every number of the report is
+    2^k times that of (rho, 2^-k A, B), bit for bit. At 2^1022 sigma_z the
+    largest record lies in [2^1023, 2^1024). Two blocks of 1.5e308 [[1, 1],
+    [1, 1]] give the degenerate eigenvalue 3e308."""
+    report = estimate_two_point(rho, a, b, n_shots=10**6)
+    unit = estimate_two_point(rho, np.ldexp(a.real, -k), b, n_shots=10**6)
+    assert _report_fields(report) == tuple(math.ldexp(x, k) for x in _report_fields(unit))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_results_beyond_the_float_range_are_refused():
+    """A = B = 1e300 sigma_z: Tr[A rho B] = 1e600 is beyond the largest
+    float, so the estimate is refused, naming it at the scale it was
+    computed at (no overflow warning, no inf or NaN report)."""
+    message = r"^the estimate \(0\.\d+, \S+\) \* 2\^1994 is beyond the float range$"
+    with pytest.raises(ValueError, match=message):
+        estimate_two_point(MIXED2, 1e300 * SZ, 1e300 * SZ, n_shots=1000)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_degenerate_observable_near_the_float_maximum_is_estimated():
-    """A = 1e308 1: the cluster sum 2e308 overflows, and so does lambda alpha
-    = 3e308, though the records, 3e298 at most, are floats. Both are taken
-    at a power-of-two scale, so the estimate is 10 times that at 1e307."""
+    """A = 1e308 1 is taken at 2^-1024 on entry, so neither its cluster sum
+    2e308 nor lambda alpha = 3e308 is formed, and the estimate is 10 times
+    that at 1e307."""
     b = 1e-10 * SX
     big, small = (estimate_two_point(MIXED2, s * np.eye(2), b, n_shots=1000) for s in (1e308, 1e307))
     assert abs(big.estimate / 10 - small.estimate) <= 1e-15 * abs(small.estimate)
     assert big.exact == 0 and big.std_error == pytest.approx(np.multiply(10, small.std_error))
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_observable_eigenvalues_beyond_the_float_range_are_refused():
-    """1.5e308 [[1, 1], [1, 1]] is finite and Hermitian, but its eigenvalue
-    3e308 is not a float. Two such blocks give two infinite eigenvalues,
-    whose gap inf - inf is NaN: they join one cluster, with no warning."""
-    with pytest.raises(ValueError, match="eigenvalue beyond the float range"):
-        estimate_two_point(MIXED2, 1.5e308 * np.ones((2, 2)), SX, n_shots=1000)
-    with pytest.raises(ValueError, match="eigenvalue beyond the float range"):
-        estimate_two_point(np.eye(4) / 4, 1.5e308 * np.kron(I2, np.ones((2, 2))), np.eye(4),
-                           n_shots=1000)
 
 
 def test_split_shifts_budget():
@@ -1013,3 +1024,11 @@ def test_plan_rejects_a_decomposition_that_is_no_instrument(factor, message):
     dec = StatisticalDecomposition(weights=(1.0,), effects=(effect,))
     with pytest.raises(ValueError, match=message):
         estimate_component(dec, MIXED2, SZ, SZ, 100, np.random.SeedSequence(0))
+
+
+@pytest.mark.parametrize("weight", [np.inf, np.nan])
+def test_component_weights_that_are_not_finite_are_refused(weight):
+    dec = universal_real_decomposition(2)
+    dec = StatisticalDecomposition(weights=(weight, -1.0), effects=dec.effects)
+    with pytest.raises(ValueError, match=r"^weights must be finite, got \((inf|nan), -1\.0\)$"):
+        estimate_component(dec, MIXED2, SZ, SX, 100, np.random.SeedSequence(0))
