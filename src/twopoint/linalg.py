@@ -14,7 +14,8 @@ Every tolerance of the package is defined here. A bound on an operator is
 relative to a stated norm of it, so inputs of any scale are judged alike; one
 on a scale-free quantity (a state, a probability, an isometry) is absolute.
 An operator whose squared norm would overflow or underflow is judged as its
-exact scaling by a power of two (``_unit_scaled``).
+exact scaling by a power of two (``_unit_scaled``); ``_hermitian`` forms the
+Hermitian part of every operator it accepts at that scale and scales it back.
 
 ==============  =====  ====================================================================
 HERM_TOL        1e-10  ||m - m^dag||_F <= HERM_TOL ||m||_F: states, observables, maps' J
@@ -111,20 +112,12 @@ def is_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> bool:
     return scale < math.inf and _frobenius(m - m.conj().T) <= tol * scale
 
 
-def _hermitian_part(m: np.ndarray, scaled=None) -> np.ndarray:
-    """(m + m^dag)/2 of a square matrix with finite entries; where that could
-    overflow (``_unit_scaled`` scales m by 2^-k, k > 0), the Hermitian part of
-    m 2^-k, scaled back. ``scaled`` is ``_unit_scaled(m)`` if the caller has it."""
-    u, _, k = _unit_scaled(m) if scaled is None else scaled
-    if k <= 0:  # m + m^dag cannot overflow, and halving rounds once
-        return (m + m.conj().T) / 2
-    return np.ldexp(((u + u.conj().T) / 2).view(float), k).view(complex)
-
-
 def _hermitian(m: np.ndarray, name: str):
-    """``(m, _hermitian_part(m))`` for a square matrix m with finite entries
-    that is Hermitian within ``HERM_TOL`` (relative Frobenius); ``name``
-    ("state", "observable" or "matrix") is what a ``ValueError`` calls m."""
+    """``(m, h)`` for a square matrix m with finite entries that is Hermitian
+    within ``HERM_TOL`` (relative Frobenius); ``name`` is what a ``ValueError``
+    calls m. h is 2^k (u + u^dag)/2 for the ``_unit_scaled`` u = m 2^-k that
+    is judged: finite up to the float maximum, and bit for bit (m + m^dag)/2
+    wherever that sum is finite and h's entries are normal."""
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{_SQUARE[name]}, got shape {m.shape}")
@@ -136,7 +129,7 @@ def _hermitian(m: np.ndarray, name: str):
             i, j = bad[0]
             raise ValueError(f"{name} entry [{i}, {j}] is not finite: {m[i, j]}")
         raise ValueError(f"{name} is not Hermitian within tolerance")
-    return m, (m + u_dag) / 2 if k == 0 else _hermitian_part(m, (u, scale, k))  # k = 0: u is m
+    return m, np.ldexp(((u + u_dag) / 2).view(float), k).view(complex)
 
 
 def hermitian_eigendecomposition(m: np.ndarray):

@@ -86,17 +86,10 @@ def _plans(cells, weights, avals, bvals):
     ``values[i, j]`` is the recorded value lambda_i * alpha * beta of branch
     i and outcome pair j. ``cell_probs`` holds the cells in the order of
     ``values.ravel()``, with the branch probabilities normalised so that
-    they sum to 1, within ``INSTRUMENT_TOL`` before. Branches of probability
-    at most ``BRANCH_FLOOR`` are dropped: they are never drawn.
+    they sum to 1, within ``INSTRUMENT_TOL`` before.
     """
     plans = []
     for cell, lams, sums in zip(cells, weights, np.add.reduce(cells, axis=2).tolist()):
-        kept = [p > BRANCH_FLOOR for p in sums]
-        if not all(kept):
-            if not any(kept):
-                raise ValueError("all branch probabilities vanish for this state")
-            cell, lams = cell[kept], lams[kept]
-            sums = [p for p, keep in zip(sums, kept) if keep]
         total = sum(sums)
         if not abs(total - 1.0) <= INSTRUMENT_TOL:
             raise ValueError(f"branch probabilities sum to {total}, not 1: not an instrument")
@@ -113,6 +106,8 @@ def _component_plan(decomp, rho, a, b):
     of A and B. The diagonal of sum_r M_r rho M_r^dag weighs each pair of
     eigenvectors, and its sums over the eigenvalue clusters are the branch's
     cells; no conditional two-copy state or spectral projector is formed.
+    Branches of probability at most ``BRANCH_FLOOR``, which an arbitrary
+    instrument can have for a state, are dropped: they are never drawn.
     """
     rho = check_density_matrix(rho)
     [(ua, sa, _, avals)], [(ub, sb, _, bvals)] = (
@@ -132,7 +127,11 @@ def _component_plan(decomp, rho, a, b):
         born = ((m @ rho) * m.conj()).real.sum(axis=(0, 3))
         born = np.add.reduceat(np.add.reduceat(born, sa, axis=0), sb, axis=1)
         cell[:] = np.maximum(born, 0.0).ravel()
-    return _plans(cells[None], np.array([decomp.weights], dtype=float), avals, bvals)[0]
+    kept = np.add.reduce(cells, axis=1) > BRANCH_FLOOR
+    if not kept.any():
+        raise ValueError("all branch probabilities vanish for this state")
+    weights = np.array([decomp.weights], dtype=float)[:, kept]
+    return _plans(cells[None, kept], weights, avals, bvals)[0]
 
 
 @functools.lru_cache(maxsize=16)
@@ -223,12 +222,12 @@ def estimate_component(
     rng,
     threads: int = 1,
 ):
-    """Monte Carlo mean and standard error of lambda_i * alpha * beta.
+    """Monte Carlo mean and standard error of lambda_i * alpha * beta, drawn
+    over the branches of ``decomp`` that ``rho`` gives a probability.
 
     ``rng`` is a ``numpy.random.SeedSequence``; the result depends only on
-    the key and ``n_shots``. ``threads`` is ignored: it stays in the
-    signature only because the benchmark's layer probes
-    (``perfbench/tracing.py``) pass it.
+    the key and ``n_shots``. ``threads`` is ignored: it stays only because
+    the benchmark's layer probes (``perfbench/tracing.py``) pass it.
     """
     n_shots = _integer(n_shots, "n_shots")
     if not 1 <= n_shots <= 2**63 - 1:  # cell counts are int64

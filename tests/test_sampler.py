@@ -457,14 +457,23 @@ def test_kirkwood_dirac_plans_match_kraus_and_reference_plans(d, state):
             assert_plans_agree(plan, reference_plan(dec, rho, a, b))
 
 
-@pytest.mark.parametrize("d", [2, 16, 64, 256])
-def test_kirkwood_dirac_branches_sum_to_one_half(d):
-    """p(i) = 1/2 for all four branches, read off the closed form."""
+@pytest.mark.parametrize(
+    "d, orthogonal", [(2, False), (16, False), (64, False), (256, False), (4, True)],
+    ids=["2", "16", "64", "256", "pure-state-orthogonal-projectors"],
+)
+def test_kirkwood_dirac_branches_sum_to_one_half(d, orthogonal):
+    """p(i) = 1/2 for all four branches, read off the closed form, so no
+    branch is ever dropped; also for a pure state and rank-1 projectors
+    orthogonal to it, whose cells of outcome 1 vanish and are clipped to 0."""
     rng = np.random.default_rng(120 + d)
-    rho, a, b = rand_state(rng, d), rand_herm(rng, d), two_valued_observable(rng, d)
+    if orthogonal:
+        q = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+        rho, a, b = (np.outer(v, v.conj()) for v in q.T[:3])
+    else:
+        rho, a, b = rand_state(rng, d), rand_herm(rng, d), two_valued_observable(rng, d)
     for probs, values in _kirkwood_dirac_plans(rho, a, b):
         branches = probs.reshape(2, -1)
-        assert values.shape == branches.shape == (2, 2 * d)
+        assert values.shape == branches.shape == (2, 4 if orthogonal else 2 * d)
         assert np.abs(branches.sum(axis=1) - 0.5).max() <= 1e-12
 
 
@@ -718,12 +727,18 @@ def test_results_beyond_the_float_range_are_refused():
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_degenerate_observable_near_the_float_maximum_is_estimated():
     """A = 1e308 1 is taken at 2^-1024 on entry, so neither its cluster sum
-    2e308 nor lambda alpha = 3e308 is formed, and the estimate is 10 times
-    that at 1e307."""
+    2e308 nor lambda alpha = 3e308 is formed. Its unit-scale input is that of
+    its sibling 1e308 2^-1024 1, so the estimate, both standard errors and
+    the exact value are 2^1024 times the sibling's, bit for bit."""
     b = 1e-10 * SX
-    big, small = (estimate_two_point(MIXED2, s * np.eye(2), b, n_shots=1000) for s in (1e308, 1e307))
-    assert abs(big.estimate / 10 - small.estimate) <= 1e-15 * abs(small.estimate)
-    assert big.exact == 0 and big.std_error == pytest.approx(np.multiply(10, small.std_error))
+    big, small = (estimate_two_point(MIXED2, s * np.eye(2), b, n_shots=1000)
+                  for s in (1e308, math.ldexp(1e308, -1024)))
+
+    def fields(r):
+        return [r.estimate.real, r.estimate.imag, *r.std_error, r.exact.real, r.exact.imag]
+
+    assert [x.hex() for x in fields(big)] == [math.ldexp(x, 1024).hex() for x in fields(small)]
+    assert big.exact == 0 and big.std_error[0] > 1e296
 
 
 def test_split_shifts_budget():
